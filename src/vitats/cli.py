@@ -37,24 +37,16 @@ from .errors import (
     ParameterError,
     PreconditionError,
     SolverError,
-    TruncationNotConverged,
     UnknownFigure,
     VitatsError,
 )
-from .liouvillian import HilbertSpec, liouvillian_at
 from .model import (
     PARAM_KEYS,
     params_from_config,
     params_to_config,
     thermal_occupation,
-    validate_params,
 )
-from .solver import (
-    populations as _populations,
-    probe_spectrum,
-    steady_state,
-    truncation_report,
-)
+from .solver import populations as _populations, probe_free_state, probe_spectrum
 
 _RUN_KEYS = ("n_max", "delta_min", "delta_max", "delta_points", "method",
              "output", "format", "sweep_key", "sweep_values")
@@ -191,17 +183,6 @@ def _series_table(series) -> tuple[list[str], list[tuple]]:
     return columns, list(zip(*arrays))
 
 
-def _probe_free_state(params, n_max: int):
-    spec = HilbertSpec(n_max)
-    state = steady_state(liouvillian_at(params, 0.0, spec, epsilon=0.0))
-    report = truncation_report(state)
-    if not report.converged:
-        warnings.warn(f"steady-state tail mass {report.tail_mass:.3e} near "
-                      f"the photon cutoff exceeds 1e-08; increase n_max",
-                      TruncationNotConverged, stacklevel=2)
-    return state
-
-
 # --- commands -----------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
@@ -266,7 +247,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _population_row(params, n_max: int) -> list[float]:
-    state = _probe_free_state(params, n_max)
+    _, state, _ = probe_free_state(params, n_max)
     table = _populations(state)
     return [float(x) for x in table.p_n[:4]]
 
@@ -290,7 +271,7 @@ def _cmd_populations(args) -> int:
 
     if sweep is None:
         params = params_from_config(system)
-        state = _probe_free_state(params, n_max)
+        _, state, _ = probe_free_state(params, n_max)
         table = _populations(state)
         md = _metadata(params, method="steady_state", n_max=n_max,
                        residuals=[state.residual_norm])

@@ -148,10 +148,20 @@ class EffectiveRates:
 def validate_params(p: SystemParams) -> SystemParams:
     """Check and normalize parameters.
 
-    Returns a new SystemParams with the gamma map completed over all pairs,
+    Every rate, detuning, amplitude and pump setting must be finite. Returns
+    a new SystemParams with the gamma map completed over all pairs,
     gamma[(g,g)] forced to 0, and a TemperaturePump converted to the
     equivalent ThermalPump.
     """
+    settings = {f"gamma[{pair}]": value for pair, value in p.gamma.items()}
+    settings.update(eta=p.eta, kappa=p.kappa, delta=p.delta, beta=p.beta,
+                    epsilon=p.epsilon)
+    if p.pump is not None:
+        settings.update(vars(p.pump))
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} = {value} must be finite")
+
     gamma = dict.fromkeys(DECAY_PAIRS, 0.0)
     for pair, value in p.gamma.items():
         if pair not in gamma:

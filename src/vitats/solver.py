@@ -5,8 +5,8 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 
 - analytic: the closed-form vacuum susceptibility (no pumping).
 - linear_response: probe-free steady state rho0, then the first-order
-  coherence correction solved exactly from the sparse Liouvillian; the probe
-  amplitude is eliminated analytically. Valid for any pump.
+  coherence correction solved exactly on the read-out block of the sparse
+  Liouvillian; the probe amplitude is eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
@@ -21,11 +21,13 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 from scipy.signal import find_peaks as _scipy_find_peaks
 
 from . import analytic
@@ -43,7 +45,6 @@ from .liouvillian import (
     HilbertSpec,
     SuperOperator,
     assemble_liouvillian,
-    build_hamiltonian_rotating,
     build_operators,
     collapse_set,
     liouvillian_at,
@@ -86,6 +87,11 @@ class TruncationReport:
     n_max: int
     tail_mass: float
     converged: bool
+
+    @property
+    def message(self) -> str:
+        return (f"steady-state tail mass {self.tail_mass:.3e} above photon number "
+                f"{max(0, self.n_max - 5)} exceeds {_TAIL_TOL}; increase n_max")
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ def _replace_row(matrix: sp.csr_matrix, row: int, cols: np.ndarray,
     return out.tocsr()
 
 
-def _solve_constrained(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _sparse_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     try:
         lu = spla.splu(matrix.tocsc())
         x = lu.solve(rhs)
@@ -158,7 +164,7 @@ def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> Steady
         constrained = _replace_row(lmat, row, diag_idx, ones)
         rhs = np.zeros(dim * dim, dtype=complex)
         rhs[row] = 1.0
-        return _solve_constrained(constrained, rhs)
+        return _sparse_solve(constrained, rhs)
 
     x = solve_with_row(int(diag_idx[0]))
     if check_uniqueness:
@@ -191,35 +197,33 @@ def populations(state: SteadyState) -> PopulationTable:
     return PopulationTable(joint=joint, p_n=p_n)
 
 
-def _photon_tail_mass(rho: np.ndarray, spec: HilbertSpec) -> float:
-    """Total population with photon number above n_max - 5."""
-    diag = np.diag(rho).real
-    start = max(0, spec.n_max - 5) + 1
-    mass = 0.0
-    for n in range(start, spec.n_max + 1):
-        for level in LEVELS:
-            mass += max(diag[spec.index(n, level)], 0.0)
-    return mass
-
-
-def _probe_free_steady(params: SystemParams, spec: HilbertSpec, *,
-                       check_uniqueness: bool) -> SteadyState:
-    sop = liouvillian_at(params, 0.0, spec, epsilon=0.0)
-    return steady_state(sop, check_uniqueness=check_uniqueness)
-
-
 def truncation_report(state: SteadyState) -> TruncationReport:
-    """Tail mass of an already-computed steady state near its Fock cutoff."""
-    tail = _photon_tail_mass(state.rho, state.spec)
+    """Population above photon number n_max - 5 of an already-computed
+    steady state; converged iff < 1e-8."""
+    spec, diag = state.spec, np.diag(state.rho).real
+    tail = 0.0
+    for n in range(max(0, spec.n_max - 5) + 1, spec.n_max + 1):
+        for level in LEVELS:
+            tail += max(diag[spec.index(n, level)], 0.0)
     return TruncationReport(n_max=state.n_max, tail_mass=tail,
                             converged=tail < _TAIL_TOL)
 
 
+def probe_free_state(params: SystemParams, n_max: int, *,
+                     check_uniqueness: bool = True):
+    """(L0, steady state, TruncationReport) without the probe; warns
+    (TruncationNotConverged) unless the tail mass converged."""
+    sop = liouvillian_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
+    state = steady_state(sop, check_uniqueness=check_uniqueness)
+    report = truncation_report(state)
+    if not report.converged:
+        warnings.warn(report.message, TruncationNotConverged, stacklevel=3)
+    return sop, state, report
+
+
 def check_truncation_convergence(params: SystemParams, n_max: int) -> TruncationReport:
     """Steady-state tail mass near the Fock cutoff; converged iff < 1e-8."""
-    spec = HilbertSpec(n_max)
-    state = _probe_free_steady(validate_params(params), spec, check_uniqueness=False)
-    return truncation_report(state)
+    return probe_free_state(params, n_max, check_uniqueness=False)[2]
 
 
 # --- spectrum methods ---------------------------------------------------------
@@ -248,27 +252,31 @@ def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
                    - sp.kron(proj.T, eye, format="csr"))).tocsr()
 
 
-def _linear_response_chunk(params: SystemParams, n_max: int,
-                           deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi/beta and residual norm at each Delta via the first-order solve."""
-    spec = HilbertSpec(n_max)
-    rho0 = _probe_free_steady(params, spec, check_uniqueness=False).rho
-    rhs = _probe_commutator_rhs(rho0, spec)
-    row = 0  # vec index of |0,g><0,g|: redundant row traded for trace(sigma)=0
-    rhs[row] = 0.0
-    base = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
-    slope = _delta_derivative_superop(spec)
-    diag_idx = trace_indices(spec.dim)
-    base = _replace_row(base, row, diag_idx, np.ones(spec.dim))
-    slope = _replace_row(slope, row, np.array([row]), np.zeros(1))
+def _readout_block(l0: sp.csr_matrix, rho0: np.ndarray, spec: HilbertSpec):
+    """(L0, dL/dDelta, rhs, read-out positions) on the weakly connected
+    components of L0's graph that hold the read-out. L0 is block diagonal
+    across them and dL/dDelta is diagonal, so the restriction is exact."""
+    graph = abs(l0)  # real: csgraph would cast a complex matrix with a warning
+    graph.eliminate_zeros()
+    _, labels = connected_components(graph, directed=True, connection="weak")
     out_idx = _ge_vec_indices(spec)
+    block = np.flatnonzero(np.isin(labels, labels[out_idx]))
+    slope = _delta_derivative_superop(spec)
+    return (l0[block][:, block], slope[block][:, block],
+            _probe_commutator_rhs(rho0, spec)[block],
+            np.searchsorted(block, out_idx))
 
+
+def _linear_response_chunk(base: sp.csr_matrix, slope: sp.csr_matrix,
+                           rhs: np.ndarray, out: np.ndarray,
+                           deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi/beta and residual norm at each Delta from the block solve."""
     chi = np.empty(len(deltas), dtype=complex)
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
         matrix = (base + float(delta_p) * slope).tocsr()
-        x = _solve_constrained(matrix, rhs)
-        chi[k] = x[out_idx].sum()
+        x = _sparse_solve(matrix, rhs)
+        chi[k] = x[out].sum()
         resid[k] = float(np.linalg.norm(matrix @ x - rhs))
     return chi, resid
 
@@ -294,13 +302,6 @@ def _finite_epsilon_chunk(params: SystemParams, n_max: int, deltas: np.ndarray,
     return chi, resid
 
 
-def _numeric_chunk(args):
-    params, n_max, method, deltas, epsilon = args
-    if method == "linear_response":
-        return _linear_response_chunk(params, n_max, deltas)
-    return _finite_epsilon_chunk(params, n_max, deltas, epsilon)
-
-
 def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -319,8 +320,8 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     method is one of analytic / linear_response / finite_epsilon. Numeric
     methods truncate the cavity at n_max and warn (TruncationNotConverged)
     when the probe-free steady state leaves > 1e-8 population near the
-    cutoff. workers > 1 distributes grid chunks over processes; output is
-    assembled in grid order regardless of scheduling.
+    cutoff. workers > 1 distributes grid chunks of the per-point solve over
+    processes; output is assembled in grid order regardless of scheduling.
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -344,24 +345,24 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    spec = HilbertSpec(n_max)
-    rho0 = _probe_free_steady(params, spec, check_uniqueness=True)
-    tail = _photon_tail_mass(rho0.rho, spec)
-    if tail >= _TAIL_TOL:
-        message = (f"steady-state tail mass {tail:.3e} above photon number "
-                   f"{max(0, n_max - 5)} exceeds {_TAIL_TOL}; increase n_max")
-        warnings.warn(message, TruncationNotConverged, stacklevel=2)
-        notes.append(f"TruncationNotConverged: {message}")
+    sop, state, report = probe_free_state(params, n_max)
+    if not report.converged:
+        notes.append(f"TruncationNotConverged: {report.message}")
 
+    if method == "linear_response":
+        solve = partial(_linear_response_chunk,
+                        *_readout_block(sop.matrix, state.rho, sop.spec))
+    else:
+        solve = partial(_finite_epsilon_chunk, params, n_max,
+                        epsilon=params.epsilon)
     if workers > 1 and grid.size > 1:
         pieces = np.array_split(grid, min(workers, grid.size))
-        jobs = [(params, n_max, method, piece, params.epsilon) for piece in pieces]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_numeric_chunk, jobs))
-        chi = np.concatenate([r[0] for r in results])
-        resid = np.concatenate([r[1] for r in results])
+            results = list(pool.map(solve, pieces))
     else:
-        chi, resid = _numeric_chunk((params, n_max, method, grid, params.epsilon))
+        results = [solve(grid)]
+    chi = np.concatenate([r[0] for r in results])
+    resid = np.concatenate([r[1] for r in results])
 
     if method == "finite_epsilon":
         # saturation check at the most absorbing point: halving epsilon must
@@ -464,8 +465,8 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
             + np.exp(-1j * w_probe * t) * (k_minus @ v)
         return l_static @ v + eps * drive
 
-    state = vec(_probe_free_steady(params, spec, check_uniqueness=False).rho
-                ).astype(complex)
+    state = vec(steady_state(liouvillian_at(params, 0.0, spec, epsilon=0.0),
+                             check_uniqueness=False).rho).astype(complex)
     out_idx = _ge_vec_indices(spec)
 
     period = 2.0 * math.pi / abs(w_probe) if w_probe != 0.0 else 5.0 / rate

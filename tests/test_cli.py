@@ -85,6 +85,23 @@ def test_solver_failure_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("classify", {"gamma_e": math.nan, "gamma_f": 1.0, "kappa": 1.0,
+                  "eta": 4.0}),
+    ("spectrum", {"gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0,
+                  "eta": math.inf, "delta_min": -5.0, "delta_max": 5.0,
+                  "delta_points": 11, "method": "analytic"}),
+])
+def test_nonfinite_config_exits_2(tmp_path, capsys, command, payload):
+    out = tmp_path / "out.csv"
+    cfg = _write_config(tmp_path, "c.json", {**payload, "output": str(out)})
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_spectrum_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "s.csv"
     cfg = _write_config(tmp_path, "c.json", {

@@ -190,3 +190,23 @@ def test_config_round_trip():
 def test_pump_defaults_zero():
     p = validate_params(SystemParams(gamma={("e", "g"): 1.0}))
     assert p.n_th == 0.0 and p.Omega == 0.0 and p.pump_detuning == 0.0
+
+
+_BASE = {"gamma_e": 5.0, "gamma_f": 1.0, "eta": 4.0, "kappa": 1.0,
+         "delta": 0.0, "beta": 1.0, "epsilon": 1e-3}
+_FULL_MAP = {"gamma_eg": 8.0, "gamma_ef": 1.0, "gamma_ee": 1.0,
+             "gamma_fg": 1.5, "gamma_ff": 0.5, "eta": 4.0, "kappa": 1.0}
+_NONFINITE_CASES = {key: cfg for cfg in (
+    {**_BASE, "temperature_mK": 10.0, "omega_c_GHz": 5.0},
+    {**_BASE, "Omega": 0.4, "pump_detuning": 0.2},
+    {**_BASE, "n_th": 0.1},
+    _FULL_MAP,
+    _BASE) for key in cfg}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", sorted(_NONFINITE_CASES))
+def test_nonfinite_values_rejected(key, value):
+    cfg = {**_NONFINITE_CASES[key], key: value}
+    with pytest.raises(ParameterError, match="finite"):
+        params_from_config(cfg)

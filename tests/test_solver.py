@@ -156,6 +156,25 @@ def test_finite_epsilon_matches_closed_form():
     assert np.abs(series.chi - exact).max() < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                pump=ThermalPump(n_th=0.3)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
+                                pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
+    SystemParams(gamma={("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
+                        ("f", "g"): 1.2, ("f", "f"): 0.4},
+                 eta=4.0, kappa=1.0, delta=-0.4, pump=ThermalPump(n_th=0.4)),
+], ids=["thermal", "coherent-detuned", "full-gamma-map"])
+def test_linear_response_block_matches_finite_epsilon_when_pumped(params):
+    # the read-out block solve against the independent full-space oracle
+    grid = np.linspace(-10, 10, 21)
+    block = probe_spectrum(params, grid, method="linear_response", n_max=10)
+    full = probe_spectrum(params, grid, method="finite_epsilon", n_max=10)
+    gap = np.abs(block.chi - full.chi).max()
+    assert gap <= 1e-5 * np.abs(full.chi).max()
+
+
 def test_analytic_method_rejects_pumping():
     grid = np.linspace(-5, 5, 11)
     with pytest.raises(AnalyticInvalidHere):
