@@ -27,6 +27,8 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +42,13 @@ from .errors import (
     UnknownFigure,
     VitatsError,
 )
-from .model import (
-    PARAM_KEYS,
-    params_from_config,
-    params_to_config,
-    thermal_occupation,
-)
+from .model import PARAM_KEYS, SystemParams, params_from_config, params_to_config
 from .solver import populations as _populations, probe_free_state, probe_spectrum
 
 _RUN_KEYS = ("n_max", "delta_min", "delta_max", "delta_points", "method",
              "output", "format", "sweep_key", "sweep_values")
 _PUMP_CONFIG_KEYS = ("n_th", "temperature_mK", "Omega")
-_OMEGA_C_5GHZ = 2.0 * np.pi * 5e9  # rad/s, preset choice for mK axes
+_P_COLUMNS = ["P_0", "P_1", "P_2", "P_3"]
 
 
 def _fmt(value) -> str:
@@ -167,6 +164,26 @@ def _config_with(system: dict, key: str, value: float) -> dict:
     return out
 
 
+def _sweep(system: dict, key: str, values) -> list[tuple[float, SystemParams]]:
+    """(value, validated params) for each value of one swept config key, in
+    order; a sweep's sidecar echoes the params of the first value."""
+    return [(float(v), params_from_config(_config_with(system, key, float(v))))
+            for v in values]
+
+
+def _population_sweep(system: dict, key: str, values, n_max: int,
+                      echo: tuple[str, ...] = ()):
+    """(first params, rows) with one row per sweep value: the value, the
+    params attributes named in echo, and P_0..P_3 of the probe-free state."""
+    runs = _sweep(system, key, values)
+    rows = []
+    for value, params in runs:
+        _, state, _ = probe_free_state(params, n_max)
+        rows.append([value, *(getattr(params, name) for name in echo),
+                     *(float(p) for p in _populations(state).p_n[:4])])
+    return runs[0][1], rows
+
+
 def _resolve(args, run: dict, key: str, default):
     flag = getattr(args, key, None)
     if flag is not None:
@@ -174,13 +191,15 @@ def _resolve(args, run: dict, key: str, default):
     return run.get(key, default)
 
 
-def _series_table(series) -> tuple[list[str], list[tuple]]:
+def _emit_series(path: Path, fmt: str, series) -> None:
     columns = ["delta", "im_chi", "re_chi"]
     arrays = [series.grid, series.im_chi, series.re_chi]
     if series.im_r1 is not None:
         columns += ["im_R1", "im_R2"]
         arrays += [series.im_r1, series.im_r2]
-    return columns, list(zip(*arrays))
+    md = _metadata(series.params, method=series.method, n_max=series.n_max,
+                   residuals=series.residuals, notes=series.warnings)
+    _emit(path, fmt, md, columns, list(zip(*arrays)))
 
 
 # --- commands -----------------------------------------------------------------
@@ -210,25 +229,18 @@ def _cmd_spectrum(args) -> int:
     sweep = _sweep_from_run(run)
 
     if sweep is None:
-        series = probe_spectrum(params_from_config(system), grid,
-                                method=method, n_max=n_max, workers=args.threads)
-        columns, rows = _series_table(series)
-        md = _metadata(series.params, method=method, n_max=series.n_max,
-                       residuals=series.residuals, notes=series.warnings)
-        _emit(output, fmt, md, columns, rows)
+        _emit_series(output, fmt,
+                     probe_spectrum(params_from_config(system), grid, method=method,
+                                    n_max=n_max, workers=args.threads))
         return 0
 
     key, values = sweep
     sweep_col = "delta_c" if key == "delta" else key
-    columns = ["delta", sweep_col, "im_chi", "re_chi"]
     rows: list[tuple] = []
     residuals: list = []
     notes: list[str] = []
-    base_params = None
-    for value in values:
-        params = params_from_config(_config_with(system, key, value))
-        if base_params is None:
-            base_params = params
+    runs = _sweep(system, key, values)
+    for value, params in runs:
         series = probe_spectrum(params, grid, method=method, n_max=n_max,
                                 workers=args.threads)
         rows.extend(zip(series.grid, [value] * grid.size,
@@ -236,20 +248,14 @@ def _cmd_spectrum(args) -> int:
         residuals.append(None if series.residuals is None
                          else float(series.residuals.max()))
         notes.extend(series.warnings)
-    md = _metadata(base_params, method=method,
+    md = _metadata(runs[0][1], method=method,
                    n_max=None if method == "analytic" else n_max,
                    notes=notes,
                    extra={"sweep_key": key, "sweep_values": values,
                           "residual_max_per_sweep": residuals})
     md["residual_max"] = max((r for r in residuals if r is not None), default=None)
-    _emit(output, fmt, md, columns, rows)
+    _emit(output, fmt, md, ["delta", sweep_col, "im_chi", "re_chi"], rows)
     return 0
-
-
-def _population_row(params, n_max: int) -> list[float]:
-    _, state, _ = probe_free_state(params, n_max)
-    table = _populations(state)
-    return [float(x) for x in table.p_n[:4]]
 
 
 def _cmd_populations(args) -> int:
@@ -288,41 +294,68 @@ def _cmd_populations(args) -> int:
         return 0
 
     key, values = sweep
-    rows = []
-    base_params = None
-    for value in values:
-        params = params_from_config(_config_with(system, key, value))
-        if base_params is None:
-            base_params = params
-        rows.append([value] + _population_row(params, n_max))
-    md = _metadata(base_params, method="steady_state", n_max=n_max,
+    base, rows = _population_sweep(system, key, values, n_max)
+    md = _metadata(base, method="steady_state", n_max=n_max,
                    extra={"sweep_key": key, "sweep_values": values})
-    _emit(output, fmt, md, ["sweep_value", "P_0", "P_1", "P_2", "P_3"], rows)
+    _emit(output, fmt, md, ["sweep_value", *_P_COLUMNS], rows)
     return 0
 
 
 # --- figure presets -------------------------------------------------------------
+# Each job writes one figure's files as job(outdir, n_max, threads); the
+# analytic jobs ignore n_max and threads.
 
-def _emit_series(outdir: Path, name: str, series) -> None:
-    columns, rows = _series_table(series)
-    md = _metadata(series.params, method=series.method, n_max=series.n_max,
-                   residuals=series.residuals, notes=series.warnings)
-    _emit(outdir / name, "csv", md, columns, rows)
+_PRESET_N_MAX = 20  # Fock cutoff of the pumped presets unless --n-max is given
 
 
-def _pole_table(outdir: Path, name: str, axis_name: str, axis_values,
-                base_config: dict) -> None:
+def _spectra_job(outdir: Path, n_max, threads: int, *, span: float, method: str,
+                 system: dict, key: str, values, name: str) -> None:
+    """One spectrum CSV per value of key, on 2001 points over [-span, span];
+    name is a format pattern for the value."""
+    grid = np.linspace(-span, span, 2001)
+    for value, params in _sweep(system, key, values):
+        series = probe_spectrum(params, grid, method=method, n_max=n_max,
+                                workers=threads)
+        _emit_series(outdir / name.format(value), "csv", series)
+
+
+def _analytic_sweep_meta(system: dict, key: str, values) -> dict:
+    return _metadata(None, method="analytic", n_max=None,
+                     extra={"base_params": dict(sorted(system.items())),
+                            "sweep_key": key, "sweep_points": len(values)})
+
+
+def _delta_c_map_job(outdir: Path, n_max, threads: int, *, span: float,
+                     system: dict, values, name: str) -> None:
+    """Long-format vacuum absorption over probe detuning and cavity detuning."""
+    grid = np.linspace(-span, span, 2001)
     rows = []
-    for value in axis_values:
-        pair = poles(params_from_config({**base_config, axis_name: float(value)}))
+    for value, params in _sweep(system, "delta", values):
+        series = probe_spectrum(params, grid, method="analytic")
+        rows.extend(zip(series.grid, [value] * grid.size, series.im_chi))
+    _emit(outdir / name, "csv", _analytic_sweep_meta(system, "delta", values),
+          ["delta", "delta_c", "im_chi"], rows)
+
+
+def _poles_job(outdir: Path, n_max, threads: int, *, system: dict, key: str,
+               values, name: str) -> None:
+    rows = []
+    for value, params in _sweep(system, key, values):
+        pair = poles(params)
         rows.append((value, pair.delta_1.real, pair.delta_1.imag,
                      pair.delta_2.real, pair.delta_2.imag))
-    md = _metadata(None, method="analytic", n_max=None,
-                   extra={"base_params": dict(sorted(base_config.items())),
-                          "sweep_key": axis_name,
-                          "sweep_points": len(axis_values)})
-    _emit(outdir / name, "csv", md,
-          [axis_name, "re_delta1", "im_delta1", "re_delta2", "im_delta2"], rows)
+    _emit(outdir / name, "csv", _analytic_sweep_meta(system, key, values),
+          [key, "re_delta1", "im_delta1", "re_delta2", "im_delta2"], rows)
+
+
+def _populations_job(outdir: Path, n_max: int, threads: int, *, system: dict,
+                     key: str, values, name: str, echo: tuple[str, ...] = (),
+                     extra: dict | None = None) -> None:
+    base, rows = _population_sweep(system, key, values, n_max, echo)
+    md = _metadata(base, method="steady_state", n_max=n_max,
+                   extra={"sweep_key": key, "sweep_points": len(values),
+                          **(extra or {})})
+    _emit(outdir / name, "csv", md, [key, *echo, *_P_COLUMNS], rows)
 
 
 _OMEGA_C_NOTE = (
@@ -330,175 +363,127 @@ _OMEGA_C_NOTE = (
     "this preset uses omega_c/2pi = 5 GHz and reports the thermal occupation "
     "n_th alongside each temperature so the physics stays convention-independent.")
 
-_PRESETS: dict[str, dict] = {
-    "3a": {"n_max": None, "notes":
-           "Vacuum probe spectra at gamma_e=5, gamma_f=1, kappa=0.2, delta=0 "
-           "for eta in {0, 2, 10} (all rates in units of gamma_f). One CSV per "
-           "eta; columns are probe detuning, Im chi/beta, Re chi/beta, and the "
-           "two resonance components. No known discrepancies."},
-    "3b": {"n_max": None, "notes":
-           "Vacuum absorption versus probe detuning (delta column) and cavity "
-           "detuning (delta_c column) at gamma_e=5, gamma_f=1, kappa=0.2, "
-           "eta=2. Long-format CSV delta,delta_c,im_chi. No known discrepancies."},
-    "4ab": {"n_max": None, "notes":
-            "Resonance-pole trajectories versus cavity decay kappa at "
-            "gamma_e=5, gamma_f=1, delta=0. DISCREPANCY: the source figure's "
-            "caption states eta = 4, but the real-part bifurcations it shows "
-            "at kappa = 2 and kappa = 6 solve 2*eta = |gamma_f + kappa - "
-            "gamma_e| only for eta = 1. This preset uses eta = 1 so the "
-            "computed transitions land where the source figure places them."},
-    "4cd": {"n_max": None, "notes":
-            "Resonance-pole trajectories versus coupling eta at gamma_e=5, "
-            "gamma_f=1, kappa=1, delta=0. The real parts bifurcate exactly at "
-            "eta = |gamma_f + kappa - gamma_e|/2 = 1.5. No known discrepancies."},
-    "5a": {"n_max": None, "notes":
-           "Vacuum spectrum and resonance decomposition at gamma_e=10, "
-           "gamma_f=1, kappa=0, eta=3.9, delta=0 (weak-coupling side: the two "
-           "components carry opposite-sign Im parts at Delta=0, an "
-           "interference dip). No known discrepancies."},
-    "5b": {"n_max": None, "notes":
-           "As 5a but kappa=1, eta=3.9: still below the threshold "
-           "|gamma_f + kappa - gamma_e|/2 = 4, so the dip is interference "
-           "(opposite-sign components at Delta=0). No known discrepancies."},
-    "5c": {"n_max": None, "notes":
-           "As 5b but eta=4.1, just above the threshold 4: the poles acquire "
-           "distinct real parts and the dip becomes a resolved doublet. "
-           "No known discrepancies."},
-    "5d": {"n_max": None, "notes":
-           "As 5b but eta=10, deep strong coupling: two positive Lorentzian "
-           "components centered near +-eta. No known discrepancies."},
-    "6": {"n_max": 20, "notes":
-          "Photon-number-resolved ground-level populations P_0..P_3 versus "
-          "temperature at gamma_e=5, gamma_f=1, kappa=0.2, eta=2 (thermal "
-          "cavity pump). " + _OMEGA_C_NOTE},
-    "7a": {"n_max": 20, "notes":
-           "Thermal suppression of the weak-coupling dip: spectra at "
-           "gamma_e=5, gamma_f=1, kappa=1, eta=4 for T in {0, 10, 80} mK. "
-           + _OMEGA_C_NOTE},
-    "7b": {"n_max": 20, "notes":
-           "Photon-number-resolved doublets under thermal pumping: spectra at "
-           "gamma_e=5, gamma_f=1, kappa=1, eta=80 for T in {0, 10, 80} mK; "
-           "thermal occupation populates n=1 and adds peaks near "
-           "+-sqrt(2)*eta. " + _OMEGA_C_NOTE},
-    "8a": {"n_max": 20, "notes":
-           "Populations versus coherent pump amplitude Omega at gamma_e=5, "
-           "gamma_f=1, kappa=1, eta=80, resonant pump. DISCREPANCY: the "
-           "source figure shows P_0 below P_1..P_3 at Omega=0.8, but the "
-           "probe-free steady state factorizes exactly into |g><g| times a "
-           "coherent cavity state of amplitude Omega/kappa, whose Poissonian "
-           "populations with mean 0.64 give P_0 > P_1 > P_2 > P_3. This "
-           "bundle reports the exact result; epsilon and pump_detuning are "
-           "exposed in the library so alternative conventions can be searched."},
-    "8b": {"n_max": 20, "notes":
-           "Photon-number-resolved spectra under coherent pumping at "
-           "gamma_e=5, gamma_f=1, kappa=1, eta=80 for Omega in {0, 0.4, 0.8}: "
-           "doublets emerge near +-eta, +-sqrt(2)*eta, +-sqrt(3)*eta as the "
-           "pump populates n = 0, 1, 2. No known discrepancies."},
+_FIG5 = partial(_spectra_job, span=20.0, method="analytic", key="eta",
+                name="spectrum.csv")
+_PUMPED = {"gamma_e": 5, "gamma_f": 1, "kappa": 1}
+
+# figure id -> (NOTES.txt text, job)
+_FIGURES: dict[str, tuple[str, Callable[[Path, int, int], None]]] = {
+    "3a": (
+        "Vacuum probe spectra at gamma_e=5, gamma_f=1, kappa=0.2, delta=0 "
+        "for eta in {0, 2, 10} (all rates in units of gamma_f). One CSV per "
+        "eta; columns are probe detuning, Im chi/beta, Re chi/beta, and the "
+        "two resonance components. No known discrepancies.",
+        partial(_spectra_job, span=25.0, method="analytic",
+                system={"gamma_e": 5, "gamma_f": 1, "kappa": 0.2}, key="eta",
+                values=(0.0, 2.0, 10.0), name="spectrum_eta{:g}.csv")),
+    "3b": (
+        "Vacuum absorption versus probe detuning (delta column) and cavity "
+        "detuning (delta_c column) at gamma_e=5, gamma_f=1, kappa=0.2, "
+        "eta=2. Long-format CSV delta,delta_c,im_chi. No known discrepancies.",
+        partial(_delta_c_map_job, span=10.0,
+                system={"gamma_e": 5.0, "gamma_f": 1.0, "kappa": 0.2, "eta": 2.0},
+                values=np.linspace(-5.0, 5.0, 41), name="spectrum_2d.csv")),
+    "4ab": (
+        "Resonance-pole trajectories versus cavity decay kappa at "
+        "gamma_e=5, gamma_f=1, delta=0. DISCREPANCY: the source figure's "
+        "caption states eta = 4, but the real-part bifurcations it shows "
+        "at kappa = 2 and kappa = 6 solve 2*eta = |gamma_f + kappa - "
+        "gamma_e| only for eta = 1. This preset uses eta = 1 so the "
+        "computed transitions land where the source figure places them.",
+        partial(_poles_job, system={"gamma_e": 5, "gamma_f": 1, "eta": 1},
+                key="kappa", values=np.linspace(0.0, 8.0, 801),
+                name="poles_vs_kappa.csv")),
+    "4cd": (
+        "Resonance-pole trajectories versus coupling eta at gamma_e=5, "
+        "gamma_f=1, kappa=1, delta=0. The real parts bifurcate exactly at "
+        "eta = |gamma_f + kappa - gamma_e|/2 = 1.5. No known discrepancies.",
+        partial(_poles_job, system={"gamma_e": 5, "gamma_f": 1, "kappa": 1},
+                key="eta", values=np.linspace(0.0, 4.0, 801),
+                name="poles_vs_eta.csv")),
+    "5a": (
+        "Vacuum spectrum and resonance decomposition at gamma_e=10, "
+        "gamma_f=1, kappa=0, eta=3.9, delta=0 (weak-coupling side: the two "
+        "components carry opposite-sign Im parts at Delta=0, an "
+        "interference dip). No known discrepancies.",
+        partial(_FIG5, system={"gamma_e": 10, "gamma_f": 1, "kappa": 0.0},
+                values=(3.9,))),
+    "5b": (
+        "As 5a but kappa=1, eta=3.9: still below the threshold "
+        "|gamma_f + kappa - gamma_e|/2 = 4, so the dip is interference "
+        "(opposite-sign components at Delta=0). No known discrepancies.",
+        partial(_FIG5, system={"gamma_e": 10, "gamma_f": 1, "kappa": 1.0},
+                values=(3.9,))),
+    "5c": (
+        "As 5b but eta=4.1, just above the threshold 4: the poles acquire "
+        "distinct real parts and the dip becomes a resolved doublet. "
+        "No known discrepancies.",
+        partial(_FIG5, system={"gamma_e": 10, "gamma_f": 1, "kappa": 1.0},
+                values=(4.1,))),
+    "5d": (
+        "As 5b but eta=10, deep strong coupling: two positive Lorentzian "
+        "components centered near +-eta. No known discrepancies.",
+        partial(_FIG5, system={"gamma_e": 10, "gamma_f": 1, "kappa": 1.0},
+                values=(10.0,))),
+    "6": (
+        "Photon-number-resolved ground-level populations P_0..P_3 versus "
+        "temperature at gamma_e=5, gamma_f=1, kappa=0.2, eta=2 (thermal "
+        "cavity pump). " + _OMEGA_C_NOTE,
+        partial(_populations_job,
+                system={"gamma_e": 5, "gamma_f": 1, "kappa": 0.2, "eta": 2,
+                        "omega_c_GHz": 5.0},
+                key="temperature_mK", values=np.linspace(0.0, 100.0, 101),
+                name="populations_vs_T.csv", echo=("n_th",),
+                extra={"omega_c_GHz": 5.0})),
+    "7a": (
+        "Thermal suppression of the weak-coupling dip: spectra at "
+        "gamma_e=5, gamma_f=1, kappa=1, eta=4 for T in {0, 10, 80} mK. "
+        + _OMEGA_C_NOTE,
+        partial(_spectra_job, span=10.0, method="linear_response",
+                system={**_PUMPED, "eta": 4, "omega_c_GHz": 5.0},
+                key="temperature_mK", values=(0.0, 10.0, 80.0),
+                name="spectrum_T{:g}mK.csv")),
+    "7b": (
+        "Photon-number-resolved doublets under thermal pumping: spectra at "
+        "gamma_e=5, gamma_f=1, kappa=1, eta=80 for T in {0, 10, 80} mK; "
+        "thermal occupation populates n=1 and adds peaks near "
+        "+-sqrt(2)*eta. " + _OMEGA_C_NOTE,
+        partial(_spectra_job, span=350.0, method="linear_response",
+                system={**_PUMPED, "eta": 80, "omega_c_GHz": 5.0},
+                key="temperature_mK", values=(0.0, 10.0, 80.0),
+                name="spectrum_T{:g}mK.csv")),
+    "8a": (
+        "Populations versus coherent pump amplitude Omega at gamma_e=5, "
+        "gamma_f=1, kappa=1, eta=80, resonant pump. DISCREPANCY: the "
+        "source figure shows P_0 below P_1..P_3 at Omega=0.8, but the "
+        "probe-free steady state factorizes exactly into |g><g| times a "
+        "coherent cavity state of amplitude Omega/kappa, whose Poissonian "
+        "populations with mean 0.64 give P_0 > P_1 > P_2 > P_3. This "
+        "bundle reports the exact result; epsilon and pump_detuning are "
+        "exposed in the library so alternative conventions can be searched.",
+        partial(_populations_job, system={**_PUMPED, "eta": 80},
+                key="Omega", values=np.linspace(0.0, 0.8, 17),
+                name="populations_vs_Omega.csv")),
+    "8b": (
+        "Photon-number-resolved spectra under coherent pumping at "
+        "gamma_e=5, gamma_f=1, kappa=1, eta=80 for Omega in {0, 0.4, 0.8}: "
+        "doublets emerge near +-eta, +-sqrt(2)*eta, +-sqrt(3)*eta as the "
+        "pump populates n = 0, 1, 2. No known discrepancies.",
+        partial(_spectra_job, span=350.0, method="linear_response",
+                system={**_PUMPED, "eta": 80}, key="Omega",
+                values=(0.0, 0.4, 0.8), name="spectrum_Omega{:g}.csv")),
 }
 
 
-def _reproduce_into(figure: str, outdir: Path, n_max: int | None,
-                    threads: int) -> None:
-    def spectrum_cfg(cfg: dict, grid, method: str, name: str,
-                     resolved_n_max: int = 20) -> None:
-        series = probe_spectrum(params_from_config(cfg), grid, method=method,
-                                n_max=resolved_n_max, workers=threads)
-        _emit_series(outdir, name, series)
-
-    if figure == "3a":
-        grid = np.linspace(-25.0, 25.0, 2001)
-        for eta in (0.0, 2.0, 10.0):
-            spectrum_cfg({"gamma_e": 5, "gamma_f": 1, "kappa": 0.2, "eta": eta},
-                         grid, "analytic", f"spectrum_eta{eta:g}.csv")
-    elif figure == "3b":
-        grid = np.linspace(-10.0, 10.0, 2001)
-        rows = []
-        for delta_c in np.linspace(-5.0, 5.0, 41):
-            params = params_from_config({"gamma_e": 5, "gamma_f": 1,
-                                         "kappa": 0.2, "eta": 2,
-                                         "delta": float(delta_c)})
-            series = probe_spectrum(params, grid, method="analytic")
-            rows.extend(zip(series.grid, [float(delta_c)] * grid.size,
-                            series.im_chi))
-        md = _metadata(None, method="analytic", n_max=None,
-                       extra={"base_params": {"gamma_e": 5.0, "gamma_f": 1.0,
-                                              "kappa": 0.2, "eta": 2.0},
-                              "sweep_key": "delta", "sweep_points": 41})
-        _emit(outdir / "spectrum_2d.csv", "csv", md,
-              ["delta", "delta_c", "im_chi"], rows)
-    elif figure == "4ab":
-        _pole_table(outdir, "poles_vs_kappa.csv", "kappa",
-                    np.linspace(0.0, 8.0, 801),
-                    {"gamma_e": 5, "gamma_f": 1, "eta": 1})
-    elif figure == "4cd":
-        _pole_table(outdir, "poles_vs_eta.csv", "eta",
-                    np.linspace(0.0, 4.0, 801),
-                    {"gamma_e": 5, "gamma_f": 1, "kappa": 1})
-    elif figure in ("5a", "5b", "5c", "5d"):
-        kappa, eta = {"5a": (0.0, 3.9), "5b": (1.0, 3.9),
-                      "5c": (1.0, 4.1), "5d": (1.0, 10.0)}[figure]
-        spectrum_cfg({"gamma_e": 10, "gamma_f": 1, "kappa": kappa, "eta": eta},
-                     np.linspace(-20.0, 20.0, 2001), "analytic", "spectrum.csv")
-    elif figure == "6":
-        resolved = n_max or _PRESETS["6"]["n_max"]
-        rows = []
-        base = None
-        for temp_mK in np.linspace(0.0, 100.0, 101):
-            n_th = 0.0 if temp_mK == 0.0 else \
-                thermal_occupation(_OMEGA_C_5GHZ, temp_mK * 1e-3)
-            params = params_from_config({"gamma_e": 5, "gamma_f": 1,
-                                         "kappa": 0.2, "eta": 2, "n_th": n_th})
-            if base is None:
-                base = params
-            rows.append([float(temp_mK), n_th] + _population_row(params, resolved))
-        md = _metadata(base, method="steady_state", n_max=resolved,
-                       extra={"sweep_key": "temperature_mK",
-                              "omega_c_GHz": 5.0, "sweep_points": 101})
-        _emit(outdir / "populations_vs_T.csv", "csv", md,
-              ["temperature_mK", "n_th", "P_0", "P_1", "P_2", "P_3"], rows)
-    elif figure in ("7a", "7b"):
-        eta = 4.0 if figure == "7a" else 80.0
-        span = 10.0 if figure == "7a" else 350.0
-        resolved = n_max or _PRESETS[figure]["n_max"]
-        grid = np.linspace(-span, span, 2001)
-        for temp_mK in (0.0, 10.0, 80.0):
-            n_th = 0.0 if temp_mK == 0.0 else \
-                thermal_occupation(_OMEGA_C_5GHZ, temp_mK * 1e-3)
-            spectrum_cfg({"gamma_e": 5, "gamma_f": 1, "kappa": 1, "eta": eta,
-                          "n_th": n_th}, grid, "linear_response",
-                         f"spectrum_T{temp_mK:g}mK.csv", resolved)
-    elif figure == "8a":
-        resolved = n_max or _PRESETS["8a"]["n_max"]
-        rows = []
-        base = None
-        for omega in np.linspace(0.0, 0.8, 17):
-            params = params_from_config({"gamma_e": 5, "gamma_f": 1, "kappa": 1,
-                                         "eta": 80, "Omega": float(omega)})
-            if base is None:
-                base = params
-            rows.append([float(omega)] + _population_row(params, resolved))
-        md = _metadata(base, method="steady_state", n_max=resolved,
-                       extra={"sweep_key": "Omega", "sweep_points": 17})
-        _emit(outdir / "populations_vs_Omega.csv", "csv", md,
-              ["Omega", "P_0", "P_1", "P_2", "P_3"], rows)
-    elif figure == "8b":
-        resolved = n_max or _PRESETS["8b"]["n_max"]
-        grid = np.linspace(-350.0, 350.0, 2001)
-        for omega in (0.0, 0.4, 0.8):
-            spectrum_cfg({"gamma_e": 5, "gamma_f": 1, "kappa": 1, "eta": 80,
-                          "Omega": omega}, grid, "linear_response",
-                         f"spectrum_Omega{omega:g}.csv", resolved)
-
-
 def _cmd_reproduce(args) -> int:
-    figure = args.figure
-    if figure not in _PRESETS:
+    if args.figure not in _FIGURES:
         raise UnknownFigure(
-            f"unknown figure {figure!r}; choose from {sorted(_PRESETS)}")
-    outdir = Path(args.output or f"fig{figure}")
+            f"unknown figure {args.figure!r}; choose from {sorted(_FIGURES)}")
+    notes, job = _FIGURES[args.figure]
+    outdir = Path(args.output or f"fig{args.figure}")
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_text(outdir / "NOTES.txt", _PRESETS[figure]["notes"] + "\n")
-    _reproduce_into(figure, outdir, args.n_max, args.threads)
+    _write_text(outdir / "NOTES.txt", notes + "\n")
+    job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max, args.threads)
     print(f"wrote {outdir / 'NOTES.txt'}")
     return 0
 
@@ -542,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pop.set_defaults(func=_cmd_populations)
 
     p_rep = sub.add_parser("reproduce", help="figure-reproduction presets")
-    p_rep.add_argument("figure", help="one of " + ", ".join(sorted(_PRESETS)))
+    p_rep.add_argument("figure", help="one of " + ", ".join(sorted(_FIGURES)))
     p_rep.add_argument("--output", default=None, help="bundle directory")
     p_rep.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_rep.add_argument("--threads", type=int, default=1)

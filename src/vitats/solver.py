@@ -18,6 +18,7 @@ second solve with a different replaced row agreeing within 1e-8.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -253,28 +254,27 @@ def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
 
 
 def _readout_block(l0: sp.csr_matrix, rho0: np.ndarray, spec: HilbertSpec):
-    """(L0, dL/dDelta, rhs, read-out positions) on the weakly connected
-    components of L0's graph that hold the read-out. L0 is block diagonal
-    across them and dL/dDelta is diagonal, so the restriction is exact."""
+    """(L0, rhs, read-out positions) on the weakly connected components of
+    L0's graph that hold the read-out. L0 is block diagonal across them and
+    every block element is a |g,m><x,n| coherence with x in {e, f}, on which
+    dL/dDelta is exactly +1j, so the restriction is exact."""
     graph = abs(l0)  # real: csgraph would cast a complex matrix with a warning
     graph.eliminate_zeros()
     _, labels = connected_components(graph, directed=True, connection="weak")
     out_idx = _ge_vec_indices(spec)
     block = np.flatnonzero(np.isin(labels, labels[out_idx]))
-    slope = _delta_derivative_superop(spec)
-    return (l0[block][:, block], slope[block][:, block],
-            _probe_commutator_rhs(rho0, spec)[block],
+    return (l0[block][:, block], _probe_commutator_rhs(rho0, spec)[block],
             np.searchsorted(block, out_idx))
 
 
-def _linear_response_chunk(base: sp.csr_matrix, slope: sp.csr_matrix,
-                           rhs: np.ndarray, out: np.ndarray,
+def _linear_response_chunk(base: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
                            deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi/beta and residual norm at each Delta from the block solve."""
+    eye = sp.identity(base.shape[0], dtype=complex, format="csr")
     chi = np.empty(len(deltas), dtype=complex)
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
-        matrix = (base + float(delta_p) * slope).tocsr()
+        matrix = (base + 1j * float(delta_p) * eye).tocsr()
         x = _sparse_solve(matrix, rhs)
         chi[k] = x[out].sum()
         resid[k] = float(np.linalg.norm(matrix @ x - rhs))
@@ -321,7 +321,8 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     methods truncate the cavity at n_max and warn (TruncationNotConverged)
     when the probe-free steady state leaves > 1e-8 population near the
     cutoff. workers > 1 distributes grid chunks of the per-point solve over
-    processes; output is assembled in grid order regardless of scheduling.
+    at most os.cpu_count() processes; output is assembled in grid order
+    regardless of scheduling.
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -355,6 +356,7 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     else:
         solve = partial(_finite_epsilon_chunk, params, n_max,
                         epsilon=params.epsilon)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and grid.size > 1:
         pieces = np.array_split(grid, min(workers, grid.size))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -342,6 +342,57 @@ def test_reproduce_coherent_populations(tmp_path, capsys):
     assert "DISCREPANCY" in notes
 
 
+_SPECTRUM = "delta,im_chi,re_chi"
+_RESOLVED = _SPECTRUM + ",im_R1,im_R2"
+_POLES = ",re_delta1,im_delta1,re_delta2,im_delta2"
+_PRESET_FILES = {
+    "3a": {"spectrum_eta0.csv": _RESOLVED, "spectrum_eta2.csv": _RESOLVED,
+           "spectrum_eta10.csv": _RESOLVED},
+    "3b": {"spectrum_2d.csv": "delta,delta_c,im_chi"},
+    "4ab": {"poles_vs_kappa.csv": "kappa" + _POLES},
+    "4cd": {"poles_vs_eta.csv": "eta" + _POLES},
+    "5a": {"spectrum.csv": _RESOLVED},
+    "5b": {"spectrum.csv": _RESOLVED},
+    "5c": {"spectrum.csv": _RESOLVED},
+    "5d": {"spectrum.csv": _RESOLVED},
+    "6": {"populations_vs_T.csv": "temperature_mK,n_th,P_0,P_1,P_2,P_3"},
+    "7a": {f"spectrum_T{t}mK.csv": _SPECTRUM for t in (0, 10, 80)},
+    "7b": {f"spectrum_T{t}mK.csv": _SPECTRUM for t in (0, 10, 80)},
+    "8a": {"populations_vs_Omega.csv": "Omega,P_0,P_1,P_2,P_3"},
+    "8b": {f"spectrum_Omega{o}.csv": _SPECTRUM for o in ("0", "0.4", "0.8")},
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_PRESET_FILES))
+def test_reproduce_every_preset(tmp_path, capsys, figure):
+    def bundle(name):
+        outdir = tmp_path / name
+        assert cli.main(["reproduce", figure, "--output", str(outdir),
+                         "--n-max", "3"]) == 0
+        return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+    first = bundle("a")
+    expected = _PRESET_FILES[figure]
+    assert set(first) == {"NOTES.txt", *expected,
+                          *(name + ".meta.json" for name in expected)}
+    for name, header in expected.items():
+        assert first[name].decode("utf-8").splitlines()[0] == header
+    assert bundle("b") == first
+    capsys.readouterr()
+
+
+def test_preset_file_list_covers_every_figure():
+    assert set(cli._FIGURES) == set(_PRESET_FILES)
+
+
+def test_reproduce_n_max_zero_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "fig8a"
+    assert cli.main(["reproduce", "8a", "--output", str(outdir),
+                     "--n-max", "0"]) == 2
+    assert "n_max = 0" in capsys.readouterr().err
+    assert not (outdir / "populations_vs_Omega.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -35,6 +35,7 @@ from vitats import (
     time_domain_crosscheck,
     truncation_report,
 )
+from vitats import solver
 
 FIG5B = SystemParams.from_effective(10.0, 1.0, eta=3.9, kappa=1.0)
 
@@ -198,6 +199,40 @@ def test_worker_pool_output_is_deterministic():
     assert np.array_equal(one.im_chi, two.im_chi)
     assert np.array_equal(one.re_chi, two.re_chi)
     assert np.array_equal(one.residuals, two.residuals)
+
+
+def test_worker_pool_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        # records the requested pool size and maps in this process
+        def __init__(self, max_workers):
+            self.chunks = 0
+            pools.append(self)
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, pieces):
+            pieces = list(pieces)
+            self.chunks = len(pieces)
+            return map(fn, pieces)
+
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    grid = np.linspace(-10, 10, 7)
+    p = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                    pump=ThermalPump(n_th=0.1))
+    many = probe_spectrum(p, grid, method="linear_response", n_max=12,
+                          workers=10**6)
+    assert [(pool.max_workers, pool.chunks) for pool in pools] == [(3, 3)]
+    one = probe_spectrum(p, grid, method="linear_response", n_max=12)
+    assert len(pools) == 1
+    assert np.array_equal(many.chi, one.chi)
 
 
 def test_grid_validation():
