@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import warnings
 from collections.abc import Callable
@@ -152,22 +153,10 @@ def _sweep_from_run(run: dict) -> tuple[str, list[float]] | None:
     return key, [float(v) for v in values]
 
 
-def _config_with(system: dict, key: str, value: float) -> dict:
-    out = dict(system)
-    if key == "temperature_mK" and value == 0.0:
-        # zero temperature has no Bose factor to evaluate; equivalent vacuum
-        out.pop("temperature_mK", None)
-        out.pop("omega_c_GHz", None)
-        out["n_th"] = 0.0
-    else:
-        out[key] = value
-    return out
-
-
 def _sweep(system: dict, key: str, values) -> list[tuple[float, SystemParams]]:
     """(value, validated params) for each value of one swept config key, in
     order; a sweep's sidecar echoes the params of the first value."""
-    return [(float(v), params_from_config(_config_with(system, key, float(v))))
+    return [(float(v), params_from_config({**system, key: float(v)}))
             for v in values]
 
 
@@ -481,9 +470,17 @@ def _cmd_reproduce(args) -> int:
             f"unknown figure {args.figure!r}; choose from {sorted(_FIGURES)}")
     notes, job = _FIGURES[args.figure]
     outdir = Path(args.output or f"fig{args.figure}")
-    outdir.mkdir(parents=True, exist_ok=True)
+    # the outermost directory this command creates, removed if the job fails
+    created = next((d for d in (*reversed(outdir.parents), outdir)
+                    if not d.exists()), None)
+    try:
+        job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max,
+            args.threads)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     _write_text(outdir / "NOTES.txt", notes + "\n")
-    job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max, args.threads)
     print(f"wrote {outdir / 'NOTES.txt'}")
     return 0
 

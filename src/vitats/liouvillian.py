@@ -79,18 +79,19 @@ class Operators:
 
 def build_operators(spec: HilbertSpec) -> Operators:
     """Sparse a, a_dag, n_op, sigma_ij on the joint space."""
-    n_ph = spec.n_max + 1
-    eye_atom = sp.identity(3, format="csr", dtype=complex)
-    eye_ph = sp.identity(n_ph, format="csr", dtype=complex)
-    lower = sp.diags(np.sqrt(np.arange(1, n_ph, dtype=float)), offsets=1,
-                     format="csr", dtype=complex)
-    a = sp.kron(lower, eye_atom, format="csr")
-    sigma = {}
-    for i in LEVELS:
-        for j in LEVELS:
-            atom = sp.csr_matrix(
-                ([1.0 + 0j], ([_LEVEL_INDEX[i]], [_LEVEL_INDEX[j]])), shape=(3, 3))
-            sigma[(i, j)] = sp.kron(eye_ph, atom, format="csr")
+    dim = spec.dim
+    photons = np.arange(spec.n_max + 1)
+
+    def joint(values, rows, cols) -> sp.csr_matrix:
+        return sp.csr_matrix((np.asarray(values, dtype=complex), (rows, cols)),
+                             shape=(dim, dim))
+
+    # a|n, x> = sqrt(n)|n-1, x>: row 3(n-1) + x, column 3n + x
+    lower = (3 * photons[:-1, None] + np.arange(3)).ravel()
+    a = joint(np.repeat(np.sqrt(photons[1:]), 3), lower, lower + 3)
+    sigma = {(i, j): joint(np.ones(photons.size), 3 * photons + _LEVEL_INDEX[i],
+                           3 * photons + _LEVEL_INDEX[j])
+             for i in LEVELS for j in LEVELS}
     return Operators(spec=spec, a=a, a_dag=a.conj().T.tocsr(),
                      n_op=(a.conj().T @ a).tocsr(), sigma=sigma)
 
@@ -103,8 +104,13 @@ def build_hamiltonian_rotating(params: SystemParams, Delta: float,
     epsilon overrides params.epsilon (0 gives the probe-free generator used
     by the linear-response solver). Hermiticity is asserted at build time.
     """
-    params = validate_params(params)
-    ops = build_operators(spec)
+    return _hamiltonian(validate_params(params), Delta, build_operators(spec),
+                        epsilon)
+
+
+def _hamiltonian(params: SystemParams, Delta: float, ops: Operators,
+                 epsilon: float | None) -> sp.csr_matrix:
+    """build_hamiltonian_rotating for validated params on prebuilt operators."""
     eps = params.epsilon if epsilon is None else float(epsilon)
     dd = params.pump_detuning
     de = Delta - params.delta / 2.0
@@ -130,8 +136,11 @@ def collapse_set(params: SystemParams, spec: HilbertSpec) -> list[sp.csr_matrix]
     Atom: sqrt(gamma_ij)*sigma_ji for each pair with gamma_ij > 0 (diagonal
     pairs give dephasing projectors sigma_ii).
     """
-    params = validate_params(params)
-    ops = build_operators(spec)
+    return _collapses(validate_params(params), build_operators(spec))
+
+
+def _collapses(params: SystemParams, ops: Operators) -> list[sp.csr_matrix]:
+    """collapse_set for validated params on prebuilt operators."""
     n_th = params.n_th
     out: list[sp.csr_matrix] = []
     down = 2.0 * params.kappa * (n_th + 1.0)
@@ -157,6 +166,15 @@ class SuperOperator:
     pump_detuning: float
 
 
+def _kron_entries(left: sp.spmatrix, right: sp.spmatrix):
+    """(rows, cols, values) of the stored entries of kron(left, right)."""
+    lft, rgt = left.tocoo(), right.tocoo()
+    height, width = rgt.shape
+    return ((lft.row[:, None] * height + rgt.row).ravel(),
+            (lft.col[:, None] * width + rgt.col).ravel(),
+            (lft.data[:, None] * rgt.data).ravel())
+
+
 def assemble_liouvillian(hamiltonian: sp.spmatrix,
                          collapses: list[sp.spmatrix],
                          spec: HilbertSpec, *,
@@ -166,6 +184,9 @@ def assemble_liouvillian(hamiltonian: sp.spmatrix,
 
     L = -i(I kron H - H^T kron I)
         + sum_c [ conj(c) kron c - (I kron c^dag c + (c^dag c)^T kron I)/2 ]
+
+    assembled as I kron (-iH - K/2) + (iH - K/2)^T kron I
+    + sum_c conj(c) kron c with K = sum_c c^dag c.
     """
     dim = spec.dim
     if hamiltonian.shape != (dim, dim):
@@ -173,15 +194,21 @@ def assemble_liouvillian(hamiltonian: sp.spmatrix,
             f"Hamiltonian shape {hamiltonian.shape} != ({dim}, {dim})")
     eye = sp.identity(dim, format="csr", dtype=complex)
     h = hamiltonian.tocsr()
-    lind = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
+    decay = sp.csr_matrix((dim, dim), dtype=complex)
+    terms = []
     for c in collapses:
         if c.shape != (dim, dim):
             raise DimensionMismatch(f"collapse shape {c.shape} != ({dim}, {dim})")
         c = c.tocsr()
-        cdc = (c.conj().T @ c).tocsr()
-        lind = lind + sp.kron(c.conj(), c, format="csr") \
-            - 0.5 * (sp.kron(eye, cdc, format="csr") + sp.kron(cdc.T, eye, format="csr"))
-    return SuperOperator(matrix=lind.tocsr(), spec=spec,
+        decay = decay + c.conj().T @ c
+        terms.append(_kron_entries(c.conj(), c))
+    terms += [_kron_entries(eye, -1j * h - 0.5 * decay),
+              _kron_entries((1j * h - 0.5 * decay).T, eye)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    # duplicate entries are summed
+    lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    lind.eliminate_zeros()
+    return SuperOperator(matrix=lind, spec=spec,
                          probe_detuning=probe_detuning,
                          pump_detuning=pump_detuning)
 
@@ -190,8 +217,9 @@ def liouvillian_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
                    epsilon: float | None = None) -> SuperOperator:
     """Full Liouvillian of the system at probe detuning Delta."""
     params = validate_params(params)
-    h = build_hamiltonian_rotating(params, Delta, spec, epsilon=epsilon)
-    return assemble_liouvillian(h, collapse_set(params, spec), spec,
+    ops = build_operators(spec)
+    return assemble_liouvillian(_hamiltonian(params, Delta, ops, epsilon),
+                                _collapses(params, ops), spec,
                                 probe_detuning=Delta,
                                 pump_detuning=params.pump_detuning)
 

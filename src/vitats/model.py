@@ -248,7 +248,8 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
 
     Either the effective pair (gamma_e, gamma_f) or the full gamma map keys
     may be present, not both. At most one pump among n_th / temperature_mK /
-    Omega; temperature_mK requires omega_c_GHz.
+    Omega; temperature_mK requires omega_c_GHz, and temperature_mK = 0 is
+    the vacuum bath n_th = 0.
     """
     unknown = set(cfg) - set(PARAM_KEYS)
     if unknown:
@@ -286,9 +287,13 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
     elif "temperature_mK" in cfg:
         if "omega_c_GHz" not in cfg:
             raise MissingCavityFrequency("temperature_mK requires omega_c_GHz")
-        pump = TemperaturePump(
-            temperature=num("temperature_mK") * 1e-3,
-            omega_c=2.0 * math.pi * 1e9 * num("omega_c_GHz"))
+        if num("temperature_mK") == 0.0:
+            # absolute zero has no Bose factor to evaluate: the vacuum bath
+            pump = ThermalPump(0.0)
+        else:
+            pump = TemperaturePump(
+                temperature=num("temperature_mK") * 1e-3,
+                omega_c=2.0 * math.pi * 1e9 * num("omega_c_GHz"))
     elif "Omega" in cfg:
         pump = CoherentPump(num("Omega"), num("pump_detuning", 0.0))
     elif "pump_detuning" in cfg:

@@ -10,9 +10,15 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
-The steady-state solve replaces one redundant row of L with the trace
-functional and solves L~ x = e_r (sparse LU). Uniqueness is asserted by a
-second solve with a different replaced row agreeing within 1e-8.
+A steady-state solve replaces one redundant row of a generator with the
+trace functional and solves L~ x = e_r (sparse LU); uniqueness is asserted
+by a second solve with a different replaced row agreeing within 1e-8. The
+probe-free state rho0 = |g><g| (x) rho_cav is solved this way on the
+(n_max+1)^2 |g,m><g,n| block of L0, which L0 leaves invariant (checked).
+Unless f and e both drain to g, the uniqueness check also rules out a
+steady state in the {f, e} sector, from one sparse LU on that block of L0.
+steady_state solves the full D^2 space; finite_epsilon, the time-domain
+cross-check and the tests use it as the independent oracle.
 """
 
 from __future__ import annotations
@@ -131,11 +137,17 @@ class PeakSet:
 
 def _replace_row(matrix: sp.csr_matrix, row: int, cols: np.ndarray,
                  vals: np.ndarray) -> sp.csr_matrix:
-    """Return a copy of matrix with one row replaced by the given entries."""
-    out = matrix.tolil(copy=True)
-    out.rows[row] = [int(c) for c in cols]
-    out.data[row] = [complex(v) for v in vals]
-    return out.tocsr()
+    """Return a copy of matrix with one row replaced by the given entries
+    (cols sorted)."""
+    m = matrix.tocsr()
+    start, stop = m.indptr[row], m.indptr[row + 1]
+    indptr = m.indptr.copy()
+    indptr[row + 1:] += len(cols) - (stop - start)
+    return sp.csr_matrix(
+        (np.concatenate([m.data[:start], np.asarray(vals, dtype=complex),
+                         m.data[stop:]]),
+         np.concatenate([m.indices[:start], cols, m.indices[stop:]]), indptr),
+        shape=m.shape)
 
 
 def _sparse_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -149,15 +161,15 @@ def _sparse_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> SteadyState:
-    """Unique trace-one kernel vector of the Liouvillian.
+def _trace_completed_solve(lmat: sp.csr_matrix, dim: int, *,
+                           check_uniqueness: bool) -> np.ndarray:
+    """Trace-one density matrix in the kernel of the generator lmat acting
+    on dim x dim matrices.
 
     Replaces the row of the first diagonal element with the trace functional
     and solves; when check_uniqueness, repeats with a different diagonal row
     replaced and requires agreement within 1e-8 elementwise.
     """
-    dim = sop.spec.dim
-    lmat = sop.matrix
     diag_idx = trace_indices(dim)
     ones = np.ones(dim)
 
@@ -178,11 +190,29 @@ def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> Steady
 
     rho = unvec(x, dim)
     rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(lmat @ vec(rho)))
+    return rho / np.trace(rho).real
+
+
+def _residual_tol(lmat: sp.csr_matrix) -> float:
+    """1e-9 of the largest generator entry (or of 1): the residual a steady
+    state of lmat may leave."""
     scale = float(np.abs(lmat.data).max()) if lmat.nnz else 1.0
+    return 1e-9 * max(1.0, scale)
+
+
+def _checked_state(sop: SuperOperator, rho: np.ndarray) -> SteadyState:
+    """rho with its full-space residual ||L vec(rho)|| and whether that is
+    within _residual_tol."""
+    residual = float(np.linalg.norm(sop.matrix @ vec(rho)))
     return SteadyState(rho=rho, residual_norm=residual, n_max=sop.spec.n_max,
-                       converged=residual <= 1e-9 * max(1.0, scale))
+                       converged=residual <= _residual_tol(sop.matrix))
+
+
+def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> SteadyState:
+    """Unique trace-one kernel vector of the Liouvillian, solved on the full
+    space (see _trace_completed_solve for the uniqueness check)."""
+    return _checked_state(sop, _trace_completed_solve(
+        sop.matrix, sop.spec.dim, check_uniqueness=check_uniqueness))
 
 
 def populations(state: SteadyState) -> PopulationTable:
@@ -210,12 +240,76 @@ def truncation_report(state: SteadyState) -> TruncationReport:
                             converged=tail < _TAIL_TOL)
 
 
+def _atom_block(spec: HilbertSpec, levels: tuple[int, ...]) -> np.ndarray:
+    """Sorted vec indices of the |x,m><y,n| elements with atom levels x, y in
+    levels; for one level they column-stack the photon-number matrix."""
+    rows = (3 * np.arange(spec.n_max + 1)[:, None] + np.array(levels)).ravel()
+    return (rows[None, :] + spec.dim * rows[:, None]).ravel()
+
+
+def _cavity_block(l0: sp.csr_matrix, spec: HilbertSpec) -> sp.csr_matrix:
+    """L0 on the |g,m><g,n| elements, after checking that L0 maps no such
+    element out of the block."""
+    block = _atom_block(spec, (0,))
+    inside = np.zeros(l0.shape[0], dtype=bool)
+    inside[block] = True
+    columns = l0[:, block]
+    if not inside[columns.tocoo().row].all():
+        raise SolverFailure("probe-free Liouvillian leaks out of the |g><g| block")
+    return columns[block]
+
+
+def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
+    """Raise NonUniqueSteadyState if a steady state keeps the atom in {f, e}.
+
+    L0 is block triangular: the |x,m><y,n| block with x, y in {f, e} feeds
+    only itself and the |g><g| block, and coherences with g feed only
+    themselves. So a steady state besides |g><g| (x) rho_cav exists iff the
+    {f, e} block E of L0 is singular. One inverse-iteration step bounds its
+    smallest singular value by |b|/|E^-1 b|; a bound within the converged
+    residual tolerance means E holds a steady state to that tolerance.
+    """
+    block = _atom_block(spec, (1, 2))
+    excited = l0[block][:, block]
+    rhs = np.random.default_rng(0).standard_normal(block.size)
+    try:
+        bound = np.linalg.norm(rhs) / np.linalg.norm(_sparse_solve(excited, rhs))
+    except SolverFailure:
+        bound = 0.0
+    if bound <= _residual_tol(l0):
+        raise NonUniqueSteadyState(
+            f"the atom can stay out of |g>: the excited-sector block of L0 has a "
+            f"singular value <= {bound:.3e}")
+
+
 def probe_free_state(params: SystemParams, n_max: int, *,
                      check_uniqueness: bool = True):
-    """(L0, steady state, TruncationReport) without the probe; warns
-    (TruncationNotConverged) unless the tail mass converged."""
-    sop = liouvillian_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
-    state = steady_state(sop, check_uniqueness=check_uniqueness)
+    """(L0, steady state, TruncationReport) without the probe.
+
+    Without the probe nothing leaves |g>, so rho0 = |g><g| (x) rho_cav with
+    rho_cav the steady state of L0 on its invariant |g,m><g,n| block, and
+    rho0 is unique iff rho_cav is and no steady state keeps the atom in
+    {f, e}. The uniqueness check runs on the block; it also checks the
+    {f, e} sector unless f and e both drain to g (gamma_fg > 0 and
+    gamma_eg + gamma_ef > 0), which rules such states out. Raises
+    SolverFailure unless rho0 solves the full L0 to steady_state's
+    tolerance; warns (TruncationNotConverged) unless the tail mass converged.
+    """
+    params = validate_params(params)
+    spec = HilbertSpec(n_max)
+    sop = liouvillian_at(params, 0.0, spec, epsilon=0.0)
+    gamma = params.gamma
+    drains = gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0
+    rho_cav = _trace_completed_solve(_cavity_block(sop.matrix, spec), n_max + 1,
+                                     check_uniqueness=check_uniqueness)
+    if check_uniqueness and not drains:
+        _check_excited_sector_decays(sop.matrix, spec)
+    ground = np.zeros((3, 3))
+    ground[0, 0] = 1.0
+    state = _checked_state(sop, np.kron(rho_cav, ground))
+    if not state.converged:
+        raise SolverFailure(f"factorized probe-free state leaves residual "
+                            f"{state.residual_norm:.3e} in the full L0")
     report = truncation_report(state)
     if not report.converged:
         warnings.warn(report.message, TruncationNotConverged, stacklevel=3)

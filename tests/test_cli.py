@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from vitats import cli
+from vitats import SolverFailure, cli
 
 
 def _write_config(tmp_path, name, payload):
@@ -392,6 +392,65 @@ def test_reproduce_n_max_zero_exits_2(tmp_path, capsys):
     assert "n_max = 0" in capsys.readouterr().err
     assert not (outdir / "populations_vs_Omega.csv").exists()
 
+
+
+def test_reproduce_failure_leaves_no_bundle_directory(tmp_path, capsys):
+    outdir = tmp_path / "f8"
+    assert cli.main(["reproduce", "8a", "--output", str(outdir),
+                     "--n-max", "0"]) == 2
+    assert not outdir.exists()
+    nested = tmp_path / "runs" / "f8"
+    assert cli.main(["reproduce", "8a", "--output", str(nested),
+                     "--n-max", "0"]) == 2
+    assert not (tmp_path / "runs").exists()
+    capsys.readouterr()
+
+
+def test_reproduce_failure_after_a_written_file(tmp_path, capsys, monkeypatch):
+    real = cli.probe_spectrum
+    calls = []
+
+    def fails_on_second_value(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise SolverFailure("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "probe_spectrum", fails_on_second_value)
+    outdir = tmp_path / "fig7a"
+    argv = ["reproduce", "7a", "--output", str(outdir), "--n-max", "3"]
+    assert cli.main(argv) == 4
+    assert not outdir.exists()
+    # a directory the command did not create stays, without NOTES.txt
+    outdir.mkdir()
+    (outdir / "keep.txt").write_text("kept", encoding="utf-8")
+    assert cli.main(argv) == 4
+    assert (outdir / "keep.txt").exists()
+    assert not (outdir / "NOTES.txt").exists()
+    capsys.readouterr()
+
+
+def test_populations_at_zero_temperature(tmp_path, capsys):
+    base = {"gamma_e": 5.0, "gamma_f": 1.0, "kappa": 0.2, "eta": 2.0, "n_max": 8}
+
+    def run(name, extra):
+        out = tmp_path / f"{name}.csv"
+        cfg = _write_config(tmp_path, f"{name}.json",
+                            {**base, **extra, "output": str(out)})
+        assert cli.main(["populations", "--config", cfg]) == 0
+        return out
+
+    zero = run("zero", {"temperature_mK": 0, "omega_c_GHz": 5.0})
+    vacuum = run("vacuum", {"n_th": 0.0})
+    sweep = run("sweep", {"omega_c_GHz": 5.0, "sweep_key": "temperature_mK",
+                          "sweep_values": [0.0, 10.0]})
+    capsys.readouterr()
+    assert zero.read_bytes() == vacuum.read_bytes()
+    meta = ".meta.json"
+    assert zero.with_name(zero.name + meta).read_bytes() == \
+        vacuum.with_name(vacuum.name + meta).read_bytes()
+    rows = _read_csv(zero)[1]
+    assert _read_csv(sweep)[1][0] == ["0", *(p for _, p in rows[:4])]
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -70,6 +70,22 @@ def test_operator_algebra():
     assert np.allclose(evals, np.repeat(np.arange(spec.n_max + 1), 3), atol=1e-12)
 
 
+
+def test_operators_match_kronecker_products():
+    # photon-major joint basis: a = lower (x) 1_atom, sigma_ij = 1_ph (x) |i><j|
+    spec = HilbertSpec(n_max=4)
+    ops = build_operators(spec)
+    n_ph = spec.n_max + 1
+    lower = np.diag(np.sqrt(np.arange(1.0, n_ph)), k=1)
+    assert np.array_equal(_dense(ops.a), np.kron(lower, np.eye(3)))
+    assert np.array_equal(_dense(ops.a_dag), np.kron(lower.T, np.eye(3)))
+    for i, upper in enumerate(("g", "f", "e")):
+        for j, lower_level in enumerate(("g", "f", "e")):
+            atom = np.zeros((3, 3))
+            atom[i, j] = 1.0
+            assert np.array_equal(_dense(ops.sigma[(upper, lower_level)]),
+                                  np.kron(np.eye(n_ph), atom))
+
 def test_hamiltonian_matrix_elements():
     p = SystemParams.from_effective(5.0, 1.0, eta=3.0, kappa=0.2, delta=1.4,
                                     pump=CoherentPump(Omega=0.7), epsilon=0.05)
@@ -245,6 +261,31 @@ def test_trace_and_hermiticity_preserved():
         assert abs(vec(deriv)[tr_idx].sum()) <= 1e-10 * scale
         assert np.abs(deriv - deriv.conj().T).max() <= 1e-10 * scale
 
+
+
+def test_generator_matches_dense_lindblad_action():
+    # L vec(rho) = vec(-i[H, rho] + sum_c (c rho c^dag - {c^dag c, rho}/2)),
+    # also for a non-Hermitian H and sparse random jumps
+    rng = np.random.default_rng(41)
+    spec = HilbertSpec(n_max=2)
+    d = spec.dim
+
+    def random_matrix(density=1.0):
+        mask = rng.random((d, d)) < density
+        return (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * mask
+
+    for _ in range(20):
+        h = random_matrix()
+        jumps = [random_matrix(0.3) for _ in range(3)]
+        rho = random_matrix()
+        want = -1j * (h @ rho - rho @ h)
+        for c in jumps:
+            cdc = c.conj().T @ c
+            want += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
+        sop = assemble_liouvillian(sp.csr_matrix(h),
+                                   [sp.csr_matrix(c) for c in jumps], spec)
+        got = unvec(sop.matrix @ vec(rho), d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 def test_vacuum_ground_state_is_stationary():
     p = SystemParams.from_effective(5.0, 1.0, eta=4.0, kappa=1.0)

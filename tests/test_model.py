@@ -171,6 +171,17 @@ def test_config_pumps():
     assert p.n_th == pytest.approx(0.0524217894, rel=1e-8)
 
 
+
+def test_config_zero_temperature_is_the_vacuum_bath():
+    zero = params_from_config({"gamma_e": 5, "gamma_f": 1,
+                               "temperature_mK": 0, "omega_c_GHz": 5})
+    assert zero == params_from_config({"gamma_e": 5, "gamma_f": 1, "n_th": 0.0})
+    with pytest.raises(MissingCavityFrequency):
+        params_from_config({"gamma_e": 5, "gamma_f": 1, "temperature_mK": 0})
+    with pytest.raises(NonpositiveTemperature):
+        params_from_config({"gamma_e": 5, "gamma_f": 1,
+                            "temperature_mK": -1, "omega_c_GHz": 5})
+
 def test_config_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(50):

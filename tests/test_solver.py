@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vitats import (
     AnalyticInvalidHere,
@@ -136,6 +137,131 @@ def test_uniqueness_check_can_be_skipped():
     p = SystemParams.from_effective(5, 1, eta=4, kappa=1)
     state = _probe_free_state(p, 3, check_uniqueness=False)
     assert state.converged
+
+
+_ORACLE_SYSTEMS = [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1),
+    SystemParams.from_effective(5, 1, eta=2, kappa=0.2, pump=ThermalPump(n_th=0.3)),
+    SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(Omega=0.8)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
+                                pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
+    SystemParams(gamma={("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
+                        ("f", "g"): 1.2, ("f", "f"): 0.4},
+                 eta=4.0, kappa=1.0, delta=-0.4, pump=ThermalPump(n_th=0.4)),
+]
+
+
+def _assert_factorized_matches_full_space(params, n_max):
+    full = _probe_free_state(params, n_max)
+    _, state, _ = solver.probe_free_state(params, n_max)
+    assert np.abs(state.rho - full.rho).max() <= 1e-12
+    assert state.converged and state.n_max == n_max
+    return state
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _ORACLE_SYSTEMS,
+                         ids=["vacuum", "thermal", "coherent", "coherent-detuned",
+                              "full-gamma-map"])
+def test_factorized_probe_free_state_matches_full_space(params):
+    state = _assert_factorized_matches_full_space(params, 12)
+    # |g><g| (x) rho_cav: nothing outside the ground rows and columns
+    off_ground = np.ones(state.rho.shape, dtype=bool)
+    off_ground[::3, ::3] = False
+    assert not state.rho[off_ground].any()
+
+
+def _unique_by_svd(params, n_max):
+    """Whether the dense L0 has a one-dimensional kernel: its second-smallest
+    singular value, relative to the largest entry, is above 1e-10. The
+    inputs below keep that value clear of the threshold."""
+    lmat = liouvillian_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0).matrix
+    second = np.linalg.svd(lmat.toarray(), compute_uv=False)[-2] / abs(lmat).max()
+    assert not 1e-13 < second < 1e-7, "ill-conditioned example"
+    return second > 1e-10
+
+
+# each parameter is either exactly zero (a structural degeneracy) or of order
+# one, so every example is either clearly unique or clearly not
+def _zero_or(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
+def _zero_or_signed(lo, hi):
+    return st.one_of(_zero_or(lo, hi), st.floats(-hi, -lo))
+
+
+_PUMP = st.one_of(
+    st.builds(ThermalPump, _zero_or(0.05, 0.5)),
+    st.builds(CoherentPump, _zero_or(0.1, 0.8), _zero_or_signed(0.2, 2.0)))
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({pair: _zero_or(0.2, 10.0) for pair in (
+           ("e", "g"), ("e", "f"), ("e", "e"), ("f", "g"), ("f", "f"))}),
+       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.5, 3.0),
+       delta=_zero_or_signed(0.2, 3.0), pump=_PUMP)
+def test_factorized_probe_free_state_matches_full_space_randomized(
+        gamma, eta, kappa, delta, pump):
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
+    if _unique_by_svd(params, 4):
+        _assert_factorized_matches_full_space(params, 4)
+    else:
+        with pytest.raises((NonUniqueSteadyState, SolverFailure)):
+            solver.probe_free_state(params, 4)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
+                         ids=["thermal", "coherent"])
+def test_factorized_state_accepts_undrained_f_under_a_pump(pump):
+    # gamma_fg = 0, yet the pumped cavity feeds |f,0> back to g through
+    # |e,1>, so the full-space state is unique
+    params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0, pump=pump)
+    _assert_factorized_matches_full_space(params, 8)
+
+
+def test_factorized_state_rejects_dark_f_in_the_vacuum():
+    # gamma_fg = 0 and no photons: |f,0><f,0| is a second steady state
+    params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
+                          pump=ThermalPump(n_th=0.0))
+    with pytest.raises((NonUniqueSteadyState, SolverFailure)):
+        _probe_free_state(params, 8)
+    with pytest.raises((NonUniqueSteadyState, SolverFailure)):
+        solver.probe_free_state(params, 8)
+
+
+@pytest.mark.parametrize("pump", [None, ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
+                         ids=["vacuum", "thermal", "coherent"])
+def test_factorized_state_rejects_lossless_cavity(pump):
+    params = SystemParams.from_effective(5, 1, eta=2, kappa=0.0, pump=pump)
+    with pytest.raises((NonUniqueSteadyState, SolverFailure)):
+        solver.probe_free_state(params, 6)
+
+
+def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
+    solve = solver._trace_completed_solve
+
+    def perturbed(*args, **kwargs):
+        rho = solve(*args, **kwargs)
+        return rho + 1e-4 * np.eye(rho.shape[0])
+
+    monkeypatch.setattr(solver, "_trace_completed_solve", perturbed)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                         pump=ThermalPump(n_th=0.3))
+    with pytest.raises(SolverFailure, match="residual"):
+        solver.probe_free_state(params, 8)
+
+
+def test_cavity_block_rejects_a_leaking_generator():
+    spec = HilbertSpec(3)
+    sop = liouvillian_at(FIG5B, 0.0, spec, epsilon=0.0)
+    leaky = sop.matrix.tolil()
+    leaky[1, 0] = 1.0  # |g,0><g,0| (in the block) -> |f,0><g,0| (outside)
+    with pytest.raises(SolverFailure, match="leaks"):
+        solver._cavity_block(leaky.tocsr(), spec)
+    assert solver._cavity_block(sop.matrix, spec).shape == (16, 16)
 
 
 def test_linear_response_matches_closed_form():
