@@ -496,14 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"vitats {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="path to flat JSON config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to flat JSON config")
         p.add_argument("--output", default=None, help="output path")
         p.add_argument("--n-max", dest="n_max", type=int, default=None,
                        help="cavity Fock-space cutoff")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sweeps")
 
     p_classify = sub.add_parser("classify", help="regime report as JSON")
     p_classify.add_argument("--config", required=True)
@@ -512,6 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectrum = sub.add_parser("spectrum", help="probe spectrum on a grid")
     add_common(p_spectrum)
+    p_spectrum.add_argument("--threads", type=int, default=1,
+                            help="worker processes for grid chunks")
     p_spectrum.add_argument("--format", choices=("csv", "json"), default=None)
     p_spectrum.add_argument(
         "--method", choices=("analytic", "linear_response", "finite_epsilon"),

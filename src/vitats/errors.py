@@ -77,7 +77,8 @@ class SolverFailure(SolverError):
 
 
 class NonUniqueSteadyState(SolverError):
-    """Two independent trace-completed solves disagree: kernel is degenerate."""
+    """The generator's kernel is degenerate: the trace-completed matrix has
+    a singular value within the residual tolerance."""
 
 
 class IntegrationFailure(SolverError):

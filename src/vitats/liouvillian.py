@@ -157,13 +157,10 @@ def _collapses(params: SystemParams, ops: Operators) -> list[sp.csr_matrix]:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """D^2 x D^2 generator of d vec(rho)/dt = L vec(rho) (column stacking),
-    with the (Delta, pump detuning) it was built at."""
+    """D^2 x D^2 generator of d vec(rho)/dt = L vec(rho) (column stacking)."""
 
     matrix: sp.csr_matrix
     spec: HilbertSpec
-    probe_detuning: float
-    pump_detuning: float
 
 
 def _kron_entries(left: sp.spmatrix, right: sp.spmatrix):
@@ -177,9 +174,7 @@ def _kron_entries(left: sp.spmatrix, right: sp.spmatrix):
 
 def assemble_liouvillian(hamiltonian: sp.spmatrix,
                          collapses: list[sp.spmatrix],
-                         spec: HilbertSpec, *,
-                         probe_detuning: float = 0.0,
-                         pump_detuning: float = 0.0) -> SuperOperator:
+                         spec: HilbertSpec) -> SuperOperator:
     """Vectorized Lindblad generator for the given Hamiltonian and jumps.
 
     L = -i(I kron H - H^T kron I)
@@ -208,9 +203,7 @@ def assemble_liouvillian(hamiltonian: sp.spmatrix,
     # duplicate entries are summed
     lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
     lind.eliminate_zeros()
-    return SuperOperator(matrix=lind, spec=spec,
-                         probe_detuning=probe_detuning,
-                         pump_detuning=pump_detuning)
+    return SuperOperator(matrix=lind, spec=spec)
 
 
 def liouvillian_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
@@ -219,9 +212,7 @@ def liouvillian_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
     params = validate_params(params)
     ops = build_operators(spec)
     return assemble_liouvillian(_hamiltonian(params, Delta, ops, epsilon),
-                                _collapses(params, ops), spec,
-                                probe_detuning=Delta,
-                                pump_detuning=params.pump_detuning)
+                                _collapses(params, ops), spec)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

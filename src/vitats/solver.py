@@ -10,15 +10,16 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
-A steady-state solve replaces one redundant row of a generator with the
-trace functional and solves L~ x = e_r (sparse LU); uniqueness is asserted
-by a second solve with a different replaced row agreeing within 1e-8. The
-probe-free state rho0 = |g><g| (x) rho_cav is solved this way on the
-(n_max+1)^2 |g,m><g,n| block of L0, which L0 leaves invariant (checked).
-Unless f and e both drain to g, the uniqueness check also rules out a
-steady state in the {f, e} sector, from one sparse LU on that block of L0.
-steady_state solves the full D^2 space; finite_epsilon, the time-domain
-cross-check and the tests use it as the independent oracle.
+A steady-state solve replaces one diagonal row of a trace-preserving
+generator L with the trace functional and solves M x = e_r (sparse LU).
+M is nonsingular iff the kernel of L is one-dimensional, so uniqueness is
+checked on the same factor: one more solve M y = b with a seeded random b
+bounds the smallest singular value of M by |b|/|y|. The probe-free state
+rho0 = |g><g| (x) rho_cav is solved this way on the (n_max+1)^2 |g,m><g,n|
+block of L0, which L0 leaves invariant (checked). Unless f and e both drain
+to g, the same bound on that sector's block of L0 also rules out a steady
+state in {f, e}. steady_state solves the full D^2 space; finite_epsilon,
+the time-domain cross-check and the tests use it as the independent oracle.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .liouvillian import (
 from .model import LEVELS, SystemParams, half_widths, validate_params
 
 _TAIL_TOL = 1e-8
-_UNIQUENESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,45 +150,50 @@ def _replace_row(matrix: sp.csr_matrix, row: int, cols: np.ndarray,
         shape=m.shape)
 
 
-def _sparse_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _factor(matrix: sp.spmatrix) -> spla.SuperLU:
     try:
-        lu = spla.splu(matrix.tocsc())
-        x = lu.solve(rhs)
+        return spla.splu(matrix.tocsc())
     except RuntimeError as exc:  # SuperLU: singular factor
         raise SolverFailure(f"sparse LU solve failed: {exc}") from exc
+
+
+def _solve(lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values")
     return x
 
 
+def _require_nonsingular(lu: spla.SuperLU, tol: float, what: str) -> None:
+    """Raise NonUniqueSteadyState unless the factored matrix M is clearly
+    nonsingular: one inverse-iteration step with a seeded random b bounds
+    sigma_min(M) <= |b|/|M^-1 b|, and a bound within tol means M has a
+    kernel vector to that tolerance."""
+    rhs = np.random.default_rng(0).standard_normal(lu.shape[0])
+    bound = np.linalg.norm(rhs) / np.linalg.norm(lu.solve(rhs))
+    if not bound > tol:  # also catches a non-finite solve
+        raise NonUniqueSteadyState(
+            f"steady state not unique: {what} has a singular value <= {bound:.3e}")
+
+
 def _trace_completed_solve(lmat: sp.csr_matrix, dim: int, *,
                            check_uniqueness: bool) -> np.ndarray:
-    """Trace-one density matrix in the kernel of the generator lmat acting
-    on dim x dim matrices.
+    """Trace-one density matrix in the kernel of the trace-preserving
+    generator lmat acting on dim x dim matrices.
 
     Replaces the row of the first diagonal element with the trace functional
-    and solves; when check_uniqueness, repeats with a different diagonal row
-    replaced and requires agreement within 1e-8 elementwise.
+    and solves with one LU. That matrix is nonsingular iff the kernel of
+    lmat is one-dimensional; when check_uniqueness, _require_nonsingular
+    checks this on the same factor against lmat's residual tolerance.
     """
     diag_idx = trace_indices(dim)
-    ones = np.ones(dim)
-
-    def solve_with_row(row: int) -> np.ndarray:
-        constrained = _replace_row(lmat, row, diag_idx, ones)
-        rhs = np.zeros(dim * dim, dtype=complex)
-        rhs[row] = 1.0
-        return _sparse_solve(constrained, rhs)
-
-    x = solve_with_row(int(diag_idx[0]))
+    row = int(diag_idx[0])
+    lu = _factor(_replace_row(lmat, row, diag_idx, np.ones(dim)))
     if check_uniqueness:
-        other = int(diag_idx[np.random.default_rng(0).integers(1, dim)])
-        x2 = solve_with_row(other)
-        gap = np.abs(x - x2).max()
-        if gap > _UNIQUENESS_TOL:
-            raise NonUniqueSteadyState(
-                f"two trace-completed solves differ by {gap:.3e} (> {_UNIQUENESS_TOL})")
-
-    rho = unvec(x, dim)
+        _require_nonsingular(lu, _residual_tol(lmat), "the trace-completed generator")
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[row] = 1.0
+    rho = unvec(_solve(lu, rhs), dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -265,21 +270,16 @@ def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
     L0 is block triangular: the |x,m><y,n| block with x, y in {f, e} feeds
     only itself and the |g><g| block, and coherences with g feed only
     themselves. So a steady state besides |g><g| (x) rho_cav exists iff the
-    {f, e} block E of L0 is singular. One inverse-iteration step bounds its
-    smallest singular value by |b|/|E^-1 b|; a bound within the converged
-    residual tolerance means E holds a steady state to that tolerance.
+    {f, e} block E of L0 is singular, which _require_nonsingular checks
+    against the converged residual tolerance.
     """
     block = _atom_block(spec, (1, 2))
-    excited = l0[block][:, block]
-    rhs = np.random.default_rng(0).standard_normal(block.size)
+    what = "the {f, e} block of L0 (the atom can stay out of |g>)"
     try:
-        bound = np.linalg.norm(rhs) / np.linalg.norm(_sparse_solve(excited, rhs))
+        lu = _factor(l0[block][:, block])
     except SolverFailure:
-        bound = 0.0
-    if bound <= _residual_tol(l0):
-        raise NonUniqueSteadyState(
-            f"the atom can stay out of |g>: the excited-sector block of L0 has a "
-            f"singular value <= {bound:.3e}")
+        raise NonUniqueSteadyState(f"steady state not unique: {what} is singular") from None
+    _require_nonsingular(lu, _residual_tol(l0), what)
 
 
 def probe_free_state(params: SystemParams, n_max: int, *,
@@ -369,7 +369,7 @@ def _linear_response_chunk(base: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
         matrix = (base + 1j * float(delta_p) * eye).tocsr()
-        x = _sparse_solve(matrix, rhs)
+        x = _solve(_factor(matrix), rhs)
         chi[k] = x[out].sum()
         resid[k] = float(np.linalg.norm(matrix @ x - rhs))
     return chi, resid
@@ -387,9 +387,7 @@ def _finite_epsilon_chunk(params: SystemParams, n_max: int, deltas: np.ndarray,
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
         matrix = (base.matrix + float(delta_p) * slope).tocsr()
-        sop = SuperOperator(matrix=matrix, spec=spec,
-                            probe_detuning=float(delta_p),
-                            pump_detuning=base.pump_detuning)
+        sop = SuperOperator(matrix=matrix, spec=spec)
         state = steady_state(sop, check_uniqueness=(k == 0))
         chi[k] = vec(state.rho)[out_idx].sum() / epsilon
         resid[k] = state.residual_norm

@@ -85,6 +85,19 @@ def test_solver_failure_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_populations_lossless_cavity_exits_4(tmp_path, capsys):
+    # kappa = 0 under a coherent drive has no unique steady state; a
+    # non-unique solve would write negative populations such as P_1 = -0.125
+    out = tmp_path / "p.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_eg": 2.097, "gamma_fg": 6.648, "gamma_ff": 6.799,
+        "eta": 3.2554414702110597, "kappa": 0, "Omega": 0.4218865634913107,
+        "n_max": 4, "output": str(out)})
+    assert cli.main(["populations", "--config", cfg]) == 4
+    assert "not unique" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("classify", {"gamma_e": math.nan, "gamma_f": 1.0, "kappa": 1.0,
                   "eta": 4.0}),

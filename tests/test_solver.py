@@ -176,6 +176,8 @@ def _unique_by_svd(params, n_max):
     singular value, relative to the largest entry, is above 1e-10. The
     inputs below keep that value clear of the threshold."""
     lmat = liouvillian_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0).matrix
+    if lmat.nnz == 0:
+        return False  # L0 = 0: every state is steady
     second = np.linalg.svd(lmat.toarray(), compute_uv=False)[-2] / abs(lmat).max()
     assert not 1e-13 < second < 1e-7, "ill-conditioned example"
     return second > 1e-10
@@ -200,7 +202,7 @@ _PUMP = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(gamma=st.fixed_dictionaries({pair: _zero_or(0.2, 10.0) for pair in (
            ("e", "g"), ("e", "f"), ("e", "e"), ("f", "g"), ("f", "f"))}),
-       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.5, 3.0),
+       eta=_zero_or(0.5, 5.0), kappa=_zero_or(0.5, 3.0),
        delta=_zero_or_signed(0.2, 3.0), pump=_PUMP)
 def test_factorized_probe_free_state_matches_full_space_randomized(
         gamma, eta, kappa, delta, pump):
@@ -210,6 +212,8 @@ def test_factorized_probe_free_state_matches_full_space_randomized(
     else:
         with pytest.raises((NonUniqueSteadyState, SolverFailure)):
             solver.probe_free_state(params, 4)
+        with pytest.raises((NonUniqueSteadyState, SolverFailure)):
+            _probe_free_state(params, 4)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -238,6 +242,27 @@ def test_factorized_state_rejects_lossless_cavity(pump):
     params = SystemParams.from_effective(5, 1, eta=2, kappa=0.0, pump=pump)
     with pytest.raises((NonUniqueSteadyState, SolverFailure)):
         solver.probe_free_state(params, 6)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_one_lu_per_steady_state(monkeypatch):
+    # the uniqueness check reuses the factor of the solve
+    calls = []
+    splu = solver.spla.splu
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                         pump=ThermalPump(n_th=0.3))
+    assert params.gamma[("f", "g")] > 0 and params.gamma[("e", "g")] > 0
+    _probe_free_state(params, 4)
+    assert calls == [(225, 225)]
+    calls.clear()
+    solver.probe_free_state(params, 4)  # f and e drain: cavity block only
+    assert calls == [(25, 25)]
 
 
 def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
