@@ -220,7 +220,7 @@ def _cmd_spectrum(args) -> int:
     if sweep is None:
         _emit_series(output, fmt,
                      probe_spectrum(params_from_config(system), grid, method=method,
-                                    n_max=n_max, workers=args.threads))
+                                    n_max=n_max))
         return 0
 
     key, values = sweep
@@ -230,8 +230,7 @@ def _cmd_spectrum(args) -> int:
     notes: list[str] = []
     runs = _sweep(system, key, values)
     for value, params in runs:
-        series = probe_spectrum(params, grid, method=method, n_max=n_max,
-                                workers=args.threads)
+        series = probe_spectrum(params, grid, method=method, n_max=n_max)
         rows.extend(zip(series.grid, [value] * grid.size,
                         series.im_chi, series.re_chi))
         residuals.append(None if series.residuals is None
@@ -291,20 +290,19 @@ def _cmd_populations(args) -> int:
 
 
 # --- figure presets -------------------------------------------------------------
-# Each job writes one figure's files as job(outdir, n_max, threads); the
-# analytic jobs ignore n_max and threads.
+# Each job writes one figure's files as job(outdir, n_max); the analytic jobs
+# ignore n_max.
 
 _PRESET_N_MAX = 20  # Fock cutoff of the pumped presets unless --n-max is given
 
 
-def _spectra_job(outdir: Path, n_max, threads: int, *, span: float, method: str,
-                 system: dict, key: str, values, name: str) -> None:
+def _spectra_job(outdir: Path, n_max, *, span: float, method: str, system: dict,
+                 key: str, values, name: str) -> None:
     """One spectrum CSV per value of key, on 2001 points over [-span, span];
     name is a format pattern for the value."""
     grid = np.linspace(-span, span, 2001)
     for value, params in _sweep(system, key, values):
-        series = probe_spectrum(params, grid, method=method, n_max=n_max,
-                                workers=threads)
+        series = probe_spectrum(params, grid, method=method, n_max=n_max)
         _emit_series(outdir / name.format(value), "csv", series)
 
 
@@ -314,8 +312,8 @@ def _analytic_sweep_meta(system: dict, key: str, values) -> dict:
                             "sweep_key": key, "sweep_points": len(values)})
 
 
-def _delta_c_map_job(outdir: Path, n_max, threads: int, *, span: float,
-                     system: dict, values, name: str) -> None:
+def _delta_c_map_job(outdir: Path, n_max, *, span: float, system: dict, values,
+                     name: str) -> None:
     """Long-format vacuum absorption over probe detuning and cavity detuning."""
     grid = np.linspace(-span, span, 2001)
     rows = []
@@ -326,8 +324,8 @@ def _delta_c_map_job(outdir: Path, n_max, threads: int, *, span: float,
           ["delta", "delta_c", "im_chi"], rows)
 
 
-def _poles_job(outdir: Path, n_max, threads: int, *, system: dict, key: str,
-               values, name: str) -> None:
+def _poles_job(outdir: Path, n_max, *, system: dict, key: str, values,
+               name: str) -> None:
     rows = []
     for value, params in _sweep(system, key, values):
         pair = poles(params)
@@ -337,8 +335,8 @@ def _poles_job(outdir: Path, n_max, threads: int, *, system: dict, key: str,
           [key, "re_delta1", "im_delta1", "re_delta2", "im_delta2"], rows)
 
 
-def _populations_job(outdir: Path, n_max: int, threads: int, *, system: dict,
-                     key: str, values, name: str, echo: tuple[str, ...] = (),
+def _populations_job(outdir: Path, n_max: int, *, system: dict, key: str, values,
+                     name: str, echo: tuple[str, ...] = (),
                      extra: dict | None = None) -> None:
     base, rows = _population_sweep(system, key, values, n_max, echo)
     md = _metadata(base, method="steady_state", n_max=n_max,
@@ -357,7 +355,7 @@ _FIG5 = partial(_spectra_job, span=20.0, method="analytic", key="eta",
 _PUMPED = {"gamma_e": 5, "gamma_f": 1, "kappa": 1}
 
 # figure id -> (NOTES.txt text, job)
-_FIGURES: dict[str, tuple[str, Callable[[Path, int, int], None]]] = {
+_FIGURES: dict[str, tuple[str, Callable[[Path, int], None]]] = {
     "3a": (
         "Vacuum probe spectra at gamma_e=5, gamma_f=1, kappa=0.2, delta=0 "
         "for eta in {0, 2, 10} (all rates in units of gamma_f). One CSV per "
@@ -474,8 +472,7 @@ def _cmd_reproduce(args) -> int:
     created = next((d for d in (*reversed(outdir.parents), outdir)
                     if not d.exists()), None)
     try:
-        job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max,
-            args.threads)
+        job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
@@ -510,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser("spectrum", help="probe spectrum on a grid")
     add_common(p_spectrum)
     p_spectrum.add_argument("--threads", type=int, default=1,
-                            help="worker processes for grid chunks")
+                            help="accepted for compatibility; has no effect")
     p_spectrum.add_argument("--format", choices=("csv", "json"), default=None)
     p_spectrum.add_argument(
         "--method", choices=("analytic", "linear_response", "finite_epsilon"),

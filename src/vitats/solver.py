@@ -5,8 +5,9 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 
 - analytic: the closed-form vacuum susceptibility (no pumping).
 - linear_response: probe-free steady state rho0, then the first-order
-  coherence correction solved exactly on the read-out block of the sparse
-  Liouvillian; the probe amplitude is eliminated analytically. Any pump.
+  coherence correction, solved exactly for the whole grid in one batched
+  dense solve on the small invariant block that holds the read-out
+  (_readout_system); the probe amplitude is eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
@@ -18,24 +19,22 @@ bounds the smallest singular value of M by |b|/|y|. The probe-free state
 rho0 = |g><g| (x) rho_cav is solved this way on the (n_max+1)^2 |g,m><g,n|
 block of L0, which L0 leaves invariant (checked). Unless f and e both drain
 to g, the same bound on that sector's block of L0 also rules out a steady
-state in {f, e}. steady_state solves the full D^2 space; finite_epsilon,
-the time-domain cross-check and the tests use it as the independent oracle.
+state in {f, e}. A structurally singular M is refused before it is
+factored. steady_state solves the full D^2 space; finite_epsilon, the
+time-domain cross-check and the tests use it as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import structural_rank
 from scipy.signal import find_peaks as _scipy_find_peaks
 
 from . import analytic
@@ -150,18 +149,21 @@ def _replace_row(matrix: sp.csr_matrix, row: int, cols: np.ndarray,
         shape=m.shape)
 
 
-def _factor(matrix: sp.spmatrix) -> spla.SuperLU:
+def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
+    """Sparse LU of matrix. A structurally singular matrix (no perfect
+    matching of rows to stored entries) is singular for every value of its
+    entries; it is refused before SuperLU sees it, which would otherwise
+    report it from C."""
+    matrix = matrix.tocsc()
+    rank = structural_rank(matrix)
+    if rank < matrix.shape[0]:
+        raise NonUniqueSteadyState(
+            f"steady state not unique: {what} is structurally singular "
+            f"(structural rank {rank} of {matrix.shape[0]})")
     try:
-        return spla.splu(matrix.tocsc())
+        return spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU: singular factor
         raise SolverFailure(f"sparse LU solve failed: {exc}") from exc
-
-
-def _solve(lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverFailure("sparse solve produced non-finite values")
-    return x
 
 
 def _require_nonsingular(lu: spla.SuperLU, tol: float, what: str) -> None:
@@ -188,12 +190,16 @@ def _trace_completed_solve(lmat: sp.csr_matrix, dim: int, *,
     """
     diag_idx = trace_indices(dim)
     row = int(diag_idx[0])
-    lu = _factor(_replace_row(lmat, row, diag_idx, np.ones(dim)))
+    what = "the trace-completed generator"
+    lu = _factor(_replace_row(lmat, row, diag_idx, np.ones(dim)), what)
     if check_uniqueness:
-        _require_nonsingular(lu, _residual_tol(lmat), "the trace-completed generator")
+        _require_nonsingular(lu, _residual_tol(lmat), what)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[row] = 1.0
-    rho = unvec(_solve(lu, rhs), dim)
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise SolverFailure("sparse solve produced non-finite values")
+    rho = unvec(x, dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -252,16 +258,20 @@ def _atom_block(spec: HilbertSpec, levels: tuple[int, ...]) -> np.ndarray:
     return (rows[None, :] + spec.dim * rows[:, None]).ravel()
 
 
-def _cavity_block(l0: sp.csr_matrix, spec: HilbertSpec) -> sp.csr_matrix:
-    """L0 on the |g,m><g,n| elements, after checking that L0 maps no such
-    element out of the block."""
-    block = _atom_block(spec, (0,))
+def _invariant_block(l0: sp.csr_matrix, block: np.ndarray, what: str) -> sp.csr_matrix:
+    """L0 on the vec indices block, after checking that L0 maps no block
+    element out of the block (else SolverFailure)."""
     inside = np.zeros(l0.shape[0], dtype=bool)
     inside[block] = True
     columns = l0[:, block]
     if not inside[columns.tocoo().row].all():
-        raise SolverFailure("probe-free Liouvillian leaks out of the |g><g| block")
+        raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
     return columns[block]
+
+
+def _cavity_block(l0: sp.csr_matrix, spec: HilbertSpec) -> sp.csr_matrix:
+    """L0 on its invariant |g,m><g,n| block."""
+    return _invariant_block(l0, _atom_block(spec, (0,)), "the |g><g| block")
 
 
 def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
@@ -276,7 +286,7 @@ def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
     block = _atom_block(spec, (1, 2))
     what = "the {f, e} block of L0 (the atom can stay out of |g>)"
     try:
-        lu = _factor(l0[block][:, block])
+        lu = _factor(l0[block][:, block], what)
     except SolverFailure:
         raise NonUniqueSteadyState(f"steady state not unique: {what} is singular") from None
     _require_nonsingular(lu, _residual_tol(l0), what)
@@ -323,13 +333,6 @@ def check_truncation_convergence(params: SystemParams, n_max: int) -> Truncation
 
 # --- spectrum methods ---------------------------------------------------------
 
-def _probe_commutator_rhs(rho0: np.ndarray, spec: HilbertSpec) -> np.ndarray:
-    """i * vec([V, rho0]) with V = sigma_eg + sigma_ge (probe per unit eps)."""
-    ops = build_operators(spec)
-    v = (ops.sigma[("e", "g")] + ops.sigma[("g", "e")]).toarray()
-    return 1j * vec(v @ rho0 - rho0 @ v)
-
-
 def _ge_vec_indices(spec: HilbertSpec) -> np.ndarray:
     """vec indices of rho[(n,g), (n,e)], summed for the probe coherence."""
     dim = spec.dim
@@ -347,31 +350,63 @@ def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
                    - sp.kron(proj.T, eye, format="csr"))).tocsr()
 
 
-def _readout_block(l0: sp.csr_matrix, rho0: np.ndarray, spec: HilbertSpec):
-    """(L0, rhs, read-out positions) on the weakly connected components of
-    L0's graph that hold the read-out. L0 is block diagonal across them and
-    every block element is a |g,m><x,n| coherence with x in {e, f}, on which
-    dL/dDelta is exactly +1j, so the restriction is exact."""
-    graph = abs(l0)  # real: csgraph would cast a complex matrix with a warning
-    graph.eliminate_zeros()
-    _, labels = connected_components(graph, directed=True, connection="weak")
-    out_idx = _ge_vec_indices(spec)
-    block = np.flatnonzero(np.isin(labels, labels[out_idx]))
-    return (l0[block][:, block], _probe_commutator_rhs(rho0, spec)[block],
-            np.searchsorted(block, out_idx))
+def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
+    """(A, b, out): dense L0 at Delta = 0 on the invariant block of
+    |g,m><x,n| coherences (x in {f, e}) holding the read-out, where
+    dL/dDelta = +i; the source b = i[V, rho0] on it; the read-out positions.
+    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, b = -i P_m on
+    |g,m><e,m|. Coherent pump: displacing the cavity by
+    alpha = -i Omega/(kappa + i dd) cancels the drive, leaving
+    H(Omega=0) + eta(alpha sigma_ef + h.c.), the same jump matrices and
+    rho0 = |g,0><g,0|; the block is |g,0><x,n|, and chi is its |g,0><e,0|
+    element (b = -i) as the displacement keeps the cavity trace."""
+    spec = sop.spec
+    dim, m = spec.dim, np.arange(spec.n_max + 1)
+    if params.Omega > 0.0:
+        alpha = -1j * params.Omega / (params.kappa + 1j * params.pump_detuning)
+        ops = build_operators(spec)
+        shift = (params.eta * (alpha * ops.sigma[("e", "f")]
+                               + np.conj(alpha) * ops.sigma[("f", "e")])
+                 - params.Omega * (ops.a_dag + ops.a))
+        # L0 is affine in H, and the jump matrices are the same in both frames
+        l0 = sop.matrix + assemble_liouvillian(shift, [], spec).matrix
+        block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
+        out, weights = np.array([1]), np.ones(1)
+    else:
+        l0 = sop.matrix
+        readout = 3 * m + dim * (3 * m + 2)
+        block = np.sort(np.concatenate([readout, 3 * m[:-1] + dim * (3 * m[1:] + 1)]))
+        out, weights = np.searchsorted(block, readout), np.diag(rho0)[3 * m].real
+    rhs = np.zeros(block.size, dtype=complex)
+    rhs[out] = -1j * weights
+    return _invariant_block(l0, block, "the read-out block").toarray(), rhs, out
 
 
-def _linear_response_chunk(base: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
-                           deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi/beta and residual norm at each Delta from the block solve."""
-    eye = sp.identity(base.shape[0], dtype=complex, format="csr")
-    chi = np.empty(len(deltas), dtype=complex)
-    resid = np.empty(len(deltas))
-    for k, delta_p in enumerate(deltas):
-        matrix = (base + 1j * float(delta_p) * eye).tocsr()
-        x = _solve(_factor(matrix), rhs)
-        chi[k] = x[out].sum()
-        resid[k] = float(np.linalg.norm(matrix @ x - rhs))
+_BATCH = 16  # points per dense solve; fixed, so memory does not grow with the grid
+
+
+def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
+                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi/beta and residual norm at each Delta from (A + i Delta I) x = b,
+    solved in batches; no point's bits depend on the others in its batch.
+    A residual above 1e-9 |b| max(1, max|A_ij| + |Delta|), the scaling of
+    _residual_tol, raises SolverFailure."""
+    chi, resid = np.empty(grid.size, dtype=complex), np.empty(grid.size)
+    for start in range(0, grid.size, _BATCH):
+        batch = slice(start, start + _BATCH)
+        mats = a + 1j * grid[batch, None, None] * np.eye(rhs.size)
+        try:
+            x = np.linalg.solve(mats, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"read-out solve failed: {exc}") from exc
+        resid[batch] = np.linalg.norm((mats @ x[..., None])[..., 0] - rhs, axis=1)
+        chi[batch] = [row.sum() for row in x[:, out]]
+    tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, np.abs(a).max() + np.abs(grid))
+    bad = np.flatnonzero(~(resid <= tol))  # also catches non-finite values
+    if bad.size:
+        k = bad[0]
+        raise SolverFailure(f"read-out residual {resid[k]:.3e} at Delta={grid[k]:g} "
+                            f"exceeds {tol[k]:.3e}")
     return chi, resid
 
 
@@ -412,9 +447,8 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     method is one of analytic / linear_response / finite_epsilon. Numeric
     methods truncate the cavity at n_max and warn (TruncationNotConverged)
     when the probe-free steady state leaves > 1e-8 population near the
-    cutoff. workers > 1 distributes grid chunks of the per-point solve over
-    at most os.cpu_count() processes; output is assembled in grid order
-    regardless of scheduling.
+    cutoff. workers is accepted and ignored: every solve runs in this
+    process.
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -443,20 +477,9 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
         notes.append(f"TruncationNotConverged: {report.message}")
 
     if method == "linear_response":
-        solve = partial(_linear_response_chunk,
-                        *_readout_block(sop.matrix, state.rho, sop.spec))
+        chi, resid = _readout_response(*_readout_system(params, sop, state.rho), grid)
     else:
-        solve = partial(_finite_epsilon_chunk, params, n_max,
-                        epsilon=params.epsilon)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and grid.size > 1:
-        pieces = np.array_split(grid, min(workers, grid.size))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, pieces))
-    else:
-        results = [solve(grid)]
-    chi = np.concatenate([r[0] for r in results])
-    resid = np.concatenate([r[1] for r in results])
+        chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
 
     if method == "finite_epsilon":
         # saturation check at the most absorbing point: halving epsilon must

@@ -4,14 +4,18 @@ Numeric oracles: the probe-free steady state factorizes exactly into
 (cavity state) x |g><g| because nothing pumps the atom without the probe, so
 thermal pumping must reproduce the geometric photon distribution and coherent
 pumping the displaced vacuum with alpha = -i*Omega/kappa. The probe spectrum
-routes are cross-checked against the closed form where it is valid.
+routes are cross-checked against the closed form where it is valid, and the
+read-out block solve against a lab-frame solve with one sparse LU per point.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from vitats import (
     AnalyticInvalidHere,
@@ -23,6 +27,7 @@ from vitats import (
     ParameterError,
     ResolutionWarning,
     SolverFailure,
+    SuperOperator,
     SystemParams,
     ThermalPump,
     TruncationNotConverged,
@@ -37,6 +42,7 @@ from vitats import (
     truncation_report,
 )
 from vitats import solver
+from vitats.liouvillian import build_operators, vec
 
 FIG5B = SystemParams.from_effective(10.0, 1.0, eta=3.9, kappa=1.0)
 
@@ -327,6 +333,167 @@ def test_linear_response_block_matches_finite_epsilon_when_pumped(params):
     assert gap <= 1e-5 * np.abs(full.chi).max()
 
 
+def _lab_frame_reference(params, grid, n_max):
+    """chi/beta from the lab-frame linear response, solved independently of
+    the solver's read-out block: rho0 from the full-space steady state, the
+    block as the weakly connected components of L0's graph that hold the
+    |g,n><e,n| read-out, the source i[V, rho0] on it, and one sparse LU per
+    detuning."""
+    spec = HilbertSpec(n_max)
+    l0 = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
+    rho0 = steady_state(SuperOperator(matrix=l0, spec=spec)).rho
+    graph = abs(l0)
+    graph.eliminate_zeros()
+    _, labels = connected_components(graph, directed=True, connection="weak")
+    n = np.arange(n_max + 1)
+    readout = 3 * n + spec.dim * (3 * n + 2)
+    block = np.flatnonzero(np.isin(labels, labels[readout]))
+    ops = build_operators(spec)
+    v = (ops.sigma[("e", "g")] + ops.sigma[("g", "e")]).toarray()
+    rhs = (1j * vec(v @ rho0 - rho0 @ v))[block]
+    base = l0[block][:, block]
+    eye = sp.identity(block.size, dtype=complex, format="csc")
+    out = np.searchsorted(block, readout)
+    return np.array([spla.splu((base + 1j * d * eye).tocsc()).solve(rhs)[out].sum()
+                     for d in grid])
+
+
+def _assert_matches_lab_frame(params, n_max=10, grid=np.linspace(-12, 12, 49)):
+    series = probe_spectrum(params, grid, method="linear_response", n_max=n_max)
+    np.testing.assert_allclose(series.chi, _lab_frame_reference(params, grid, n_max),
+                               rtol=1e-9, atol=0)
+
+
+_FULL_GAMMA = {("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
+               ("f", "g"): 1.2, ("f", "f"): 0.4}
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
+                                pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
+    SystemParams(gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+                 pump=ThermalPump(n_th=0.4)),
+    SystemParams(gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+                 pump=CoherentPump(Omega=0.5, pump_detuning=-0.6)),
+], ids=["vacuum", "coherent-detuned", "full-gamma-map-thermal",
+        "full-gamma-map-coherent"])
+def test_readout_block_matches_lab_frame_reference(params):
+    _assert_matches_lab_frame(params)
+
+
+# every example drains e and f to g and damps the cavity, so the probe-free
+# state is unique; |alpha| <= 0.4 keeps the lab-frame cutoff n_max = 10 exact
+# to well below the tolerance
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({
+           ("e", "g"): st.floats(0.5, 10.0), ("e", "f"): _zero_or(0.2, 5.0),
+           ("e", "e"): _zero_or(0.2, 3.0), ("f", "g"): st.floats(0.2, 5.0),
+           ("f", "f"): _zero_or(0.2, 3.0)}),
+       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.5, 3.0),
+       delta=_zero_or_signed(0.2, 3.0),
+       pump=st.one_of(st.builds(ThermalPump, _zero_or(0.05, 0.5)),
+                      st.builds(CoherentPump, st.floats(0.05, 0.2),
+                                _zero_or_signed(0.2, 2.0))))
+def test_readout_block_matches_lab_frame_reference_randomized(
+        gamma, eta, kappa, delta, pump):
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
+    _assert_matches_lab_frame(params, grid=np.linspace(-8, 8, 9))
+
+
+def _leak_from_readout(matrix, spec):
+    """matrix plus an entry taking |g,0><e,0| (in every read-out block) to
+    |g,1><e,0| (in none)."""
+    leaky = matrix.tolil()
+    leaky[3 + spec.dim * 2, spec.dim * 2] = 1.0
+    return leaky.tocsr()
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_readout_block_rejects_a_leaking_generator(monkeypatch):
+    spec = HilbertSpec(4)
+    thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
+    sop, state, _ = solver.probe_free_state(thermal, 4)
+    leaky = SuperOperator(matrix=_leak_from_readout(sop.matrix, spec), spec=spec)
+    with pytest.raises(SolverFailure, match="leaks"):
+        solver._readout_system(thermal, leaky, state.rho)
+
+    assemble = solver.assemble_liouvillian
+
+    def leaking(*args, **kwargs):
+        lmat = assemble(*args, **kwargs)
+        return SuperOperator(matrix=_leak_from_readout(lmat.matrix, spec), spec=spec)
+
+    monkeypatch.setattr(solver, "assemble_liouvillian", leaking)
+    coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                           pump=CoherentPump(Omega=0.5))
+    with pytest.raises(SolverFailure, match="leaks"):
+        probe_spectrum(coherent, np.linspace(-5, 5, 3), n_max=4)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
+                                pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
+], ids=["thermal", "coherent"])
+def test_readout_points_independent_of_batching(params):
+    # 37 points span three batches; each point alone must give the same bits
+    grid = np.linspace(-12, 12, 37)
+    whole = probe_spectrum(params, grid, n_max=8)
+    alone = [probe_spectrum(params, grid[k:k + 1], n_max=8) for k in range(grid.size)]
+    assert np.array_equal(whole.chi, np.concatenate([s.chi for s in alone]))
+    assert np.array_equal(whole.residuals,
+                          np.concatenate([s.residuals for s in alone]))
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
+], ids=["thermal", "coherent"])
+def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
+    # the cavity block of the probe-free state; the grid is solved densely
+    calls = []
+    splu = solver.spla.splu
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
+    assert calls == [(49, 49)]
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_readout_residual_above_tolerance_raises(monkeypatch):
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        return solve(a, b) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3))
+    with pytest.raises(SolverFailure, match="residual"):
+        probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
+
+
+def test_structurally_singular_generator_is_not_unique(capfd):
+    # eta = kappa = n_th = 0: no |g,m><g,n| element with m != n evolves, so
+    # the generator is singular for any rates; refused before SuperLU runs
+    params = SystemParams(gamma={("e", "g"): 2.0, ("f", "g"): 1.0}, eta=0.0,
+                          kappa=0.0, pump=ThermalPump(n_th=0.0))
+    sop = liouvillian_at(params, 0.0, HilbertSpec(4), epsilon=0.0)
+    with pytest.raises(NonUniqueSteadyState, match="structurally singular"):
+        steady_state(sop)
+    with pytest.raises(NonUniqueSteadyState, match="structurally singular"):
+        solver.probe_free_state(params, 4)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_analytic_method_rejects_pumping():
     grid = np.linspace(-5, 5, 11)
     with pytest.raises(AnalyticInvalidHere):
@@ -350,40 +517,6 @@ def test_worker_pool_output_is_deterministic():
     assert np.array_equal(one.im_chi, two.im_chi)
     assert np.array_equal(one.re_chi, two.re_chi)
     assert np.array_equal(one.residuals, two.residuals)
-
-
-def test_worker_pool_capped_at_cpu_count(monkeypatch):
-    pools = []
-
-    class SerialPool:
-        # records the requested pool size and maps in this process
-        def __init__(self, max_workers):
-            self.chunks = 0
-            pools.append(self)
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, pieces):
-            pieces = list(pieces)
-            self.chunks = len(pieces)
-            return map(fn, pieces)
-
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
-    grid = np.linspace(-10, 10, 7)
-    p = SystemParams.from_effective(5, 1, eta=4, kappa=1,
-                                    pump=ThermalPump(n_th=0.1))
-    many = probe_spectrum(p, grid, method="linear_response", n_max=12,
-                          workers=10**6)
-    assert [(pool.max_workers, pool.chunks) for pool in pools] == [(3, 3)]
-    one = probe_spectrum(p, grid, method="linear_response", n_max=12)
-    assert len(pools) == 1
-    assert np.array_equal(many.chi, one.chi)
 
 
 def test_grid_validation():
