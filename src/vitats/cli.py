@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 import warnings
@@ -126,6 +127,28 @@ def _split_config(cfg: dict) -> tuple[dict, dict]:
     return run, system
 
 
+def _config_number(run: dict, key: str) -> float:
+    """run[key] as a float; it must be a finite JSON number."""
+    value = run[key]
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        finite = False
+    if not finite:
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _n_max(args, run: dict) -> int:
+    """--n-max if given, else the config's n_max (a JSON integer >= 1), else 60."""
+    if args.n_max is not None:
+        return args.n_max
+    value = run.get("n_max", 60)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"n_max must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _grid_from_run(run: dict) -> np.ndarray:
     missing = [k for k in ("delta_min", "delta_max", "delta_points") if k not in run]
     if missing:
@@ -133,7 +156,7 @@ def _grid_from_run(run: dict) -> np.ndarray:
     points = run["delta_points"]
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
         raise ParameterError("delta_points must be an integer >= 2")
-    lo, hi = float(run["delta_min"]), float(run["delta_max"])
+    lo, hi = (_config_number(run, key) for key in ("delta_min", "delta_max"))
     if not hi > lo:
         raise ParameterError("delta_max must exceed delta_min")
     return np.linspace(lo, hi, points)
@@ -212,7 +235,7 @@ def _cmd_spectrum(args) -> int:
     fmt = _resolve(args, run, "format", "csv")
     if fmt not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {fmt!r}")
-    n_max = int(_resolve(args, run, "n_max", 60))
+    n_max = _n_max(args, run)
     output = Path(_resolve(args, run, "output", f"spectrum.{fmt}"))
     grid = _grid_from_run(run)
     sweep = _sweep_from_run(run)
@@ -251,7 +274,7 @@ def _cmd_populations(args) -> int:
     fmt = _resolve(args, run, "format", "csv")
     if fmt not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {fmt!r}")
-    n_max = int(_resolve(args, run, "n_max", 60))
+    n_max = _n_max(args, run)
     output = Path(_resolve(args, run, "output", f"populations.{fmt}"))
     sweep = _sweep_from_run(run)
 

@@ -1,4 +1,4 @@
-"""Sparse operators on the truncated joint Hilbert space and the vectorized
+"""Operators on the truncated joint Hilbert space and the vectorized
 Liouvillian.
 
 Basis convention (fixed; all emitted data depend on it): atom levels ordered
@@ -26,6 +26,13 @@ the closed-form/numeric equivalence tests pin it.
 
 Vectorization is column-stacking: vec(rho)[i + D*j] = rho[i, j], so
 vec(A rho B) = (B^T kron A) vec(rho).
+
+Assembly: the Hamiltonian and the jump operators are dense D x D arrays
+built straight from the joint index 3*photon + atom (build_hamiltonian_rotating
+and collapse_set wrap them in CSR); assemble_liouvillian gathers the entries
+of the D^2 x D^2 Liouvillian from their nonzeros and makes it sparse exactly
+once, as one CSR matrix. build_operators is the sparse operator set for
+callers that want a, a_dag, n_op and sigma_ij themselves.
 """
 
 from __future__ import annotations
@@ -77,6 +84,13 @@ class Operators:
     sigma: dict[tuple[str, str], sp.csr_matrix]
 
 
+def _lowering(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a: <n, x|a|n+1, x> = sqrt(n+1) sits at row 3n + x,
+    column 3n + x + 3."""
+    rows = (3 * np.arange(spec.n_max)[:, None] + np.arange(3)).ravel()
+    return rows, np.repeat(np.sqrt(np.arange(1, spec.n_max + 1)), 3)
+
+
 def build_operators(spec: HilbertSpec) -> Operators:
     """Sparse a, a_dag, n_op, sigma_ij on the joint space."""
     dim = spec.dim
@@ -86,9 +100,8 @@ def build_operators(spec: HilbertSpec) -> Operators:
         return sp.csr_matrix((np.asarray(values, dtype=complex), (rows, cols)),
                              shape=(dim, dim))
 
-    # a|n, x> = sqrt(n)|n-1, x>: row 3(n-1) + x, column 3n + x
-    lower = (3 * photons[:-1, None] + np.arange(3)).ravel()
-    a = joint(np.repeat(np.sqrt(photons[1:]), 3), lower, lower + 3)
+    lower, root = _lowering(spec)
+    a = joint(root, lower, lower + 3)
     sigma = {(i, j): joint(np.ones(photons.size), 3 * photons + _LEVEL_INDEX[i],
                            3 * photons + _LEVEL_INDEX[j])
              for i in LEVELS for j in LEVELS}
@@ -104,27 +117,31 @@ def build_hamiltonian_rotating(params: SystemParams, Delta: float,
     epsilon overrides params.epsilon (0 gives the probe-free generator used
     by the linear-response solver). Hermiticity is asserted at build time.
     """
-    return _hamiltonian(validate_params(params), Delta, build_operators(spec),
-                        epsilon)
+    return sp.csr_matrix(_dense_hamiltonian(validate_params(params), Delta, spec,
+                                            epsilon))
 
 
-def _hamiltonian(params: SystemParams, Delta: float, ops: Operators,
-                 epsilon: float | None) -> sp.csr_matrix:
-    """build_hamiltonian_rotating for validated params on prebuilt operators."""
+def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
+                       epsilon: float | None, *, ef_drive: complex = 0.0) -> np.ndarray:
+    """Dense build_hamiltonian_rotating for validated params, plus a classical
+    field ef_drive*sigma_ef + h.c. on the f-e transition (used by the frame
+    displaced by the cavity amplitude)."""
     eps = params.epsilon if epsilon is None else float(epsilon)
     dd = params.pump_detuning
     de = Delta - params.delta / 2.0
     df = de + params.delta - dd
-    h = (dd * ops.n_op
-         + de * ops.sigma[("e", "e")]
-         + df * ops.sigma[("f", "f")]
-         + params.eta * (ops.sigma[("e", "f")] @ ops.a
-                         + ops.a_dag @ ops.sigma[("f", "e")])
-         + eps * (ops.sigma[("e", "g")] + ops.sigma[("g", "e")])
-         + params.Omega * (ops.a_dag + ops.a))
-    h = h.tocsr()
-    defect = h - h.conj().T
-    if defect.nnz and np.abs(defect.data).max() > 1e-12:
+    n = np.arange(spec.n_max + 1)
+    g, f, e = 3 * n, 3 * n + 1, 3 * n + 2
+    lower, root = _lowering(spec)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    h[g, g] = dd * n
+    h[f, f] = dd * n + df
+    h[e, e] = dd * n + de
+    h[e[:-1], f[1:]] = h[f[1:], e[:-1]] = params.eta * np.sqrt(n[1:])
+    h[e, g] = h[g, e] = eps
+    h[e, f], h[f, e] = ef_drive, np.conj(ef_drive)
+    h[lower, lower + 3] = h[lower + 3, lower] = params.Omega * root
+    if np.abs(h - h.conj().T).max() > 1e-12:
         raise DimensionMismatch("Hamiltonian lost hermiticity during assembly")
     return h
 
@@ -136,22 +153,29 @@ def collapse_set(params: SystemParams, spec: HilbertSpec) -> list[sp.csr_matrix]
     Atom: sqrt(gamma_ij)*sigma_ji for each pair with gamma_ij > 0 (diagonal
     pairs give dephasing projectors sigma_ii).
     """
-    return _collapses(validate_params(params), build_operators(spec))
+    return [sp.csr_matrix(c, dtype=complex)
+            for c in _dense_jumps(validate_params(params), spec)]
 
 
-def _collapses(params: SystemParams, ops: Operators) -> list[sp.csr_matrix]:
-    """collapse_set for validated params on prebuilt operators."""
+def _dense_jumps(params: SystemParams, spec: HilbertSpec) -> list[np.ndarray]:
+    """Dense collapse_set for validated params."""
+    dim, photons = spec.dim, np.arange(spec.n_max + 1)
+    lower, root = _lowering(spec)
+    a = np.zeros((dim, dim))
+    a[lower, lower + 3] = root
     n_th = params.n_th
-    out: list[sp.csr_matrix] = []
+    out: list[np.ndarray] = []
     down = 2.0 * params.kappa * (n_th + 1.0)
     up = 2.0 * params.kappa * n_th
     if down > 0.0:
-        out.append(np.sqrt(down) * ops.a)
+        out.append(np.sqrt(down) * a)
     if up > 0.0:
-        out.append(np.sqrt(up) * ops.a_dag)
+        out.append(np.sqrt(up) * a.T)
     for (i, j), rate in sorted(params.gamma.items()):
         if rate > 0.0:
-            out.append(np.sqrt(rate) * ops.sigma[(j, i)])
+            sigma = np.zeros((dim, dim))
+            sigma[3 * photons + _LEVEL_INDEX[j], 3 * photons + _LEVEL_INDEX[i]] = 1.0
+            out.append(np.sqrt(rate) * sigma)
     return out
 
 
@@ -163,43 +187,58 @@ class SuperOperator:
     spec: HilbertSpec
 
 
-def _kron_entries(left: sp.spmatrix, right: sp.spmatrix):
-    """(rows, cols, values) of the stored entries of kron(left, right)."""
-    lft, rgt = left.tocoo(), right.tocoo()
-    height, width = rgt.shape
-    return ((lft.row[:, None] * height + rgt.row).ravel(),
-            (lft.col[:, None] * width + rgt.col).ravel(),
-            (lft.data[:, None] * rgt.data).ravel())
+def _dense(op, shape: tuple[int, int], what: str) -> np.ndarray:
+    """op (dense or sparse) as an array, after checking its shape."""
+    if op.shape != shape:
+        raise DimensionMismatch(f"{what} shape {op.shape} != {shape}")
+    return op.toarray() if sp.issparse(op) else np.asarray(op)
 
 
-def assemble_liouvillian(hamiltonian: sp.spmatrix,
-                         collapses: list[sp.spmatrix],
+def _entries(op: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of op, row-major, with the
+    int32 indices of the CSR build."""
+    r, k = np.nonzero(op)
+    return r.astype(np.int32), k.astype(np.int32), op[r, k]
+
+
+def assemble_liouvillian(hamiltonian, collapses: list,
                          spec: HilbertSpec) -> SuperOperator:
-    """Vectorized Lindblad generator for the given Hamiltonian and jumps.
+    """Vectorized Lindblad generator for the given Hamiltonian and jumps
+    (dense arrays or sparse matrices on the D x D joint space).
 
     L = -i(I kron H - H^T kron I)
         + sum_c [ conj(c) kron c - (I kron c^dag c + (c^dag c)^T kron I)/2 ]
 
     assembled as I kron (-iH - K/2) + (iH - K/2)^T kron I
-    + sum_c conj(c) kron c with K = sum_c c^dag c.
+    + sum_c conj(c) kron c with K = sum_c c^dag c. H, the jumps and K are
+    D x D dense arrays; the entries of each Kronecker term are gathered from
+    their nonzeros by index arithmetic, and L is built as one CSR matrix
+    (duplicate entries summed, zeros dropped).
     """
     dim = spec.dim
-    if hamiltonian.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"Hamiltonian shape {hamiltonian.shape} != ({dim}, {dim})")
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    h = hamiltonian.tocsr()
-    decay = sp.csr_matrix((dim, dim), dtype=complex)
-    terms = []
-    for c in collapses:
-        if c.shape != (dim, dim):
-            raise DimensionMismatch(f"collapse shape {c.shape} != ({dim}, {dim})")
-        c = c.tocsr()
-        decay = decay + c.conj().T @ c
-        terms.append(_kron_entries(c.conj(), c))
-    terms += [_kron_entries(eye, -1j * h - 0.5 * decay),
-              _kron_entries((1j * h - 0.5 * decay).T, eye)]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    shape = (dim, dim)
+    h = _dense(hamiltonian, shape, "Hamiltonian")
+    jumps = [_dense(c, shape, "collapse") for c in collapses]
+    decay = sum((c.conj().T @ c for c in jumps), np.zeros(shape, dtype=complex))
+    span = np.arange(dim, dtype=np.int32)
+    rows, cols, vals = [], [], []
+    for c in jumps:  # conj(c) kron c
+        r, k, v = _entries(c)
+        rows.append(dim * r[:, None] + r)
+        cols.append(dim * k[:, None] + k)
+        vals.append(v.conj()[:, None] * v)
+    # (0 - 1j), unlike -1j = complex(-0.0, -1.0), keeps +0.0 imaginary parts
+    # where H vanishes
+    r, k, v = _entries((0 - 1j) * h - 0.5 * decay)  # I kron (-iH - K/2)
+    rows.append(dim * span[:, None] + r)
+    cols.append(dim * span[:, None] + k)
+    vals.append(np.broadcast_to(v, (dim, v.size)))
+    r, k, v = _entries(1j * h - 0.5 * decay)  # (iH - K/2)^T kron I
+    rows.append(dim * k[:, None] + span)
+    cols.append(dim * r[:, None] + span)
+    vals.append(np.broadcast_to(v[:, None], (v.size, dim)))
+    vals, rows, cols = (np.concatenate([x.ravel() for x in part])
+                        for part in (vals, rows, cols))
     # duplicate entries are summed
     lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
     lind.eliminate_zeros()
@@ -210,9 +249,8 @@ def liouvillian_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
                    epsilon: float | None = None) -> SuperOperator:
     """Full Liouvillian of the system at probe detuning Delta."""
     params = validate_params(params)
-    ops = build_operators(spec)
-    return assemble_liouvillian(_hamiltonian(params, Delta, ops, epsilon),
-                                _collapses(params, ops), spec)
+    return assemble_liouvillian(_dense_hamiltonian(params, Delta, spec, epsilon),
+                                _dense_jumps(params, spec), spec)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,9 +51,9 @@ from .errors import (
 from .liouvillian import (
     HilbertSpec,
     SuperOperator,
+    _dense_hamiltonian,
+    _dense_jumps,
     assemble_liouvillian,
-    build_operators,
-    collapse_set,
     liouvillian_at,
     trace_indices,
     unvec,
@@ -342,12 +342,21 @@ def _ge_vec_indices(spec: HilbertSpec) -> np.ndarray:
 
 
 def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
-    """dL/dDelta: L is affine in Delta through H += Delta*(sigma_ee+sigma_ff)."""
-    ops = build_operators(spec)
-    proj = (ops.sigma[("e", "e")] + ops.sigma[("f", "f")]).tocsr()
-    eye = sp.identity(spec.dim, format="csr", dtype=complex)
-    return (-1j * (sp.kron(eye, proj, format="csr")
-                   - sp.kron(proj.T, eye, format="csr"))).tocsr()
+    """dL/dDelta: L is affine in Delta through H += Delta*(sigma_ee+sigma_ff),
+    so the slope is the Hamiltonian part of L for that projector."""
+    proj = np.diag(np.tile([0.0, 1.0, 1.0], spec.n_max + 1))
+    return assemble_liouvillian(proj, [], spec).matrix
+
+
+def _displaced_generator(params: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
+    """Probe-free L0 of a coherently pumped system in the frame displaced by
+    the cavity amplitude alpha = -i Omega/(kappa + i dd): the drive cancels,
+    leaving H(Omega=0) + eta(alpha sigma_ef + h.c.) and the same jumps."""
+    alpha = -1j * params.Omega / (params.kappa + 1j * params.pump_detuning)
+    undriven = replace(params, pump=replace(params.pump, Omega=0.0))
+    hamiltonian = _dense_hamiltonian(undriven, 0.0, spec, 0.0,
+                                     ef_drive=params.eta * alpha)
+    return assemble_liouvillian(hamiltonian, _dense_jumps(params, spec), spec).matrix
 
 
 def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
@@ -355,21 +364,14 @@ def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
     |g,m><x,n| coherences (x in {f, e}) holding the read-out, where
     dL/dDelta = +i; the source b = i[V, rho0] on it; the read-out positions.
     Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, b = -i P_m on
-    |g,m><e,m|. Coherent pump: displacing the cavity by
-    alpha = -i Omega/(kappa + i dd) cancels the drive, leaving
-    H(Omega=0) + eta(alpha sigma_ef + h.c.), the same jump matrices and
-    rho0 = |g,0><g,0|; the block is |g,0><x,n|, and chi is its |g,0><e,0|
-    element (b = -i) as the displacement keeps the cavity trace."""
+    |g,m><e,m|. Coherent pump: in the displaced frame of
+    _displaced_generator, rho0 = |g,0><g,0|; the block is |g,0><x,n|, and
+    chi is its |g,0><e,0| element (b = -i) as the displacement keeps the
+    cavity trace."""
     spec = sop.spec
     dim, m = spec.dim, np.arange(spec.n_max + 1)
     if params.Omega > 0.0:
-        alpha = -1j * params.Omega / (params.kappa + 1j * params.pump_detuning)
-        ops = build_operators(spec)
-        shift = (params.eta * (alpha * ops.sigma[("e", "f")]
-                               + np.conj(alpha) * ops.sigma[("f", "e")])
-                 - params.Omega * (ops.a_dag + ops.a))
-        # L0 is affine in H, and the jump matrices are the same in both frames
-        l0 = sop.matrix + assemble_liouvillian(shift, [], spec).matrix
+        l0 = _displaced_generator(params, spec)
         block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
         out, weights = np.array([1]), np.ones(1)
     else:
@@ -537,6 +539,16 @@ def find_peaks(series: SpectrumSeries,
                    min_prominence=prominence)
 
 
+def _probe_superops(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The Hamiltonian parts of L for H = sigma_eg and H = sigma_ge, which the
+    probe drives with opposite phases."""
+    g = 3 * np.arange(spec.n_max + 1)
+    sigma_eg = np.zeros((spec.dim, spec.dim))
+    sigma_eg[g + 2, g] = 1.0
+    return (assemble_liouvillian(sigma_eg, [], spec).matrix,
+            assemble_liouvillian(sigma_eg.T, [], spec).matrix)
+
+
 def time_domain_crosscheck(params: SystemParams, Delta: float, *,
                            n_max: int = 3) -> complex:
     """chi/beta at one detuning from explicit time integration.
@@ -560,19 +572,9 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
         raise IntegrationFailure("no dissipation: no steady state to relax to")
     rate = min(rates)
 
-    ops = build_operators(spec)
-    dd = params.pump_detuning
-    h_static = (dd * ops.n_op
-                + (params.delta - dd) * ops.sigma[("f", "f")]
-                + params.eta * (ops.sigma[("e", "f")] @ ops.a
-                                + ops.a_dag @ ops.sigma[("f", "e")])
-                + params.Omega * (ops.a_dag + ops.a)).tocsr()
-    l_static = assemble_liouvillian(h_static, collapse_set(params, spec), spec).matrix
-    plus = ops.sigma[("e", "g")].tocsr()
-    minus = ops.sigma[("g", "e")].tocsr()
-    eye = sp.identity(spec.dim, format="csr", dtype=complex)
-    k_plus = (-1j * (sp.kron(eye, plus) - sp.kron(plus.T, eye))).tocsr()
-    k_minus = (-1j * (sp.kron(eye, minus) - sp.kron(minus.T, eye))).tocsr()
+    # Delta = delta/2 zeroes the e level, leaving the probe-free static part
+    l_static = liouvillian_at(params, params.delta / 2.0, spec, epsilon=0.0).matrix
+    k_plus, k_minus = _probe_superops(spec)
 
     eps = params.epsilon
     w_probe = Delta - params.delta / 2.0  # probe phase rate in this frame

@@ -189,6 +189,44 @@ def test_spectrum_grid_validation_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# raw JSON text per key, so that literals such as NaN and 1e400 reach the
+# parser unchanged
+_RAW_CONFIG = {"gamma_e": "5", "gamma_f": "1", "kappa": "1", "eta": "4", "n_th": "0.1",
+               "delta_min": "-5", "delta_max": "5", "delta_points": "5"}
+
+
+def _run_raw_config(tmp_path, command, key, literal):
+    """Exit code of command on _RAW_CONFIG with key set to literal; no output
+    file may be written."""
+    out = tmp_path / "out.csv"
+    members = {**_RAW_CONFIG, "output": json.dumps(str(out)), key: literal}
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in members.items()) + "}",
+                   encoding="utf-8")
+    code = cli.main([command, "--config", str(cfg)])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("command", ["populations", "spectrum"])
+@pytest.mark.parametrize("literal",
+                         ['"abc"', "NaN", "1e400", "20.7", "true", '"8"', "0"])
+def test_config_n_max_must_be_a_positive_integer(tmp_path, capsys, command, literal):
+    assert _run_raw_config(tmp_path, command, "n_max", literal) == 2
+    captured = capsys.readouterr()
+    assert "n_max must be an integer >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["delta_min", "delta_max"])
+@pytest.mark.parametrize("literal", ['"abc"', '"3"', "true", "null", "NaN", "1e400"])
+def test_config_grid_bounds_must_be_numbers(tmp_path, capsys, key, literal):
+    assert _run_raw_config(tmp_path, "spectrum", key, literal) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be a finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_spectrum_sweep_renames_delta(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = _write_config(tmp_path, "c.json", {

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from vitats import (
@@ -28,7 +29,9 @@ from vitats import (
     unvec,
     vec,
 )
+from vitats import solver
 from vitats.liouvillian import trace_indices
+from vitats.model import validate_params
 
 
 def _dense(op):
@@ -332,3 +335,138 @@ def test_dimension_mismatch_raised():
     good = sp.identity(spec.dim, format="csr", dtype=complex)
     with pytest.raises(DimensionMismatch):
         assemble_liouvillian(good, [bad], spec)
+
+
+# --- independent reference: operator products and sp.kron ------------------
+
+def _kron_reference(h, jumps):
+    """L = -i(I kron H - H^T kron I)
+    + sum_c [conj(c) kron c - (I kron c^dag c + (c^dag c)^T kron I)/2],
+    term by term with sp.kron on sparse H and jumps."""
+    eye = sp.identity(h.shape[0], format="csr", dtype=complex)
+    lind = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+    for c in jumps:
+        cdc = c.conj().T @ c
+        lind = lind + sp.kron(c.conj(), c) - 0.5 * (sp.kron(eye, cdc)
+                                                    + sp.kron(cdc.T, eye))
+    lind = lind.tocsr()
+    lind.eliminate_zeros()
+    return lind
+
+
+def _operator_hamiltonian(params, Delta, ops, epsilon=None):
+    """The rotating-frame H of the liouvillian module docstring, summed from
+    build_operators products."""
+    sig = ops.sigma
+    eps = params.epsilon if epsilon is None else epsilon
+    de = Delta - params.delta / 2.0
+    df = de + params.delta - params.pump_detuning
+    return (params.pump_detuning * ops.n_op + de * sig[("e", "e")]
+            + df * sig[("f", "f")]
+            + params.eta * (sig[("e", "f")] @ ops.a + ops.a_dag @ sig[("f", "e")])
+            + eps * (sig[("e", "g")] + sig[("g", "e")])
+            + params.Omega * (ops.a_dag + ops.a)).tocsr()
+
+
+def _operator_jumps(params, ops):
+    """sqrt(2 kappa (n_th+1)) a, sqrt(2 kappa n_th) a_dag and
+    sqrt(gamma_ij) sigma_ji from build_operators."""
+    cavity = [(2 * params.kappa * (params.n_th + 1), ops.a),
+              (2 * params.kappa * params.n_th, ops.a_dag)]
+    atom = [(rate, ops.sigma[(j, i)]) for (i, j), rate in sorted(params.gamma.items())]
+    return [math.sqrt(rate) * op for rate, op in cavity + atom if rate > 0]
+
+
+def _assert_matches_reference(got, want):
+    got, want = got.tocsr(), want.tocsr()
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+def _zero_or(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
+_FULL_GAMMA = {("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
+               ("f", "g"): 1.2, ("f", "f"): 0.4}
+_GAMMA_MAP = st.fixed_dictionaries({
+    pair: _zero_or(0.1, 8.0)
+    for pair in (("e", "g"), ("e", "f"), ("e", "e"), ("f", "g"), ("f", "f"))})
+_PUMPS = st.one_of(st.builds(ThermalPump, _zero_or(0.01, 2.0)),
+                   st.builds(CoherentPump, _zero_or(0.05, 2.0),
+                             _zero_or(-3.0, 3.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 6), gamma=_GAMMA_MAP, eta=_zero_or(0.1, 20.0),
+       kappa=_zero_or(0.1, 3.0), delta=_zero_or(-5.0, 5.0), pump=_PUMPS,
+       epsilon=st.floats(1e-4, 0.5), Delta=st.floats(-30.0, 30.0))
+@example(n_max=5, gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+         pump=ThermalPump(0.4), epsilon=0.05, Delta=2.5)
+@example(n_max=5, gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+         pump=CoherentPump(0.5, -0.6), epsilon=0.05, Delta=-7.0)
+def test_liouvillian_matches_kron_reference(n_max, gamma, eta, kappa, delta, pump,
+                                            epsilon, Delta):
+    params = validate_params(SystemParams(gamma=gamma, eta=eta, kappa=kappa,
+                                          delta=delta, pump=pump, epsilon=epsilon))
+    spec = HilbertSpec(n_max)
+    ops = build_operators(spec)
+    want = _kron_reference(_operator_hamiltonian(params, Delta, ops),
+                           _operator_jumps(params, ops))
+    _assert_matches_reference(liouvillian_at(params, Delta, spec).matrix, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 6), gamma=_GAMMA_MAP, eta=_zero_or(0.1, 20.0),
+       kappa=st.floats(0.1, 3.0), delta=_zero_or(-5.0, 5.0),
+       Omega=st.floats(0.05, 2.0), pump_detuning=_zero_or(-3.0, 3.0))
+def test_displaced_generator_matches_kron_reference(n_max, gamma, eta, kappa, delta,
+                                                    Omega, pump_detuning):
+    # lab-frame L0 plus the commutator of the displacement's Hamiltonian shift
+    params = validate_params(SystemParams(
+        gamma=gamma, eta=eta, kappa=kappa, delta=delta,
+        pump=CoherentPump(Omega, pump_detuning)))
+    spec = HilbertSpec(n_max)
+    ops = build_operators(spec)
+    alpha = -1j * Omega / (kappa + 1j * pump_detuning)
+    shift = (eta * (alpha * ops.sigma[("e", "f")]
+                    + np.conj(alpha) * ops.sigma[("f", "e")])
+             - Omega * (ops.a_dag + ops.a))
+    want = _kron_reference(_operator_hamiltonian(params, 0.0, ops, 0.0) + shift,
+                           _operator_jumps(params, ops))
+    _assert_matches_reference(solver._displaced_generator(params, spec), want)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 6])
+def test_hamiltonian_part_superops_match_kron_reference(n_max):
+    spec = HilbertSpec(n_max)
+    ops = build_operators(spec)
+    proj = ops.sigma[("e", "e")] + ops.sigma[("f", "f")]
+    _assert_matches_reference(solver._delta_derivative_superop(spec),
+                              _kron_reference(proj, []))
+    k_plus, k_minus = solver._probe_superops(spec)
+    _assert_matches_reference(k_plus, _kron_reference(ops.sigma[("e", "g")], []))
+    _assert_matches_reference(k_minus, _kron_reference(ops.sigma[("g", "e")], []))
+
+
+def test_dense_and_sparse_inputs_assemble_identically():
+    rng = np.random.default_rng(43)
+    spec = HilbertSpec(n_max=3)
+    d = spec.dim
+
+    def random_matrix(density):
+        mask = rng.random((d, d)) < density
+        return (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * mask
+
+    for _ in range(5):
+        h = random_matrix(0.5)
+        jumps = [random_matrix(0.2) for _ in range(3)]
+        dense = assemble_liouvillian(h, jumps, spec).matrix
+        sparse = assemble_liouvillian(sp.csr_matrix(h),
+                                      [sp.csr_matrix(c) for c in jumps], spec).matrix
+        assert np.array_equal(dense.indptr, sparse.indptr)
+        assert np.array_equal(dense.indices, sparse.indices)
+        assert dense.data.tobytes() == sparse.data.tobytes()

@@ -8,6 +8,7 @@ routes are cross-checked against the closed form where it is valid, and the
 read-out block solve against a lab-frame solve with one sparse LU per point.
 """
 
+import json
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ from vitats import (
     time_domain_crosscheck,
     truncation_report,
 )
-from vitats import solver
+from vitats import cli, liouvillian, solver
 from vitats.liouvillian import build_operators, vec
 
 FIG5B = SystemParams.from_effective(10.0, 1.0, eta=3.9, kappa=1.0)
@@ -466,6 +467,53 @@ def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
     monkeypatch.setattr(solver.spla, "splu", counting)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     assert calls == [(49, 49)]
+
+
+def _count_assemblies_and_lus(monkeypatch) -> dict:
+    """Count every assemble_liouvillian call (from either module) and every
+    sparse LU, by wrapping them; no wall clock involved."""
+    calls = {"assemble": 0, "splu": 0}
+    assemble, splu = liouvillian.assemble_liouvillian, solver.spla.splu
+
+    def counting_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(liouvillian, "assemble_liouvillian", counting_assemble)
+    monkeypatch.setattr(solver, "assemble_liouvillian", counting_assemble)
+    monkeypatch.setattr(solver.spla, "splu", counting_splu)
+    return calls
+
+
+def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
+        monkeypatch, tmp_path, capsys):
+    # f and e drain to g, so no {f, e} sector check runs
+    values = [0.0, 0.1, 0.2, 0.4, 0.8]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 20.0, "n_th": 0.1,
+        "n_max": 8, "sweep_key": "n_th", "sweep_values": values,
+        "output": str(tmp_path / "p.csv")}), encoding="utf-8")
+    calls = _count_assemblies_and_lus(monkeypatch)
+    assert cli.main(["populations", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert calls == {"assemble": len(values), "splu": len(values)}
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("pump, assemblies", [
+    (ThermalPump(n_th=0.3), 1), (CoherentPump(Omega=0.5), 2)],
+    ids=["thermal", "coherent"])
+def test_linear_response_spectrum_assemblies(monkeypatch, pump, assemblies):
+    # L0 in the lab frame; a coherent pump adds L0 in the displaced frame
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
+    calls = _count_assemblies_and_lus(monkeypatch)
+    probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
+    assert calls == {"assemble": assemblies, "splu": 1}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
