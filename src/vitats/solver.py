@@ -5,9 +5,10 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 
 - analytic: the closed-form vacuum susceptibility (no pumping).
 - linear_response: probe-free steady state rho0, then the first-order
-  coherence correction, solved exactly for the whole grid in one batched
-  dense solve on the small invariant block that holds the read-out
-  (_readout_system); the probe amplitude is eliminated analytically. Any pump.
+  coherence correction on the small invariant block that holds the read-out
+  (_readout_system). That block is banded, so each grid point takes one
+  banded LU with partial pivoting (LAPACK gbsv), O(m) for block dim m; the
+  probe amplitude is eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
@@ -33,9 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import zgbsv
 from scipy.sparse.csgraph import structural_rank
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from . import analytic
 from .errors import (
@@ -360,7 +360,7 @@ def _displaced_generator(params: SystemParams, spec: HilbertSpec) -> sp.csr_matr
 
 
 def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
-    """(A, b, out): dense L0 at Delta = 0 on the invariant block of
+    """(A, b, out): L0 at Delta = 0 (CSR) on the invariant block of
     |g,m><x,n| coherences (x in {f, e}) holding the read-out, where
     dL/dDelta = +i; the source b = i[V, rho0] on it; the read-out positions.
     Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, b = -i P_m on
@@ -381,29 +381,40 @@ def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
         out, weights = np.searchsorted(block, readout), np.diag(rho0)[3 * m].real
     rhs = np.zeros(block.size, dtype=complex)
     rhs[out] = -1j * weights
-    return _invariant_block(l0, block, "the read-out block").toarray(), rhs, out
+    return _invariant_block(l0, block, "the read-out block"), rhs, out
 
 
-_BATCH = 16  # points per dense solve; fixed, so memory does not grow with the grid
-
-
-def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
+def _readout_response(a: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi/beta and residual norm at each Delta from (A + i Delta I) x = b,
-    solved in batches; no point's bits depend on the others in its batch.
-    A residual above 1e-9 |b| max(1, max|A_ij| + |Delta|), the scaling of
-    _residual_tol, raises SolverFailure."""
-    chi, resid = np.empty(grid.size, dtype=complex), np.empty(grid.size)
-    for start in range(0, grid.size, _BATCH):
-        batch = slice(start, start + _BATCH)
-        mats = a + 1j * grid[batch, None, None] * np.eye(rhs.size)
-        try:
-            x = np.linalg.solve(mats, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"read-out solve failed: {exc}") from exc
-        resid[batch] = np.linalg.norm((mats @ x[..., None])[..., 0] - rhs, axis=1)
-        chi[batch] = [row.sum() for row in x[:, out]]
-    tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, np.abs(a).max() + np.abs(grid))
+    """chi/beta and residual norm at each Delta from (A + i Delta I) x = b.
+
+    The bandwidths (kl, ku) are read from A's nonzeros, so a wider band only
+    costs time: (2, 2) for a thermal pump, (1, 2) for the vacuum and (1, 1)
+    for the displaced coherent block in _readout_system's order. The band
+    is laid out once for the grid and each point is one LAPACK zgbsv call,
+    so no point's bits depend on the others. An exactly singular point, or
+    a residual ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| +
+    |Delta|), the scaling of _residual_tol, raises SolverFailure.
+    """
+    coo = a.tocoo()
+    coo.sum_duplicates()
+    kl = int((coo.row - coo.col).max(initial=0))
+    ku = int((coo.col - coo.row).max(initial=0))
+    diag = kl + ku  # row of the diagonal in LAPACK band storage
+    band = np.zeros((grid.size, rhs.size, 2 * kl + ku + 1), dtype=complex)
+    band = band.transpose(0, 2, 1)  # each band[k] Fortran-contiguous for zgbsv
+    band[:, diag + coo.row - coo.col, coo.col] = coo.data
+    band[:, diag] += 1j * grid[:, None]
+    x = np.empty((grid.size, rhs.size), dtype=complex)
+    for k, delta in enumerate(grid):
+        _, _, x[k], info = zgbsv(kl, ku, band[k], rhs, overwrite_ab=1)
+        if info != 0:
+            raise SolverFailure(f"read-out matrix is singular at Delta={delta:g} "
+                                f"(zgbsv info {info})")
+    resid = np.linalg.norm((a @ x.T).T + 1j * grid[:, None] * x - rhs, axis=1)
+    chi = np.array([row.sum() for row in x[:, out]])
+    scale = np.abs(coo.data).max(initial=0.0)
+    tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, scale + np.abs(grid))
     bad = np.flatnonzero(~(resid <= tol))  # also catches non-finite values
     if bad.size:
         k = bad[0]
@@ -521,6 +532,10 @@ def find_peaks(series: SpectrumSeries,
     if prominence <= 0.0:
         return PeakSet(positions=np.empty(0), heights=np.empty(0),
                        min_prominence=prominence)
+    # imported here: scipy.signal (which loads scipy.stats) roughly doubles
+    # the start-up of a CLI that never finds peaks
+    from scipy.signal import find_peaks as _scipy_find_peaks
+
     idx, _ = _scipy_find_peaks(y, prominence=prominence)
     positions, heights = [], []
     for i in idx:
@@ -560,6 +575,8 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
     construction end to end; small systems only (n_max <= 5), zero
     temperature.
     """
+    from scipy.integrate import solve_ivp  # imported here: slow, and the CLI never needs it
+
     params = validate_params(params)
     if n_max > 5:
         raise ParameterError("time-domain cross-check is limited to n_max <= 5")

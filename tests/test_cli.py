@@ -1,15 +1,31 @@
 """Command line front end: exit codes, file formats, determinism, presets.
 
 Everything runs in-process through cli.main so exit codes and stdio can be
-asserted without subprocesses.
+asserted without subprocesses; only the import check needs a fresh
+interpreter.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vitats
 from vitats import SolverFailure, cli
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # find_peaks and the time-domain integrator import them on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(vitats.__file__).parents[1]))
+    code = ("import sys, vitats.cli; print(' '.join(m for m in ('scipy.signal', "
+            "'scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == ""
 
 
 def _write_config(tmp_path, name, payload):

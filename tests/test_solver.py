@@ -369,8 +369,7 @@ _FULL_GAMMA = {("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
                ("f", "g"): 1.2, ("f", "f"): 0.4}
 
 
-@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-@pytest.mark.parametrize("params", [
+_LAB_FRAME_SYSTEMS = [
     SystemParams.from_effective(5, 1, eta=4, kappa=1),
     SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
                                 pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
@@ -378,30 +377,115 @@ _FULL_GAMMA = {("e", "g"): 6.0, ("e", "f"): 1.5, ("e", "e"): 0.8,
                  pump=ThermalPump(n_th=0.4)),
     SystemParams(gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
                  pump=CoherentPump(Omega=0.5, pump_detuning=-0.6)),
-], ids=["vacuum", "coherent-detuned", "full-gamma-map-thermal",
-        "full-gamma-map-coherent"])
-def test_readout_block_matches_lab_frame_reference(params):
-    _assert_matches_lab_frame(params)
-
+]
+_LAB_FRAME_IDS = ["vacuum", "coherent-detuned", "full-gamma-map-thermal",
+                  "full-gamma-map-coherent"]
 
 # every example drains e and f to g and damps the cavity, so the probe-free
 # state is unique; |alpha| <= 0.4 keeps the lab-frame cutoff n_max = 10 exact
 # to well below the tolerance
+_RANDOM_SYSTEMS = dict(
+    gamma=st.fixed_dictionaries({
+        ("e", "g"): st.floats(0.5, 10.0), ("e", "f"): _zero_or(0.2, 5.0),
+        ("e", "e"): _zero_or(0.2, 3.0), ("f", "g"): st.floats(0.2, 5.0),
+        ("f", "f"): _zero_or(0.2, 3.0)}),
+    eta=_zero_or(0.5, 5.0), kappa=st.floats(0.5, 3.0),
+    delta=_zero_or_signed(0.2, 3.0),
+    pump=st.one_of(st.builds(ThermalPump, _zero_or(0.05, 0.5)),
+                   st.builds(CoherentPump, st.floats(0.05, 0.2),
+                             _zero_or_signed(0.2, 2.0))))
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _LAB_FRAME_SYSTEMS, ids=_LAB_FRAME_IDS)
+def test_readout_block_matches_lab_frame_reference(params):
+    _assert_matches_lab_frame(params)
+
+
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(gamma=st.fixed_dictionaries({
-           ("e", "g"): st.floats(0.5, 10.0), ("e", "f"): _zero_or(0.2, 5.0),
-           ("e", "e"): _zero_or(0.2, 3.0), ("f", "g"): st.floats(0.2, 5.0),
-           ("f", "f"): _zero_or(0.2, 3.0)}),
-       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.5, 3.0),
-       delta=_zero_or_signed(0.2, 3.0),
-       pump=st.one_of(st.builds(ThermalPump, _zero_or(0.05, 0.5)),
-                      st.builds(CoherentPump, st.floats(0.05, 0.2),
-                                _zero_or_signed(0.2, 2.0))))
+@given(**_RANDOM_SYSTEMS)
 def test_readout_block_matches_lab_frame_reference_randomized(
         gamma, eta, kappa, delta, pump):
     params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
     _assert_matches_lab_frame(params, grid=np.linspace(-8, 8, 9))
+
+
+def _assert_readout_band_is_narrow(params, n_max=10):
+    """The read-out block's (kl, ku), read from its nonzeros, is at most
+    (2, 2) for a thermal pump or the vacuum and (1, 1) for the displaced
+    coherent block; a wider band would make each grid point cost O(m^3)."""
+    sop, state, _ = solver.probe_free_state(params, n_max)
+    a = solver._readout_system(params, sop, state.rho)[0].tocoo()
+    bands = (int((a.row - a.col).max()), int((a.col - a.row).max()))
+    limit = 1 if params.Omega > 0.0 else 2
+    assert max(bands) <= limit, bands
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _LAB_FRAME_SYSTEMS, ids=_LAB_FRAME_IDS)
+def test_readout_block_is_banded(params):
+    _assert_readout_band_is_narrow(params)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**_RANDOM_SYSTEMS)
+def test_readout_block_is_banded_randomized(gamma, eta, kappa, delta, pump):
+    _assert_readout_band_is_narrow(
+        SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump))
+
+
+def _dense_batched_readout(a, rhs, out, grid):
+    """chi/beta from the former read-out solve: A densified once and the
+    grid solved with batched np.linalg.solve, 16 points per batch."""
+    a = a.toarray()
+    chi = np.empty(grid.size, dtype=complex)
+    for start in range(0, grid.size, 16):
+        batch = slice(start, start + 16)
+        x = np.linalg.solve(a + 1j * grid[batch, None, None] * np.eye(rhs.size), rhs)
+        chi[batch] = [row.sum() for row in x[:, out]]
+    return chi
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _ORACLE_SYSTEMS,
+                         ids=["vacuum", "thermal", "coherent", "coherent-detuned",
+                              "full-gamma-map"])
+def test_band_readout_matches_dense_batched_solve(params):
+    sop, state, _ = solver.probe_free_state(params, 12)
+    system = solver._readout_system(params, sop, state.rho)
+    grid = np.linspace(-120, 120, 241)
+    chi, _ = solver._readout_response(*system, grid)
+    np.testing.assert_allclose(chi, _dense_batched_readout(*system, grid),
+                               rtol=1e-12, atol=0)
+
+
+def _singular_readout():
+    """(A, b, out) with A + i Delta I exactly singular at Delta = 2 only: its
+    first column is then zero."""
+    a = sp.csr_matrix(np.array([[-2j, 1.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.3, -1.0]]))
+    return a, np.array([-1j, 0.0, 0.0]), np.array([0])
+
+
+def test_readout_singular_point_raises():
+    with pytest.raises(SolverFailure, match=r"singular at Delta=2\b"):
+        solver._readout_response(*_singular_readout(), np.array([-1.0, 0.0, 2.0, 3.0]))
+    chi, resid = solver._readout_response(*_singular_readout(), np.array([-1.0, 3.0]))
+    assert np.all(np.isfinite(chi)) and np.all(np.isfinite(resid))
+
+
+def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0, "n_th": 0.1,
+        "n_max": 4, "delta_min": -2.0, "delta_max": 2.0, "delta_points": 5,
+        "output": str(out)}), encoding="utf-8")
+    monkeypatch.setattr(solver, "_readout_system", lambda *args: _singular_readout())
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 4
+    assert "singular at Delta=2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _leak_from_readout(matrix, spec):
@@ -456,7 +540,7 @@ def test_readout_points_independent_of_batching(params):
     SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
 ], ids=["thermal", "coherent"])
 def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
-    # the cavity block of the probe-free state; the grid is solved densely
+    # the cavity block of the probe-free state; the grid takes band LUs
     calls = []
     splu = solver.spla.splu
 
@@ -518,12 +602,13 @@ def test_linear_response_spectrum_assemblies(monkeypatch, pump, assemblies):
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 def test_readout_residual_above_tolerance_raises(monkeypatch):
-    solve = np.linalg.solve
+    zgbsv = solver.zgbsv
 
-    def perturbed(a, b):
-        return solve(a, b) * (1.0 + 1e-6)
+    def perturbed(*args, **kwargs):
+        lub, piv, x, info = zgbsv(*args, **kwargs)
+        return lub, piv, x * (1.0 + 1e-6), info
 
-    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    monkeypatch.setattr(solver, "zgbsv", perturbed)
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3))
     with pytest.raises(SolverFailure, match="residual"):
         probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
