@@ -30,7 +30,7 @@ import shutil
 import sys
 import warnings
 from collections.abc import Callable
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -551,8 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     caught: list = []
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -29,10 +29,15 @@ vec(A rho B) = (B^T kron A) vec(rho).
 
 Assembly: the Hamiltonian and the jump operators are dense D x D arrays
 built straight from the joint index 3*photon + atom (build_hamiltonian_rotating
-and collapse_set wrap them in CSR); assemble_liouvillian gathers the entries
-of the D^2 x D^2 Liouvillian from their nonzeros and makes it sparse exactly
-once, as one CSR matrix. build_operators is the sparse operator set for
-callers that want a, a_dag, n_op and sigma_ij themselves.
+and collapse_set wrap them in CSR). LindbladFactors holds the D x D factors
+of L = I kron M + N^T kron I + sum_c conj(c) kron c (M = -iH - K/2,
+N = iH - K/2, K = sum_c c^dag c) and assembles L on any product block
+{i + D*j : i in R, j in C} from the restricted factors, gathering the
+entries from their nonzeros and making the block sparse exactly once, as one
+CSR matrix. The full D^2 x D^2 Liouvillian (assemble_liouvillian,
+liouvillian_at) is the block R = C = all, built by the same code; the
+solver builds only the small blocks it needs. build_operators is the sparse
+operator set for callers that want a, a_dag, n_op and sigma_ij themselves.
 """
 
 from __future__ import annotations
@@ -195,10 +200,91 @@ def _dense(op, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def _entries(op: np.ndarray):
-    """(rows, cols, values) of the nonzero entries of op, row-major, with the
+    """(indices..., values) of the nonzero entries of op, row-major, with the
     int32 indices of the CSR build."""
-    r, k = np.nonzero(op)
-    return r.astype(np.int32), k.astype(np.int32), op[r, k]
+    where = np.nonzero(op)
+    return (*(w.astype(np.int32) for w in where), op[where])
+
+
+@dataclass(frozen=True)
+class LindbladFactors:
+    """A Lindblad generator by its dense D x D Hilbert-space factors:
+    M = -iH - K/2, N = iH - K/2 and the jumps c (stacked along the first
+    axis), with K = sum_c c^dag c taken over the full space, so that
+    L = I kron M + N^T kron I + sum_c conj(c) kron c."""
+
+    spec: HilbertSpec
+    m: np.ndarray
+    n: np.ndarray
+    jumps: np.ndarray
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray):
+        """(rows, cols, values) of L on the product block {i + D*j : i in
+        rows, j in cols} (rows and cols sorted joint indices), in increasing
+        vec order: rho[rows[a], cols[b]] sits at a + len(rows)*b. Every entry
+        of L there involves only M[R,R], N[C,C], c[R,R] and c[C,C], so the
+        block is
+
+            I kron M[R,R] + N[C,C]^T kron I + sum_c conj(c[C,C]) kron c[R,R]
+
+        exactly, invariant or not. The entries of each Kronecker term are
+        gathered from the nonzeros of its factors by index arithmetic, in
+        this term order (jump by jump); duplicates are left to be summed.
+        """
+        inner, outer = rows.size, cols.size
+        # conj(c[C,C]) kron c[R,R], jump by jump: entry o of c[C,C] pairs
+        # with every entry i of c[R,R] of the same jump
+        jo, ro, ko, vo = _entries(self.jumps[:, cols[:, None], cols])
+        ji, ri, ki, vi = _entries(self.jumps[:, rows[:, None], rows])
+        o, i = np.nonzero(jo[:, None] == ji)
+        out_rows = [inner * ro[o] + ri[i]]
+        out_cols = [inner * ko[o] + ki[i]]
+        vals = [vo.conj()[o] * vi[i]]
+        left = np.arange(outer, dtype=np.int32)[:, None]
+        right = np.arange(inner, dtype=np.int32)
+        r, k, v = _entries(self.m[rows[:, None], rows])  # I kron M[R,R]
+        out_rows.append(inner * left + r)
+        out_cols.append(inner * left + k)
+        vals.append(np.broadcast_to(v, (outer, v.size)))
+        r, k, v = _entries(self.n[cols[:, None], cols])  # N[C,C]^T kron I
+        out_rows.append(inner * k[:, None] + right)
+        out_cols.append(inner * r[:, None] + right)
+        vals.append(np.broadcast_to(v[:, None], (v.size, inner)))
+        return tuple(np.concatenate([x.ravel() for x in part])
+                     for part in (out_rows, out_cols, vals))
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+        """L on the product block rows x cols (see entries) as CSR."""
+        return csr_from_entries(*self.entries(rows, cols), rows.size * cols.size)
+
+    def superoperator(self) -> SuperOperator:
+        """The full D^2 x D^2 L: the block R = C = all."""
+        full = np.arange(self.spec.dim)
+        return SuperOperator(matrix=self.block(full, full), spec=self.spec)
+
+
+def csr_from_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                     size: int) -> sp.csr_matrix:
+    """size x size CSR matrix of the given entries, duplicates summed in
+    their given order and zeros dropped."""
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def lindblad_factors(hamiltonian, collapses: list,
+                     spec: HilbertSpec) -> LindbladFactors:
+    """LindbladFactors of the given Hamiltonian and jumps (dense arrays or
+    sparse matrices on the D x D joint space)."""
+    shape = (spec.dim, spec.dim)
+    h = _dense(hamiltonian, shape, "Hamiltonian")
+    jumps = [_dense(c, shape, "collapse") for c in collapses]
+    decay = sum((c.conj().T @ c for c in jumps), np.zeros(shape, dtype=complex))
+    # (0 - 1j), unlike -1j = complex(-0.0, -1.0), keeps +0.0 imaginary parts
+    # where H vanishes
+    return LindbladFactors(spec=spec, m=(0 - 1j) * h - 0.5 * decay,
+                           n=1j * h - 0.5 * decay,
+                           jumps=np.array(jumps) if jumps else np.zeros((0, *shape)))
 
 
 def assemble_liouvillian(hamiltonian, collapses: list,
@@ -209,48 +295,24 @@ def assemble_liouvillian(hamiltonian, collapses: list,
     L = -i(I kron H - H^T kron I)
         + sum_c [ conj(c) kron c - (I kron c^dag c + (c^dag c)^T kron I)/2 ]
 
-    assembled as I kron (-iH - K/2) + (iH - K/2)^T kron I
-    + sum_c conj(c) kron c with K = sum_c c^dag c. H, the jumps and K are
-    D x D dense arrays; the entries of each Kronecker term are gathered from
-    their nonzeros by index arithmetic, and L is built as one CSR matrix
-    (duplicate entries summed, zeros dropped).
+    built as LindbladFactors.superoperator, the block spanning the whole
+    space.
     """
-    dim = spec.dim
-    shape = (dim, dim)
-    h = _dense(hamiltonian, shape, "Hamiltonian")
-    jumps = [_dense(c, shape, "collapse") for c in collapses]
-    decay = sum((c.conj().T @ c for c in jumps), np.zeros(shape, dtype=complex))
-    span = np.arange(dim, dtype=np.int32)
-    rows, cols, vals = [], [], []
-    for c in jumps:  # conj(c) kron c
-        r, k, v = _entries(c)
-        rows.append(dim * r[:, None] + r)
-        cols.append(dim * k[:, None] + k)
-        vals.append(v.conj()[:, None] * v)
-    # (0 - 1j), unlike -1j = complex(-0.0, -1.0), keeps +0.0 imaginary parts
-    # where H vanishes
-    r, k, v = _entries((0 - 1j) * h - 0.5 * decay)  # I kron (-iH - K/2)
-    rows.append(dim * span[:, None] + r)
-    cols.append(dim * span[:, None] + k)
-    vals.append(np.broadcast_to(v, (dim, v.size)))
-    r, k, v = _entries(1j * h - 0.5 * decay)  # (iH - K/2)^T kron I
-    rows.append(dim * k[:, None] + span)
-    cols.append(dim * r[:, None] + span)
-    vals.append(np.broadcast_to(v[:, None], (v.size, dim)))
-    vals, rows, cols = (np.concatenate([x.ravel() for x in part])
-                        for part in (vals, rows, cols))
-    # duplicate entries are summed
-    lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-    lind.eliminate_zeros()
-    return SuperOperator(matrix=lind, spec=spec)
+    return lindblad_factors(hamiltonian, collapses, spec).superoperator()
+
+
+def factors_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
+               epsilon: float | None = None) -> LindbladFactors:
+    """LindbladFactors of the system at probe detuning Delta."""
+    params = validate_params(params)
+    return lindblad_factors(_dense_hamiltonian(params, Delta, spec, epsilon),
+                            _dense_jumps(params, spec), spec)
 
 
 def liouvillian_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
                    epsilon: float | None = None) -> SuperOperator:
     """Full Liouvillian of the system at probe detuning Delta."""
-    params = validate_params(params)
-    return assemble_liouvillian(_dense_hamiltonian(params, Delta, spec, epsilon),
-                                _dense_jumps(params, spec), spec)
+    return factors_at(params, Delta, spec, epsilon=epsilon).superoperator()
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
-from scipy import constants as _const
-
 from .errors import (
     DivisionDegenerate,
     MissingCavityFrequency,
@@ -216,6 +214,11 @@ def effective_rates(p: SystemParams) -> EffectiveRates:
     )
 
 
+# exact SI 2019 Planck and Boltzmann constants (J s, J/K)
+_H, _K_B = 6.62607015e-34, 1.380649e-23
+_HBAR = _H / (2.0 * math.pi)
+
+
 def thermal_occupation(omega_c: float, temperature: float) -> float:
     """Bose-Einstein occupation n_th = 1/(exp(hbar*omega_c/k_B*T) - 1).
 
@@ -225,7 +228,7 @@ def thermal_occupation(omega_c: float, temperature: float) -> float:
         raise NonpositiveTemperature(f"temperature = {temperature} K must be > 0")
     if omega_c <= 0:
         raise MissingCavityFrequency(f"omega_c = {omega_c} rad/s must be > 0")
-    x = _const.hbar * omega_c / (_const.k * temperature)
+    x = _HBAR * omega_c / (_K_B * temperature)
     if x > 700.0:  # expm1 overflows; occupation is numerically zero
         return 0.0
     return 1.0 / math.expm1(x)

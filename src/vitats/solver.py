@@ -6,9 +6,10 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - analytic: the closed-form vacuum susceptibility (no pumping).
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
-  (_readout_system). That block is banded, so each grid point takes one
-  banded LU with partial pivoting (LAPACK gbsv), O(m) for block dim m; the
-  probe amplitude is eliminated analytically. Any pump.
+  (_readout_system), assembled on its own like rho0's block. That block is
+  banded, so each grid point takes one banded LU with partial pivoting
+  (LAPACK gbsv), O(m) for block dim m; the probe amplitude is eliminated
+  analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
@@ -18,11 +19,14 @@ M is nonsingular iff the kernel of L is one-dimensional, so uniqueness is
 checked on the same factor: one more solve M y = b with a seeded random b
 bounds the smallest singular value of M by |b|/|y|. The probe-free state
 rho0 = |g><g| (x) rho_cav is solved this way on the (n_max+1)^2 |g,m><g,n|
-block of L0, which L0 leaves invariant (checked). Unless f and e both drain
-to g, the same bound on that sector's block of L0 also rules out a steady
-state in {f, e}. A structurally singular M is refused before it is
-factored. steady_state solves the full D^2 space; finite_epsilon, the
-time-domain cross-check and the tests use it as the independent oracle.
+block of L0. Only that block is assembled, from L0's D x D Hilbert-space
+factors (liouvillian.LindbladFactors), and its invariance is checked on
+those factors; its residual ||L_GG vec(rho_cav)|| is rho0's full-L0
+residual. Unless f and e both drain to g, the full L0 is assembled after
+all, and the same bound on its {f, e} block rules out a steady state
+there. A structurally singular M is refused before it is factored.
+steady_state solves the full D^2 space; finite_epsilon, the time-domain
+cross-check and the tests use it as the independent oracle.
 """
 
 from __future__ import annotations
@@ -50,10 +54,14 @@ from .errors import (
 )
 from .liouvillian import (
     HilbertSpec,
+    LindbladFactors,
     SuperOperator,
     _dense_hamiltonian,
     _dense_jumps,
     assemble_liouvillian,
+    csr_from_entries,
+    factors_at,
+    lindblad_factors,
     liouvillian_at,
     trace_indices,
     unvec,
@@ -211,19 +219,15 @@ def _residual_tol(lmat: sp.csr_matrix) -> float:
     return 1e-9 * max(1.0, scale)
 
 
-def _checked_state(sop: SuperOperator, rho: np.ndarray) -> SteadyState:
-    """rho with its full-space residual ||L vec(rho)|| and whether that is
-    within _residual_tol."""
+def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> SteadyState:
+    """Unique trace-one kernel vector of the Liouvillian, solved on the full
+    space (see _trace_completed_solve for the uniqueness check), with its
+    residual ||L vec(rho)|| and whether that is within _residual_tol."""
+    rho = _trace_completed_solve(sop.matrix, sop.spec.dim,
+                                 check_uniqueness=check_uniqueness)
     residual = float(np.linalg.norm(sop.matrix @ vec(rho)))
     return SteadyState(rho=rho, residual_norm=residual, n_max=sop.spec.n_max,
                        converged=residual <= _residual_tol(sop.matrix))
-
-
-def steady_state(sop: SuperOperator, *, check_uniqueness: bool = True) -> SteadyState:
-    """Unique trace-one kernel vector of the Liouvillian, solved on the full
-    space (see _trace_completed_solve for the uniqueness check)."""
-    return _checked_state(sop, _trace_completed_solve(
-        sop.matrix, sop.spec.dim, check_uniqueness=check_uniqueness))
 
 
 def populations(state: SteadyState) -> PopulationTable:
@@ -258,31 +262,54 @@ def _atom_block(spec: HilbertSpec, levels: tuple[int, ...]) -> np.ndarray:
     return (rows[None, :] + spec.dim * rows[:, None]).ravel()
 
 
-def _invariant_block(l0: sp.csr_matrix, block: np.ndarray, what: str) -> sp.csr_matrix:
-    """L0 on the vec indices block, after checking that L0 maps no block
-    element out of the block (else SolverFailure)."""
-    inside = np.zeros(l0.shape[0], dtype=bool)
-    inside[block] = True
-    columns = l0[:, block]
-    if not inside[columns.tocoo().row].all():
+def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
+                     what: str, keep: np.ndarray | None = None) -> sp.csr_matrix:
+    """L on the product block rows x cols (LindbladFactors.entries), or on
+    the sorted block positions keep inside it, after checking that L maps no
+    element of it elsewhere (else SolverFailure).
+
+    The product block is checked on the D x D factors: for rho supported on
+    R x C, M rho stays there iff M[R^c, R] = 0 and rho N iff N[C, C^c] = 0;
+    c rho c^dag leaves it iff c[R^c, R] and c[:, C] are both nonzero, or
+    c[:, R] and c[C^c, C] are. Inside it, no entry of a Kronecker term may
+    take a keep position to another position.
+    """
+    dim = factors.spec.dim
+    out_rows = np.ones(dim, dtype=bool)
+    out_rows[rows] = False
+    out_cols = np.ones(dim, dtype=bool)
+    out_cols[cols] = False
+    support = factors.jumps != 0
+    from_rows = support[:, :, rows].any(axis=2)  # where each c takes R
+    from_cols = support[:, :, cols].any(axis=2)
+    leaks = factors.m[out_rows][:, rows].any() or factors.n[cols][:, out_cols].any() \
+        or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
+        or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any()
+    r, c, v = factors.entries(rows, cols)
+    size = rows.size * cols.size
+    if keep is not None:
+        inside = np.zeros(size, dtype=bool)
+        inside[keep] = True
+        leaks = leaks or (inside[c] & ~inside[r]).any()
+        kept = inside[r] & inside[c]
+        position = np.cumsum(inside) - 1
+        r, c, v, size = position[r[kept]], position[c[kept]], v[kept], keep.size
+    if leaks:
         raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
-    return columns[block]
+    return csr_from_entries(r, c, v, size)
 
 
-def _cavity_block(l0: sp.csr_matrix, spec: HilbertSpec) -> sp.csr_matrix:
-    """L0 on its invariant |g,m><g,n| block."""
-    return _invariant_block(l0, _atom_block(spec, (0,)), "the |g><g| block")
-
-
-def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
+def _check_excited_sector_decays(factors: LindbladFactors) -> None:
     """Raise NonUniqueSteadyState if a steady state keeps the atom in {f, e}.
 
     L0 is block triangular: the |x,m><y,n| block with x, y in {f, e} feeds
     only itself and the |g><g| block, and coherences with g feed only
     themselves. So a steady state besides |g><g| (x) rho_cav exists iff the
     {f, e} block E of L0 is singular, which _require_nonsingular checks
-    against the converged residual tolerance.
+    against the converged residual tolerance of the full L0.
     """
+    spec = factors.spec
+    l0 = factors.superoperator().matrix
     block = _atom_block(spec, (1, 2))
     what = "the {f, e} block of L0 (the atom can stay out of |g>)"
     try:
@@ -294,36 +321,45 @@ def _check_excited_sector_decays(l0: sp.csr_matrix, spec: HilbertSpec) -> None:
 
 def probe_free_state(params: SystemParams, n_max: int, *,
                      check_uniqueness: bool = True):
-    """(L0, steady state, TruncationReport) without the probe.
+    """(LindbladFactors of L0, steady state, TruncationReport) without the
+    probe.
 
     Without the probe nothing leaves |g>, so rho0 = |g><g| (x) rho_cav with
-    rho_cav the steady state of L0 on its invariant |g,m><g,n| block, and
+    rho_cav the steady state of L0 on its invariant |g,m><g,n| block, which
+    is assembled on its own from L0's Hilbert-space factors (the full
+    D^2 x D^2 L0 is never built unless the {f, e} sector needs checking).
     rho0 is unique iff rho_cav is and no steady state keeps the atom in
     {f, e}. The uniqueness check runs on the block; it also checks the
     {f, e} sector unless f and e both drain to g (gamma_fg > 0 and
-    gamma_eg + gamma_ef > 0), which rules such states out. Raises
-    SolverFailure unless rho0 solves the full L0 to steady_state's
-    tolerance; warns (TruncationNotConverged) unless the tail mass converged.
+    gamma_eg + gamma_ef > 0), which rules such states out. rho0 vanishes
+    outside the invariant block, so its full-L0 residual is the block's
+    ||L_GG vec(rho_cav)||; SolverFailure unless that is within
+    steady_state's tolerance for the block. Warns (TruncationNotConverged)
+    unless the tail mass converged.
     """
     params = validate_params(params)
     spec = HilbertSpec(n_max)
-    sop = liouvillian_at(params, 0.0, spec, epsilon=0.0)
+    factors = factors_at(params, 0.0, spec, epsilon=0.0)
+    ground = 3 * np.arange(n_max + 1)
+    cavity = _invariant_block(factors, ground, ground, "the |g><g| block")
+    rho_cav = _trace_completed_solve(cavity, n_max + 1,
+                                     check_uniqueness=check_uniqueness)
     gamma = params.gamma
     drains = gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0
-    rho_cav = _trace_completed_solve(_cavity_block(sop.matrix, spec), n_max + 1,
-                                     check_uniqueness=check_uniqueness)
     if check_uniqueness and not drains:
-        _check_excited_sector_decays(sop.matrix, spec)
-    ground = np.zeros((3, 3))
-    ground[0, 0] = 1.0
-    state = _checked_state(sop, np.kron(rho_cav, ground))
-    if not state.converged:
+        _check_excited_sector_decays(factors)
+    residual = float(np.linalg.norm(cavity @ vec(rho_cav)))
+    if not residual <= _residual_tol(cavity):  # also catches a non-finite value
         raise SolverFailure(f"factorized probe-free state leaves residual "
-                            f"{state.residual_norm:.3e} in the full L0")
+                            f"{residual:.3e} in the full L0")
+    ground_atom = np.zeros((3, 3))
+    ground_atom[0, 0] = 1.0
+    state = SteadyState(rho=np.kron(rho_cav, ground_atom), residual_norm=residual,
+                        n_max=n_max, converged=True)
     report = truncation_report(state)
     if not report.converged:
         warnings.warn(report.message, TruncationNotConverged, stacklevel=3)
-    return sop, state, report
+    return factors, state, report
 
 
 def check_truncation_convergence(params: SystemParams, n_max: int) -> TruncationReport:
@@ -348,40 +384,47 @@ def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
     return assemble_liouvillian(proj, [], spec).matrix
 
 
-def _displaced_generator(params: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
-    """Probe-free L0 of a coherently pumped system in the frame displaced by
-    the cavity amplitude alpha = -i Omega/(kappa + i dd): the drive cancels,
-    leaving H(Omega=0) + eta(alpha sigma_ef + h.c.) and the same jumps."""
+def _displaced_generator(params: SystemParams, spec: HilbertSpec) -> LindbladFactors:
+    """Factors of the probe-free L0 of a coherently pumped system in the frame
+    displaced by the cavity amplitude alpha = -i Omega/(kappa + i dd): the
+    drive cancels, leaving H(Omega=0) + eta(alpha sigma_ef + h.c.) and the
+    same jumps."""
     alpha = -1j * params.Omega / (params.kappa + 1j * params.pump_detuning)
     undriven = replace(params, pump=replace(params.pump, Omega=0.0))
     hamiltonian = _dense_hamiltonian(undriven, 0.0, spec, 0.0,
                                      ef_drive=params.eta * alpha)
-    return assemble_liouvillian(hamiltonian, _dense_jumps(params, spec), spec).matrix
+    return lindblad_factors(hamiltonian, _dense_jumps(params, spec), spec)
 
 
-def _readout_system(params: SystemParams, sop: SuperOperator, rho0: np.ndarray):
+def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.ndarray):
     """(A, b, out): L0 at Delta = 0 (CSR) on the invariant block of
     |g,m><x,n| coherences (x in {f, e}) holding the read-out, where
     dL/dDelta = +i; the source b = i[V, rho0] on it; the read-out positions.
-    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, b = -i P_m on
-    |g,m><e,m|. Coherent pump: in the displaced frame of
-    _displaced_generator, rho0 = |g,0><g,0|; the block is |g,0><x,n|, and
-    chi is its |g,0><e,0| element (b = -i) as the displacement keeps the
-    cavity trace."""
-    spec = sop.spec
+    factors are those of the lab-frame L0 (probe_free_state). Only product
+    blocks of L0 are assembled, their invariance checked on the factors.
+    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, picked (and checked
+    invariant) inside the |g><{f, e}| block, with b = -i P_m on |g,m><e,m|.
+    Coherent pump: in the displaced frame of _displaced_generator,
+    rho0 = |g,0><g,0|; the block is |g,0><{f, e}| itself, and chi is its
+    |g,0><e,0| element (b = -i) as the displacement keeps the cavity trace."""
+    spec = factors.spec
     dim, m = spec.dim, np.arange(spec.n_max + 1)
+    excited = (3 * m[:, None] + np.array([1, 2])).ravel()
     if params.Omega > 0.0:
-        l0 = _displaced_generator(params, spec)
-        block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
+        a = _invariant_block(_displaced_generator(params, spec), m[:1], excited,
+                             "the read-out block")
         out, weights = np.array([1]), np.ones(1)
     else:
-        l0 = sop.matrix
+        ground = 3 * m
         readout = 3 * m + dim * (3 * m + 2)
         block = np.sort(np.concatenate([readout, 3 * m[:-1] + dim * (3 * m[1:] + 1)]))
+        outer = (ground[None, :] + dim * excited[:, None]).ravel()
+        a = _invariant_block(factors, ground, excited, "the read-out block",
+                             keep=np.searchsorted(outer, block))
         out, weights = np.searchsorted(block, readout), np.diag(rho0)[3 * m].real
-    rhs = np.zeros(block.size, dtype=complex)
+    rhs = np.zeros(a.shape[0], dtype=complex)
     rhs[out] = -1j * weights
-    return _invariant_block(l0, block, "the read-out block"), rhs, out
+    return a, rhs, out
 
 
 def _readout_response(a: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
@@ -485,12 +528,13 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    sop, state, report = probe_free_state(params, n_max)
+    factors, state, report = probe_free_state(params, n_max)
     if not report.converged:
         notes.append(f"TruncationNotConverged: {report.message}")
 
     if method == "linear_response":
-        chi, resid = _readout_response(*_readout_system(params, sop, state.rho), grid)
+        chi, resid = _readout_response(*_readout_system(params, factors, state.rho),
+                                       grid)
     else:
         chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
 

@@ -22,10 +22,36 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
     # find_peaks and the time-domain integrator import them on first use
     env = dict(os.environ, PYTHONPATH=str(Path(vitats.__file__).parents[1]))
     code = ("import sys, vitats.cli; print(' '.join(m for m in ('scipy.signal', "
-            "'scipy.stats', 'scipy.integrate') if m in sys.modules))")
+            "'scipy.stats', 'scipy.integrate', 'scipy.constants') "
+            "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == ""
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; one call's subcommand and flags
+    # must not reach the next
+    system = {"gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0,
+              "n_th": 0.1, "n_max": 4, "delta_min": -5.0, "delta_max": 5.0,
+              "delta_points": 5}
+    cfg = _write_config(tmp_path, "c.json", system)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert cli.main(["spectrum", "--config", cfg, "--n-max", "3",
+                     "--method", "finite_epsilon", "--output", str(first)]) == 0
+    pops = tmp_path / "p.json"
+    assert cli.main(["populations", "--config", cfg, "--format", "json",
+                     "--output", str(pops)]) == 0
+    assert cli.main(["spectrum", "--config", cfg, "--output", str(second)]) == 0
+    capsys.readouterr()
+
+    def sidecar(path):
+        return json.loads(path.with_name(path.name + ".meta.json").read_text("utf-8"))
+
+    assert (sidecar(first)["method"], sidecar(first)["n_max"]) == ("finite_epsilon", 3)
+    assert json.loads(pops.read_text("utf-8"))["metadata"]["n_max"] == 4
+    assert (sidecar(second)["method"], sidecar(second)["n_max"]) == ("linear_response", 4)
+    assert second.read_text("utf-8").startswith("delta,im_chi,re_chi\n")
 
 
 def _write_config(tmp_path, name, payload):

@@ -30,7 +30,7 @@ from vitats import (
     vec,
 )
 from vitats import solver
-from vitats.liouvillian import trace_indices
+from vitats.liouvillian import factors_at, trace_indices
 from vitats.model import validate_params
 
 
@@ -437,7 +437,54 @@ def test_displaced_generator_matches_kron_reference(n_max, gamma, eta, kappa, de
              - Omega * (ops.a_dag + ops.a))
     want = _kron_reference(_operator_hamiltonian(params, 0.0, ops, 0.0) + shift,
                            _operator_jumps(params, ops))
-    _assert_matches_reference(solver._displaced_generator(params, spec), want)
+    _assert_matches_reference(solver._displaced_generator(params, spec)
+                              .superoperator().matrix, want)
+
+
+# --- product blocks: exact slices of the full generator ----------------------
+
+def _product_block(rows, cols, dim):
+    """Sorted vec indices {i + dim*j : i in rows, j in cols}."""
+    return (rows[None, :] + dim * cols[:, None]).ravel()
+
+
+def _assert_exact_slice(got, full, block):
+    want = full[block][:, block].tocsr()
+    want.sort_indices()
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 6), gamma=_GAMMA_MAP, eta=_zero_or(0.1, 20.0),
+       kappa=st.floats(0.1, 3.0), delta=_zero_or(-5.0, 5.0), pump=_PUMPS,
+       Delta=_zero_or(-30.0, 30.0))
+@example(n_max=5, gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+         pump=ThermalPump(0.4), Delta=0.0)
+@example(n_max=5, gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+         pump=CoherentPump(0.5, -0.6), Delta=0.0)
+def test_product_blocks_are_exact_slices_of_the_liouvillian(n_max, gamma, eta, kappa,
+                                                            delta, pump, Delta):
+    # the |g><g|, |g><{f,e}| and |{f,e}><{f,e}| blocks of the probe-free L0,
+    # and |g,0><{f,e}| of the displaced one, bit for bit
+    params = validate_params(SystemParams(gamma=gamma, eta=eta, kappa=kappa,
+                                          delta=delta, pump=pump))
+    spec = HilbertSpec(n_max)
+    photons = np.arange(n_max + 1)
+    ground = 3 * photons
+    excited = (3 * photons[:, None] + np.array([1, 2])).ravel()
+    factors = factors_at(params, Delta, spec, epsilon=0.0)
+    full = liouvillian_at(params, Delta, spec, epsilon=0.0).matrix
+    for rows, cols in ((ground, ground), (ground, excited), (excited, excited)):
+        _assert_exact_slice(factors.block(rows, cols), full,
+                            _product_block(rows, cols, spec.dim))
+    if params.Omega > 0.0:
+        displaced = solver._displaced_generator(params, spec)
+        _assert_exact_slice(displaced.block(ground[:1], excited),
+                            displaced.superoperator().matrix,
+                            _product_block(ground[:1], excited, spec.dim))
 
 
 @pytest.mark.parametrize("n_max", [1, 3, 6])

@@ -86,6 +86,15 @@ def test_thermal_occupation_low_temperature_limit():
         thermal_occupation(omega, -1.0)
 
 
+def test_thermal_occupation_is_bit_equal_to_scipy_constants():
+    # the exact SI values h and k_B, with hbar = h/(2 pi), are scipy's, so
+    # every temperature preset keeps its n_th to the last bit
+    omega = 2 * math.pi * 5e9
+    for temperature in np.linspace(0.001, 0.1, 100):
+        x = constants.hbar * omega / (constants.k * temperature)
+        assert thermal_occupation(omega, temperature) == 1.0 / math.expm1(x)
+
+
 def test_thermal_occupation_monotonicity():
     rng = np.random.default_rng(7)
     omega = 2 * math.pi * 5e9

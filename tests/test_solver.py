@@ -10,6 +10,7 @@ read-out block solve against a lab-frame solve with one sparse LU per point.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from vitats import (
     truncation_report,
 )
 from vitats import cli, liouvillian, solver
-from vitats.liouvillian import build_operators, vec
+from vitats.liouvillian import build_operators, factors_at, lindblad_factors, vec
 
 FIG5B = SystemParams.from_effective(10.0, 1.0, eta=3.9, kappa=1.0)
 
@@ -286,14 +287,27 @@ def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
         solver.probe_free_state(params, 8)
 
 
-def test_cavity_block_rejects_a_leaking_generator():
+def _with_jump(factors, jump):
+    """factors with one more jump operator (M, N left as they are)."""
+    return replace(factors, jumps=np.concatenate([factors.jumps, jump[None]]))
+
+
+def test_cavity_block_rejects_a_leaking_generator(monkeypatch):
+    # an extra jump |f><g| takes |g,m><g,n| to |f,m><f,n|, out of the block
     spec = HilbertSpec(3)
-    sop = liouvillian_at(FIG5B, 0.0, spec, epsilon=0.0)
-    leaky = sop.matrix.tolil()
-    leaky[1, 0] = 1.0  # |g,0><g,0| (in the block) -> |f,0><g,0| (outside)
+    ground = 3 * np.arange(spec.n_max + 1)
+    factors = factors_at(FIG5B, 0.0, spec, epsilon=0.0)
+    assert solver._invariant_block(factors, ground, ground, "G").shape == (16, 16)
+    excite = np.zeros((spec.dim, spec.dim))
+    excite[ground + 1, ground] = 1.0
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._cavity_block(leaky.tocsr(), spec)
-    assert solver._cavity_block(sop.matrix, spec).shape == (16, 16)
+        solver._invariant_block(_with_jump(factors, excite), ground, ground, "G")
+
+    jumps = liouvillian._dense_jumps
+    monkeypatch.setattr(liouvillian, "_dense_jumps",
+                        lambda params, spec: [*jumps(params, spec), excite])
+    with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
+        solver.probe_free_state(FIG5B, 3)
 
 
 def test_linear_response_matches_closed_form():
@@ -488,34 +502,91 @@ def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def _leak_from_readout(matrix, spec):
-    """matrix plus an entry taking |g,0><e,0| (in every read-out block) to
-    |g,1><e,0| (in none)."""
-    leaky = matrix.tolil()
-    leaky[3 + spec.dim * 2, spec.dim * 2] = 1.0
-    return leaky.tocsr()
-
-
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 def test_readout_block_rejects_a_leaking_generator(monkeypatch):
     spec = HilbertSpec(4)
     thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
-    sop, state, _ = solver.probe_free_state(thermal, 4)
-    leaky = SuperOperator(matrix=_leak_from_readout(sop.matrix, spec), spec=spec)
+    _, state, _ = solver.probe_free_state(thermal, 4)
+    # a g-e coupling in H takes |g,m><x,n| to |e,m><x,n|, out of |g><{f,e}|
+    probed = factors_at(thermal, 0.0, spec, epsilon=0.3)
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(thermal, leaky, state.rho)
+        solver._readout_system(thermal, probed, state.rho)
+    # an f-e drive takes |g,m><e,m| to |g,m><f,m|: inside |g><{f,e}|, but out
+    # of the read-out block picked there
+    driven = lindblad_factors(
+        liouvillian._dense_hamiltonian(thermal, 0.0, spec, 0.0, ef_drive=0.5),
+        liouvillian._dense_jumps(thermal, spec), spec)
+    with pytest.raises(SolverFailure, match="leaks"):
+        solver._readout_system(thermal, driven, state.rho)
 
-    assemble = solver.assemble_liouvillian
-
-    def leaking(*args, **kwargs):
-        lmat = assemble(*args, **kwargs)
-        return SuperOperator(matrix=_leak_from_readout(lmat.matrix, spec), spec=spec)
-
-    monkeypatch.setattr(solver, "assemble_liouvillian", leaking)
+    # the displaced frame: a g-e coupling in its H
+    dense_hamiltonian = solver._dense_hamiltonian
+    monkeypatch.setattr(solver, "_dense_hamiltonian",
+                        lambda params, Delta, spec, epsilon, **kwargs:
+                        dense_hamiltonian(params, Delta, spec, 0.3, **kwargs))
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
     with pytest.raises(SolverFailure, match="leaks"):
         probe_spectrum(coherent, np.linspace(-5, 5, 3), n_max=4)
+
+
+def _factor_leak(kind, spec):
+    """Thermal L0's factors with one leak out of the |g><{f,e}| block, each
+    caught by one clause of the factor check alone."""
+    factors = factors_at(SystemParams.from_effective(
+        5, 1, eta=4, kappa=1, pump=ThermalPump(0.3)), 0.0, spec, epsilon=0.0)
+    g0, f0, e0, g1 = (spec.index(n, x) for n, x in ((0, "g"), (0, "f"), (0, "e"),
+                                                      (1, "g")))
+    leak = np.zeros((spec.dim, spec.dim))
+    if kind == "M":  # M[R^c, R]: |g,0> -> |e,0> on the left only
+        leak[e0, g0] = 1.0
+        return replace(factors, m=factors.m + leak)
+    if kind == "N":  # N[C, C^c]: <f,0| -> <g,0| on the right only
+        leak[f0, g0] = 1.0
+        return replace(factors, n=factors.n + leak)
+    if kind == "c[R^c,R], c[:,C]":  # c = |e,0><g,0| + |f,0><e,0|
+        leak[e0, g0] = leak[f0, e0] = 1.0
+    else:  # c[:,R], c[C^c,C]: c = |g,0><g,1| + |g,0><e,0|
+        leak[g0, g1] = leak[g0, e0] = 1.0
+    return _with_jump(factors, leak)
+
+
+@pytest.mark.parametrize("kind", ["M", "N", "c[R^c,R], c[:,C]", "c[:,R], c[C^c,C]"])
+def test_product_block_check_catches_each_kind_of_leak(kind):
+    spec = HilbertSpec(3)
+    ground = 3 * np.arange(spec.n_max + 1)
+    excited = np.sort(np.concatenate([ground + 1, ground + 2]))
+    with pytest.raises(SolverFailure, match="leaks"):
+        solver._invariant_block(_factor_leak(kind, spec), ground, excited, "G x FE")
+
+
+def _readout_slice_of_l0(params, spec):
+    """The read-out block sliced out of the full probe-free L0 (the displaced
+    one for a coherent pump), by vec index."""
+    dim, m = spec.dim, np.arange(spec.n_max + 1)
+    if params.Omega > 0.0:
+        l0 = solver._displaced_generator(params, spec).superoperator().matrix
+        block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
+    else:
+        l0 = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
+        block = np.sort(np.concatenate([3 * m + dim * (3 * m + 2),
+                                        3 * m[:-1] + dim * (3 * m[1:] + 1)]))
+    want = l0[block][:, block].tocsr()
+    want.sort_indices()
+    return want
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _ORACLE_SYSTEMS,
+                         ids=["vacuum", "thermal", "coherent", "coherent-detuned",
+                              "full-gamma-map"])
+def test_readout_block_is_an_exact_slice_of_l0(params):
+    factors, state, _ = solver.probe_free_state(params, 8)
+    got = solver._readout_system(params, factors, state.rho)[0]
+    want = _readout_slice_of_l0(params, factors.spec)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -554,28 +625,29 @@ def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
-    """Count every assemble_liouvillian call (from either module) and every
-    sparse LU, by wrapping them; no wall clock involved."""
-    calls = {"assemble": 0, "splu": 0}
-    assemble, splu = liouvillian.assemble_liouvillian, solver.spla.splu
+    """Record the size of every Liouvillian block assembled (the full space
+    included: every path goes through LindbladFactors.entries) and count
+    every sparse LU, by wrapping them; no wall clock involved."""
+    calls = {"blocks": [], "splu": 0}
+    entries, splu = liouvillian.LindbladFactors.entries, solver.spla.splu
 
-    def counting_assemble(*args, **kwargs):
-        calls["assemble"] += 1
-        return assemble(*args, **kwargs)
+    def counting_entries(self, rows, cols):
+        calls["blocks"].append(rows.size * cols.size)
+        return entries(self, rows, cols)
 
     def counting_splu(*args, **kwargs):
         calls["splu"] += 1
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(liouvillian, "assemble_liouvillian", counting_assemble)
-    monkeypatch.setattr(solver, "assemble_liouvillian", counting_assemble)
+    monkeypatch.setattr(liouvillian.LindbladFactors, "entries", counting_entries)
     monkeypatch.setattr(solver.spla, "splu", counting_splu)
     return calls
 
 
 def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
         monkeypatch, tmp_path, capsys):
-    # f and e drain to g, so no {f, e} sector check runs
+    # f and e drain to g, so no {f, e} sector check runs: one (n_max+1)^2
+    # cavity block and one LU per value, no D^2 assembly
     values = [0.0, 0.1, 0.2, 0.4, 0.8]
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -585,19 +657,31 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
     calls = _count_assemblies_and_lus(monkeypatch)
     assert cli.main(["populations", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert calls == {"assemble": len(values), "splu": len(values)}
+    assert calls == {"blocks": [81] * len(values), "splu": len(values)}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-@pytest.mark.parametrize("pump, assemblies", [
-    (ThermalPump(n_th=0.3), 1), (CoherentPump(Omega=0.5), 2)],
-    ids=["thermal", "coherent"])
-def test_linear_response_spectrum_assemblies(monkeypatch, pump, assemblies):
-    # L0 in the lab frame; a coherent pump adds L0 in the displaced frame
+@pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
+                         ids=["thermal", "coherent"])
+def test_linear_response_spectrum_assemblies(monkeypatch, pump):
+    # the 7^2 cavity block, then |g><{f,e}| (7 x 14) for a thermal pump or
+    # the displaced |g,0><{f,e}| (1 x 14) for a coherent one; never D^2 = 441
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
-    assert calls == {"assemble": assemblies, "splu": 1}
+    readout = 14 if params.Omega > 0.0 else 98
+    assert calls == {"blocks": [49, readout], "splu": 1}
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_excited_sector_check_assembles_the_full_l0(monkeypatch):
+    # gamma_fg = 0 under a pump: the {f, e} sector check keeps the full L0's
+    # tolerance scale, so it assembles L0 once and factors its {f, e} block
+    params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
+                          pump=ThermalPump(0.3))
+    calls = _count_assemblies_and_lus(monkeypatch)
+    solver.probe_free_state(params, 4)
+    assert calls == {"blocks": [25, 225], "splu": 2}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
