@@ -17,16 +17,27 @@ A steady-state solve replaces one diagonal row of a trace-preserving
 generator L with the trace functional and solves M x = e_r (sparse LU).
 M is nonsingular iff the kernel of L is one-dimensional, so uniqueness is
 checked on the same factor: one more solve M y = b with a seeded random b
-bounds the smallest singular value of M by |b|/|y|. The probe-free state
-rho0 = |g><g| (x) rho_cav is solved this way on the (n_max+1)^2 |g,m><g,n|
-block of L0. Only that block is assembled, from L0's D x D Hilbert-space
-factors (liouvillian.LindbladFactors), and its invariance is checked on
-those factors; its residual ||L_GG vec(rho_cav)|| is rho0's full-L0
-residual. Unless f and e both drain to g, the full L0 is assembled after
-all, and the same bound on its {f, e} block rules out a steady state
-there. A structurally singular M is refused before it is factored.
-steady_state solves the full D^2 space; finite_epsilon, the time-domain
-cross-check and the tests use it as the independent oracle.
+bounds the smallest singular value of M by |b|/|y|. A structurally
+singular M is refused before it is factored. steady_state solves the full
+D^2 space; finite_epsilon, the time-domain cross-check and the tests use
+it as the independent oracle.
+
+The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
+state of the (n_max+1)^2 |g,m><g,n| block of L0. Only that block is
+assembled, from L0's D x D Hilbert-space factors
+(liouvillian.LindbladFactors), and its invariance is checked on those
+factors. For a thermal pump or the vacuum the block is a thermally damped
+oscillator whose truncation keeps detailed balance, so rho_cav is the
+truncated Bose state in closed form, unique for kappa > 0; no LU runs. A
+coherent pump keeps the LU solve on the block: the normalized truncated
+coherent state is not the truncated model's steady state (at Omega = 1.5,
+n_max = 20 it leaves a residual of 2.2e-6, above the 4e-8 tolerance, with
+a tail of only 2.5e-9). Either way, ||L_GG vec(rho_cav)|| is rho0's
+full-L0 residual and must pass the same tolerance. kappa = 0 is refused
+up front: the block is then Hamiltonian and has no unique steady state.
+Unless f and e both drain to g, the full L0 is assembled after all, and
+the same singular-value bound on its {f, e} block rules out a steady state
+there.
 """
 
 from __future__ import annotations
@@ -319,6 +330,15 @@ def _check_excited_sector_decays(factors: LindbladFactors) -> None:
     _require_nonsingular(lu, _residual_tol(l0), what)
 
 
+def _bose_state(n_th: float, n_max: int) -> np.ndarray:
+    """Truncated Bose state diag(q^m) / sum q^m, q = n_th/(n_th + 1), m <= n_max
+    (|0><0| for n_th = 0). Its populations satisfy detailed balance,
+    P_m+1 / P_m = n_th/(n_th + 1), across every link m <-> m+1 of the
+    truncated thermal damping, so it is that generator's exact steady state."""
+    weights = (n_th / (n_th + 1.0)) ** np.arange(n_max + 1)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
 def probe_free_state(params: SystemParams, n_max: int, *,
                      check_uniqueness: bool = True):
     """(LindbladFactors of L0, steady state, TruncationReport) without the
@@ -328,22 +348,38 @@ def probe_free_state(params: SystemParams, n_max: int, *,
     rho_cav the steady state of L0 on its invariant |g,m><g,n| block, which
     is assembled on its own from L0's Hilbert-space factors (the full
     D^2 x D^2 L0 is never built unless the {f, e} sector needs checking).
+    kappa = 0 leaves that block Hamiltonian, so every function of the cavity
+    Hamiltonian is steady: NonUniqueSteadyState before anything is built.
+    For a thermal pump or the vacuum (Omega = 0), rho_cav is the truncated
+    Bose state (_bose_state), unique for kappa > 0 because the truncated a
+    generates the whole matrix algebra; no LU runs. A coherent pump keeps
+    one sparse LU on the block (_trace_completed_solve, with its uniqueness
+    check): the normalized truncated coherent state is not the truncated
+    model's steady state (residual 2.2e-6 at Omega = 1.5, n_max = 20, above
+    the 4e-8 tolerance, with a tail of only 2.5e-9).
     rho0 is unique iff rho_cav is and no steady state keeps the atom in
-    {f, e}. The uniqueness check runs on the block; it also checks the
-    {f, e} sector unless f and e both drain to g (gamma_fg > 0 and
-    gamma_eg + gamma_ef > 0), which rules such states out. rho0 vanishes
-    outside the invariant block, so its full-L0 residual is the block's
-    ||L_GG vec(rho_cav)||; SolverFailure unless that is within
-    steady_state's tolerance for the block. Warns (TruncationNotConverged)
-    unless the tail mass converged.
+    {f, e}; that sector is checked unless f and e both drain to g
+    (gamma_fg > 0 and gamma_eg + gamma_ef > 0), which rules such states
+    out. rho0 vanishes outside the invariant block, so its full-L0 residual
+    is the block's ||L_GG vec(rho_cav)||; SolverFailure unless that is
+    within steady_state's tolerance for the block, whichever way rho_cav
+    was obtained. Warns (TruncationNotConverged) unless the tail mass
+    converged.
     """
     params = validate_params(params)
     spec = HilbertSpec(n_max)
+    if params.kappa == 0.0:
+        raise NonUniqueSteadyState(
+            "steady state not unique: kappa = 0 leaves the cavity undamped, so "
+            "every function of its Hamiltonian is steady on the |g><g| block")
     factors = factors_at(params, 0.0, spec, epsilon=0.0)
     ground = 3 * np.arange(n_max + 1)
     cavity = _invariant_block(factors, ground, ground, "the |g><g| block")
-    rho_cav = _trace_completed_solve(cavity, n_max + 1,
-                                     check_uniqueness=check_uniqueness)
+    if params.Omega > 0.0:
+        rho_cav = _trace_completed_solve(cavity, n_max + 1,
+                                         check_uniqueness=check_uniqueness)
+    else:
+        rho_cav = _bose_state(params.n_th, n_max)
     gamma = params.gamma
     drains = gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0
     if check_uniqueness and not drains:
@@ -455,7 +491,10 @@ def _readout_response(a: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
             raise SolverFailure(f"read-out matrix is singular at Delta={delta:g} "
                                 f"(zgbsv info {info})")
     resid = np.linalg.norm((a @ x.T).T + 1j * grid[:, None] * x - rhs, axis=1)
-    chi = np.array([row.sum() for row in x[:, out]])
+    # take keeps the rows C-contiguous, so each point is summed alone (numpy's
+    # pairwise sum, as row.sum() would); x[:, out] comes out Fortran-ordered
+    # and would be summed column by column, its bits depending on grid.size
+    chi = x.take(out, axis=1).sum(axis=1)
     scale = np.abs(coo.data).max(initial=0.0)
     tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, scale + np.abs(grid))
     bad = np.flatnonzero(~(resid <= tol))  # also catches non-finite values

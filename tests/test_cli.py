@@ -142,14 +142,14 @@ def test_populations_lossless_cavity_exits_4(tmp_path, capsys):
 
 def test_populations_structurally_singular_exits_4(tmp_path, capsys):
     # eta = kappa = n_th = 0: the cavity block of L0 is identically zero; the
-    # error is a uniqueness verdict, not a SuperLU source location
+    # error is the kappa = 0 uniqueness verdict, not a SuperLU source location
     out = tmp_path / "p.csv"
     cfg = _write_config(tmp_path, "c.json", {
         "gamma_e": 5.0, "gamma_f": 1.0, "eta": 0.0, "kappa": 0.0, "n_th": 0.0,
         "n_max": 4, "output": str(out)})
     assert cli.main(["populations", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert "structurally singular" in err
+    assert "not unique: kappa = 0" in err
     assert ".c" not in err
     assert not out.exists()
 
