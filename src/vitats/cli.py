@@ -53,12 +53,15 @@ _PUMP_CONFIG_KEYS = ("n_th", "temperature_mK", "Omega")
 _P_COLUMNS = ["P_0", "P_1", "P_2", "P_3"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _cell_format(kind: type) -> str:
+    """printf conversion for a CSV cell of this type: text as it is,
+    integers in decimal, anything else as a float to 17 significant digits
+    (enough to round-trip a double)."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -66,9 +69,18 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_csv(path: Path, columns: list[str], rows) -> None:
+def _write_csv(path: Path, columns: list[str], rows: list) -> None:
+    """One row template, from the cell types of the first row; a column
+    whose later cells format differently raises TypeError rather than be
+    printed with the wrong conversion (%d truncates a float)."""
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    if rows:
+        formats = [_cell_format(type(cell)) for cell in rows[0]]
+        for name, fmt, cells in zip(columns, formats, zip(*rows)):
+            if any(_cell_format(kind) != fmt for kind in set(map(type, cells))):
+                raise TypeError(f"CSV column {name!r} mixes cell types")
+        template = ",".join(formats)
+        lines.extend(template % tuple(row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vitats
@@ -169,6 +170,40 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, payload):
     assert "must be finite" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _per_cell(value) -> str:
+    """The per-cell formatting the row template must reproduce byte for byte."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def test_csv_row_template_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    specials = [0.0, -0.0, 1e-300, -2.5e300, 5e-324, math.inf, -math.inf, math.nan,
+                0.1, 1.0 / 3.0, 1e16, 123456789.0]
+    rows = [(n, np.int64(-n), "g%" if n % 2 else "f", True, value, np.float64(value),
+             np.float32(value if abs(value) < 1e30 else 1.5))
+            for n, value in enumerate(specials + list(rng.standard_normal(40)
+                                                      * 10.0 ** rng.integers(-20, 20, 40)))]
+    columns = ["n", "m", "level", "flag", "x", "y", "z"]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, columns, rows)
+    want = [",".join(columns)] + [",".join(_per_cell(cell) for cell in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    cli._write_csv(path, columns, [])
+    assert path.read_text(encoding="utf-8") == ",".join(columns) + "\n"
+
+
+@pytest.mark.parametrize("later", [1.5, "1", np.float64(2.0)])
+def test_csv_column_of_mixed_cell_types_raises(tmp_path, later):
+    # %d would print 1.5 as 1: a later row that formats differently from
+    # the first refuses instead
+    with pytest.raises(TypeError, match="'n' mixes cell types"):
+        cli._write_csv(tmp_path / "t.csv", ["n", "x"], [(1, 0.5), (later, 0.25)])
 
 
 def test_spectrum_csv_and_sidecar(tmp_path, capsys):

@@ -49,3 +49,34 @@ def test_tolerance_and_missing_file(tmp_path, capsys):
     (b / "NOTES.txt").unlink()
     assert compare_bundles.main([str(a), str(b), "--rtol", "0.1"]) == 1
     assert "file sets differ" in capsys.readouterr().out
+
+
+def test_ignored_key_is_skipped_on_both_sides(tmp_path, capsys):
+    a = _bundle(tmp_path / "a")
+    b = _bundle(tmp_path / "b", meta_value=1.6e-15)
+    assert compare_bundles.main([str(a), str(b), "--ignore-key", "residual_max"]) == 0
+    # a key present on one side only is skipped too
+    meta = b / "p.csv.meta.json"
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    del doc["residual_max"]
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    assert compare_bundles.main([str(a), str(b), "--ignore-key", "residual_max"]) == 0
+    assert compare_bundles.main([str(a), str(b)]) == 1
+    assert "keys" in capsys.readouterr().out
+
+
+def test_ignore_key_repeats_and_reaches_nested_objects(tmp_path, capsys):
+    a, b = _bundle(tmp_path / "a"), _bundle(tmp_path / "b")
+    for root, value in ((a, 1.0), (b, 2.0)):
+        (root / "p.csv.meta.json").write_text(json.dumps(
+            {"n_max": 20, "residual_max": value,
+             "diagnostics": [{"wall_s": value, "n": 3}]}), encoding="utf-8")
+    one = [str(a), str(b), "--ignore-key", "wall_s"]
+    assert compare_bundles.main(one) == 1
+    assert "residual_max" in capsys.readouterr().out
+    both = one + ["--ignore-key", "residual_max"]
+    assert compare_bundles.main(both) == 0
+    # only .json keys are skipped: a CSV column of that name still counts
+    (b / "p.csv").write_text("n,level,P\n0,g,0.3\n1,f,0\n", encoding="utf-8")
+    assert compare_bundles.main(both + ["--ignore-key", "P"]) == 1
+    assert "row 1 column P" in capsys.readouterr().out

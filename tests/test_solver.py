@@ -10,6 +10,7 @@ read-out block solve against a lab-frame solve with one sparse LU per point.
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -227,14 +228,16 @@ def test_factorized_probe_free_state_matches_full_space_randomized(
 # kappa starts at 0.01, not at 0: the full-space oracle's own error grows
 # like 1/kappa (4e-14 at kappa = 1e-5, 6e-12 at 1e-7), and near 1e-9 its
 # sigma_min bound refuses the cavity as not unique
+_DRAINING_GAMMA = st.fixed_dictionaries({
+    ("e", "g"): st.floats(0.5, 10.0), ("f", "g"): st.floats(0.2, 5.0),
+    ("e", "e"): _zero_or(0.2, 3.0), ("f", "f"): _zero_or(0.2, 3.0)})
+
+
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n_th=st.floats(0.0, 3.0), kappa=st.floats(0.01, 5.0),
        delta=st.floats(-3.0, 3.0), pump_detuning=_zero_or_signed(0.2, 3.0),
-       thermal=st.booleans(), eta=st.floats(0.0, 5.0),
-       gamma=st.fixed_dictionaries({
-           ("e", "g"): st.floats(0.5, 10.0), ("f", "g"): st.floats(0.2, 5.0),
-           ("e", "e"): _zero_or(0.2, 3.0), ("f", "f"): _zero_or(0.2, 3.0)}),
+       thermal=st.booleans(), eta=st.floats(0.0, 5.0), gamma=_DRAINING_GAMMA,
        n_max=st.integers(1, 8))
 def test_closed_form_cavity_state_matches_full_space(n_th, kappa, delta, pump_detuning,
                                                      thermal, eta, gamma, n_max):
@@ -245,6 +248,88 @@ def test_closed_form_cavity_state_matches_full_space(n_th, kappa, delta, pump_de
     full = _probe_free_state(params, n_max)
     _, state, _ = solver.probe_free_state(params, n_max)
     assert _trace_distance(state.rho, full.rho) <= 1e-12
+
+
+# kappa starts at 0.01 for the reason given above
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(omega=st.floats(0.0, 2.0, exclude_min=True), kappa=st.floats(0.01, 5.0),
+       delta=st.floats(-3.0, 3.0), pump_detuning=_zero_or_signed(0.2, 3.0),
+       eta=st.floats(0.0, 5.0), gamma=_DRAINING_GAMMA, n_max=st.integers(1, 8))
+def test_banded_cavity_state_matches_full_space(omega, kappa, delta, pump_detuning,
+                                                eta, gamma, n_max):
+    # the coherent pump's band LU on the cavity block against steady_state
+    # (SuperLU) on the full D^2 x D^2 L0
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta,
+                          pump=CoherentPump(omega, pump_detuning))
+    full = _probe_free_state(params, n_max)
+    _, state, _ = solver.probe_free_state(params, n_max)
+    assert _trace_distance(state.rho, full.rho) <= 1e-12
+
+
+def _cavity_block(params, n_max):
+    ground = 3 * np.arange(n_max + 1)
+    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
+    return solver._invariant_block(factors, ground, ground, "G")
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("n_max", [1, 2, 7, 16, 30])
+@pytest.mark.parametrize("params", [
+    SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(Omega=0.8)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=0.3, delta=1.3,
+                                pump=CoherentPump(Omega=1.5, pump_detuning=-0.9)),
+], ids=["on-resonance", "detuned"])
+def test_banded_cavity_solve_matches_sparse_lu(monkeypatch, params, n_max):
+    # the same trace-completed block, by band LU in _offset_order and by
+    # SuperLU in vec order; the order keeps (kl, ku) at (n_max+1, n_max+1)
+    cavity = _cavity_block(params, n_max)
+    sparse = solver._trace_completed_solve(cavity, n_max + 1, check_uniqueness=True)
+    widths, zgbsv = [], solver.zgbsv
+
+    def recording(kl, ku, *args, **kwargs):
+        widths.append((kl, ku))
+        return zgbsv(kl, ku, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "zgbsv", recording)
+    banded = solver._banded_cavity_solve(cavity, n_max + 1, check_uniqueness=True)
+    assert np.abs(banded - sparse).max() <= 1e-14
+    assert widths == [(n_max + 1, n_max + 1)]
+
+
+def _decay_generator(rate: float, dim: int) -> sp.csr_matrix:
+    """vec-order generator of an oscillator truncated at dim levels that
+    decays at the given rate: c = sqrt(rate) a, no Hamiltonian."""
+    c = np.sqrt(rate) * np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    cdc, eye = c.T @ c, np.eye(dim)
+    return sp.csr_matrix(np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                         - 0.5 * np.kron(cdc.T, eye))
+
+
+@pytest.mark.parametrize("check_uniqueness", [True, False])
+def test_banded_cavity_solve_refuses_a_singular_block(capfd, check_uniqueness):
+    # L = 0: every state is steady, the trace-completed block has rank 1;
+    # zgbsv meets a zero pivot, which is reported without LAPACK's words
+    with pytest.raises(NonUniqueSteadyState, match="not unique") as raised:
+        solver._banded_cavity_solve(sp.csr_matrix((9, 9), dtype=complex), 3,
+                                    check_uniqueness=check_uniqueness)
+    assert "zgbsv" not in str(raised.value) and "info" not in str(raised.value)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_banded_cavity_solve_refuses_a_nearly_singular_block(capfd):
+    # a decay rate of 1e-12 leaves sigma_min far below the 1e-9 tolerance,
+    # though every pivot is nonzero; at rate 1 the same block is accepted
+    dim = 3
+    rho = solver._banded_cavity_solve(_decay_generator(1.0, dim), dim,
+                                      check_uniqueness=True)
+    assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() <= 1e-15
+    weak = _decay_generator(1e-12, dim)
+    with pytest.raises(NonUniqueSteadyState, match="has a singular value") as raised:
+        solver._banded_cavity_solve(weak, dim, check_uniqueness=True)
+    assert "zgbsv" not in str(raised.value) and "info" not in str(raised.value)
+    solver._banded_cavity_solve(weak, dim, check_uniqueness=False)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -278,34 +363,39 @@ def test_factorized_state_rejects_lossless_cavity(pump):
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 def test_one_lu_per_steady_state(monkeypatch):
     # the uniqueness check reuses the factor of the solve
-    calls = []
-    splu = solver.spla.splu
-
-    def counting(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(solver.spla, "splu", counting)
+    calls = _count_assemblies_and_lus(monkeypatch)
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                          pump=ThermalPump(n_th=0.3))
     assert params.gamma[("f", "g")] > 0 and params.gamma[("e", "g")] > 0
     _probe_free_state(params, 4)
-    assert calls == [(225, 225)]
-    calls.clear()
+    assert calls["splu"] == {225: 1} and calls["band_lu"] == {}
+    calls.update(splu=Counter(), band_lu=Counter())
     solver.probe_free_state(params, 4)  # f and e drain: closed-form Bose state
-    assert calls == []
+    assert calls["splu"] == {} and calls["band_lu"] == {}
     solver.probe_free_state(replace(params, pump=CoherentPump(Omega=0.5)), 4)
-    assert calls == [(25, 25)]  # a coherent pump: the cavity block only
+    # a coherent pump: one band LU of the 25-dim cavity block, no SuperLU
+    assert calls["splu"] == {} and calls["band_lu"] == {25: 1}
+
+
+def test_full_space_steady_state_keeps_one_sparse_lu(monkeypatch):
+    # the full-space oracle must not share the band path it checks: in vec
+    # order its D^2 x D^2 L0 has no narrow band
+    params = SystemParams.from_effective(5, 1, eta=80, kappa=1,
+                                         pump=CoherentPump(Omega=0.8))
+    sop = liouvillian_at(params, 0.0, HilbertSpec(20), epsilon=0.0)
+    calls = _count_assemblies_and_lus(monkeypatch)
+    steady_state(sop)
+    assert calls == {"blocks": [], "splu": {3969: 1}, "band_lu": {}}
 
 
 def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
-    solve = solver._trace_completed_solve
+    solve = solver._banded_cavity_solve
 
     def perturbed(*args, **kwargs):
         rho = solve(*args, **kwargs)
         return rho + 1e-4 * np.eye(rho.shape[0])
 
-    monkeypatch.setattr(solver, "_trace_completed_solve", perturbed)
+    monkeypatch.setattr(solver, "_banded_cavity_solve", perturbed)
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                          pump=CoherentPump(Omega=0.5))
     with pytest.raises(SolverFailure, match="residual"):
@@ -315,7 +405,7 @@ def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
 _GATE_SYSTEMS = [
     ("_bose_state", SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                                 pump=ThermalPump(n_th=0.3))),
-    ("_trace_completed_solve", SystemParams.from_effective(
+    ("_banded_cavity_solve", SystemParams.from_effective(
         5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5, pump_detuning=0.7))),
 ]
 
@@ -330,9 +420,7 @@ def test_probe_free_residual_gate_sits_at_the_tolerance(monkeypatch, source, par
     # residual ||L_GG vec(rho_cav + t X)|| is the given multiple of the
     # tolerance (rho_cav's own residual is ~1e-16, far below it)
     n_max = 6
-    ground = 3 * np.arange(n_max + 1)
-    cavity = solver._invariant_block(factors_at(params, 0.0, HilbertSpec(n_max),
-                                                epsilon=0.0), ground, ground, "G")
+    cavity = _cavity_block(params, n_max)
     bump = np.zeros((n_max + 1, n_max + 1))
     bump[0, 1] = bump[1, 0] = 1.0
     scale = multiple * solver._residual_tol(cavity) / np.linalg.norm(cavity @ vec(bump))
@@ -672,37 +760,39 @@ def test_readout_points_independent_of_batching(params):
     SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
 ], ids=["thermal", "coherent"])
 def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
-    # a coherent pump factors the cavity block of the probe-free state, a
-    # thermal one takes the closed form; the grid takes band LUs
-    calls = []
-    splu = solver.spla.splu
-
-    def counting(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(solver.spla, "splu", counting)
+    # a coherent pump band-factors the 49-dim cavity block of the probe-free
+    # state, a thermal one takes the closed form; each grid point takes one
+    # band LU of the read-out block (14 dims displaced, 13 thermal)
+    calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
-    assert calls == ([(49, 49)] if params.Omega > 0.0 else [])
+    assert calls["splu"] == {}
+    assert calls["band_lu"] == ({49: 1, 14: 101} if params.Omega > 0.0 else {13: 101})
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
     """Record the size of every Liouvillian block assembled (the full space
-    included: every path goes through LindbladFactors.entries) and count
-    every sparse LU, by wrapping them; no wall clock involved."""
-    calls = {"blocks": [], "splu": 0}
-    entries, splu = liouvillian.LindbladFactors.entries, solver.spla.splu
+    included: every path goes through LindbladFactors.entries) and count the
+    sparse LUs and the LAPACK band LUs by matrix size, by wrapping them; no
+    wall clock involved."""
+    calls = {"blocks": [], "splu": Counter(), "band_lu": Counter()}
+    entries, splu, zgbsv = liouvillian.LindbladFactors.entries, solver.spla.splu, \
+        solver.zgbsv
 
     def counting_entries(self, rows, cols):
         calls["blocks"].append(rows.size * cols.size)
         return entries(self, rows, cols)
 
-    def counting_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return splu(*args, **kwargs)
+    def counting_splu(matrix, *args, **kwargs):
+        calls["splu"][matrix.shape[0]] += 1
+        return splu(matrix, *args, **kwargs)
+
+    def counting_zgbsv(kl, ku, ab, *args, **kwargs):
+        calls["band_lu"][ab.shape[1]] += 1
+        return zgbsv(kl, ku, ab, *args, **kwargs)
 
     monkeypatch.setattr(liouvillian.LindbladFactors, "entries", counting_entries)
     monkeypatch.setattr(solver.spla, "splu", counting_splu)
+    monkeypatch.setattr(solver, "zgbsv", counting_zgbsv)
     return calls
 
 
@@ -720,7 +810,7 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
     calls = _count_assemblies_and_lus(monkeypatch)
     assert cli.main(["populations", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert calls == {"blocks": [81] * len(values), "splu": 0}
+    assert calls == {"blocks": [81] * len(values), "splu": {}, "band_lu": {}}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -728,12 +818,15 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
                          ids=["thermal", "coherent"])
 def test_linear_response_spectrum_assemblies(monkeypatch, pump):
     # the 7^2 cavity block, then |g><{f,e}| (7 x 14) for a thermal pump or
-    # the displaced |g,0><{f,e}| (1 x 14) for a coherent one; never D^2 = 441
+    # the displaced |g,0><{f,e}| (1 x 14) for a coherent one; never D^2 = 441.
+    # No sparse LU: a coherent pump band-factors the cavity block once
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     coherent = params.Omega > 0.0
-    assert calls == {"blocks": [49, 14 if coherent else 98], "splu": int(coherent)}
+    assert calls["blocks"] == [49, 14 if coherent else 98]
+    assert calls["splu"] == {}
+    assert calls["band_lu"][49] == int(coherent)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -745,7 +838,7 @@ def test_excited_sector_check_assembles_the_full_l0(monkeypatch):
                           pump=ThermalPump(0.3))
     calls = _count_assemblies_and_lus(monkeypatch)
     solver.probe_free_state(params, 4)
-    assert calls == {"blocks": [25, 225], "splu": 1}
+    assert calls == {"blocks": [25, 225], "splu": {100: 1}, "band_lu": {}}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")

@@ -1,14 +1,17 @@
 """Compare two `vitats reproduce` output trees within a relative tolerance.
 
-Usage: python tools/compare_bundles.py DIR_A DIR_B [--rtol 1e-9]
+Usage: python tools/compare_bundles.py DIR_A DIR_B [--rtol 1e-9] [--ignore-key KEY ...]
 
 DIR_A and DIR_B are bundle directories (or directories of bundles; files
 are matched by path relative to the root). The trees must hold the same
 files. NOTES.txt files must be equal, CSV files must have equal headers,
 equal row counts and equal text cells, and numeric CSV cells and values in
 `.json` files (the `.meta.json` sidecars included) must agree within rtol.
-Any other file must be byte-identical. Prints the first mismatch and exits
-1 on any difference, 0 when the trees agree.
+Any other file must be byte-identical. Each --ignore-key KEY (repeatable)
+drops that key from every object in the `.json` files, on both sides, at
+any depth: for example `residual_max`, which moves in its last digits
+whenever a solver changes. Prints the first mismatch and exits 1 on any
+difference, 0 when the trees agree.
 """
 
 from __future__ import annotations
@@ -63,17 +66,18 @@ def _compare_csv(a: Path, b: Path, rtol: float, name: str) -> None:
             _compare_cells(cell_a, cell_b, rtol, f"{name} row {row} column {label}")
 
 
-def _compare_json(a, b, rtol: float, where: str) -> None:
+def _compare_json(a, b, rtol: float, where: str, ignore: frozenset = frozenset()) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            raise Mismatch(f"{where}: keys {sorted(a)} vs {sorted(b)}")
-        for key in sorted(a):
-            _compare_json(a[key], b[key], rtol, f"{where}.{key}")
+        keys_a, keys_b = sorted(set(a) - ignore), sorted(set(b) - ignore)
+        if keys_a != keys_b:
+            raise Mismatch(f"{where}: keys {keys_a} vs {keys_b}")
+        for key in keys_a:
+            _compare_json(a[key], b[key], rtol, f"{where}.{key}", ignore)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: lengths {len(a)} vs {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            _compare_json(x, y, rtol, f"{where}[{i}]")
+            _compare_json(x, y, rtol, f"{where}[{i}]", ignore)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
             and not isinstance(a, bool) and not isinstance(b, bool):
         if not _close(float(a), float(b), rtol):
@@ -86,8 +90,10 @@ def _files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def compare_trees(root_a: Path, root_b: Path, rtol: float) -> None:
-    """Raise Mismatch at the first difference between the two trees."""
+def compare_trees(root_a: Path, root_b: Path, rtol: float,
+                  ignore: frozenset = frozenset()) -> None:
+    """Raise Mismatch at the first difference between the two trees; keys
+    in ignore are skipped in `.json` files."""
     names_a, names_b = _files(root_a), _files(root_b)
     if names_a != names_b:
         raise Mismatch(f"file sets differ: only in {root_a}: "
@@ -99,7 +105,8 @@ def compare_trees(root_a: Path, root_b: Path, rtol: float) -> None:
             _compare_csv(a, b, rtol, name)
         elif name.endswith(".json"):
             _compare_json(json.loads(a.read_text(encoding="utf-8")),
-                          json.loads(b.read_text(encoding="utf-8")), rtol, name)
+                          json.loads(b.read_text(encoding="utf-8")), rtol, name,
+                          ignore)
         elif a.read_bytes() != b.read_bytes():
             raise Mismatch(f"{name}: contents differ")
 
@@ -110,13 +117,15 @@ def main(argv=None) -> int:
     parser.add_argument("dir_b", type=Path)
     parser.add_argument("--rtol", type=float, default=1e-9,
                         help="relative tolerance for numeric values")
+    parser.add_argument("--ignore-key", action="append", default=[], metavar="KEY",
+                        help="skip this key in .json files (repeatable)")
     args = parser.parse_args(argv)
     for root in (args.dir_a, args.dir_b):
         if not root.is_dir():
             print(f"error: {root} is not a directory", file=sys.stderr)
             return 2
     try:
-        compare_trees(args.dir_a, args.dir_b, args.rtol)
+        compare_trees(args.dir_a, args.dir_b, args.rtol, frozenset(args.ignore_key))
     except Mismatch as exc:
         print(f"mismatch: {exc}")
         return 1
