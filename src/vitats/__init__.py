@@ -77,9 +77,7 @@ from .liouvillian import (
     Operators,
     SuperOperator,
     assemble_liouvillian,
-    build_hamiltonian_rotating,
     build_operators,
-    collapse_set,
     liouvillian_at,
     unvec,
     vec,
@@ -122,8 +120,7 @@ __all__ = [
     "dip_threshold", "classify_regime",
     # liouvillian
     "HilbertSpec", "Operators", "SuperOperator", "build_operators",
-    "build_hamiltonian_rotating", "collapse_set", "assemble_liouvillian",
-    "liouvillian_at", "vec", "unvec",
+    "assemble_liouvillian", "liouvillian_at", "vec", "unvec",
     # solver
     "SteadyState", "PopulationTable", "TruncationReport", "SpectrumSeries",
     "PeakSet", "steady_state", "populations", "probe_spectrum",

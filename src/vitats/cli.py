@@ -16,9 +16,8 @@ sweep_key, sweep_values.
 
 Exit codes: 0 ok; 2 configuration problems; 3 precondition violations
 (e.g. classify at delta != 0); 4 solver failures. Warnings are printed to
-stderr as "warning: ..." lines. Output is byte-identical across reruns and
-thread counts: fixed 17-significant-digit floats, sorted JSON keys, no
-timestamps.
+stderr as "warning: ..." lines. Output is byte-identical across reruns:
+fixed 17-significant-digit floats, sorted JSON keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -126,8 +125,11 @@ def _metadata(params, *, method: str, n_max, residuals=None, notes=(),
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        cfg = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            cfg = json.load(handle)
+    except ValueError as exc:  # not UTF-8, not JSON, or an overlong integer
+        raise ParameterError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ParameterError("config must be a JSON object of key-value pairs")
     return cfg
@@ -139,14 +141,18 @@ def _split_config(cfg: dict) -> tuple[dict, dict]:
     return run, system
 
 
+def _finite_number(value) -> bool:
+    """Whether value is a JSON number (not a bool) that is a finite float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        return False
+
+
 def _config_number(run: dict, key: str) -> float:
     """run[key] as a float; it must be a finite JSON number."""
     value = run[key]
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float
-        finite = False
-    if not finite:
+    if not _finite_number(value):
         raise ParameterError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -183,8 +189,8 @@ def _sweep_from_run(run: dict) -> tuple[str, list[float]] | None:
     if key not in PARAM_KEYS:
         raise ParameterError(f"sweep_key {key!r} is not a recognized parameter")
     if not isinstance(values, (list, tuple)) or not values or \
-            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise ParameterError("sweep_values must be a nonempty list of numbers")
+            not all(map(_finite_number, values)):
+        raise ParameterError("sweep_values must be a nonempty list of finite numbers")
     return key, [float(v) for v in values]
 
 
@@ -541,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectrum = sub.add_parser("spectrum", help="probe spectrum on a grid")
     add_common(p_spectrum)
-    p_spectrum.add_argument("--threads", type=int, default=1,
-                            help="accepted for compatibility; has no effect")
     p_spectrum.add_argument("--format", choices=("csv", "json"), default=None)
     p_spectrum.add_argument(
         "--method", choices=("analytic", "linear_response", "finite_epsilon"),
@@ -558,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("figure", help="one of " + ", ".join(sorted(_FIGURES)))
     p_rep.add_argument("--output", default=None, help="bundle directory")
     p_rep.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_rep.add_argument("--threads", type=int, default=1)
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 
@@ -576,19 +579,13 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except VitatsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (VitatsError, OSError) as exc:  # configuration problems
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

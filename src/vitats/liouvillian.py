@@ -28,16 +28,16 @@ Vectorization is column-stacking: vec(rho)[i + D*j] = rho[i, j], so
 vec(A rho B) = (B^T kron A) vec(rho).
 
 Assembly: the Hamiltonian and the jump operators are dense D x D arrays
-built straight from the joint index 3*photon + atom (build_hamiltonian_rotating
-and collapse_set wrap them in CSR). LindbladFactors holds the D x D factors
-of L = I kron M + N^T kron I + sum_c conj(c) kron c (M = -iH - K/2,
-N = iH - K/2, K = sum_c c^dag c) and assembles L on any product block
-{i + D*j : i in R, j in C} from the restricted factors, gathering the
-entries from their nonzeros and making the block sparse exactly once, as one
-CSR matrix. The full D^2 x D^2 Liouvillian (assemble_liouvillian,
-liouvillian_at) is the block R = C = all, built by the same code; the
-solver builds only the small blocks it needs. build_operators is the sparse
-operator set for callers that want a, a_dag, n_op and sigma_ij themselves.
+built straight from the joint index 3*photon + atom. LindbladFactors holds
+the D x D factors of L = I kron M + N^T kron I + sum_c conj(c) kron c
+(M = -iH - K/2, N = iH - K/2, K = sum_c c^dag c) and assembles L on any
+product block {i + D*j : i in R, j in C} from the restricted factors,
+gathering the entries from their nonzeros and making the block sparse
+exactly once, as one CSR matrix. The full D^2 x D^2 Liouvillian
+(assemble_liouvillian, liouvillian_at) is the block R = C = all, built by
+the same code; only the oracles build it, and the solver builds only the
+small blocks it needs. build_operators is the sparse operator set for
+callers that want a, a_dag, n_op and sigma_ij themselves.
 """
 
 from __future__ import annotations
@@ -114,23 +114,15 @@ def build_operators(spec: HilbertSpec) -> Operators:
                      n_op=(a.conj().T @ a).tocsr(), sigma=sigma)
 
 
-def build_hamiltonian_rotating(params: SystemParams, Delta: float,
-                               spec: HilbertSpec, *,
-                               epsilon: float | None = None) -> sp.csr_matrix:
-    """Static rotating-frame Hamiltonian at probe detuning Delta.
+def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
+                       epsilon: float | None, *, ef_drive: complex = 0.0) -> np.ndarray:
+    """Static rotating-frame Hamiltonian at probe detuning Delta for
+    validated params, plus a classical field ef_drive*sigma_ef + h.c. on the
+    f-e transition (used by the frame displaced by the cavity amplitude).
 
     epsilon overrides params.epsilon (0 gives the probe-free generator used
     by the linear-response solver). Hermiticity is asserted at build time.
     """
-    return sp.csr_matrix(_dense_hamiltonian(validate_params(params), Delta, spec,
-                                            epsilon))
-
-
-def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
-                       epsilon: float | None, *, ef_drive: complex = 0.0) -> np.ndarray:
-    """Dense build_hamiltonian_rotating for validated params, plus a classical
-    field ef_drive*sigma_ef + h.c. on the f-e transition (used by the frame
-    displaced by the cavity amplitude)."""
     eps = params.epsilon if epsilon is None else float(epsilon)
     dd = params.pump_detuning
     de = Delta - params.delta / 2.0
@@ -151,19 +143,13 @@ def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
     return h
 
 
-def collapse_set(params: SystemParams, spec: HilbertSpec) -> list[sp.csr_matrix]:
-    """Jump operators for the validated params (zero-rate channels elided).
+def _dense_jumps(params: SystemParams, spec: HilbertSpec) -> list[np.ndarray]:
+    """Dense jump operators for validated params (zero-rate channels elided).
 
     Cavity: sqrt(2*kappa*(n_th+1))*a and sqrt(2*kappa*n_th)*a_dag.
     Atom: sqrt(gamma_ij)*sigma_ji for each pair with gamma_ij > 0 (diagonal
     pairs give dephasing projectors sigma_ii).
     """
-    return [sp.csr_matrix(c, dtype=complex)
-            for c in _dense_jumps(validate_params(params), spec)]
-
-
-def _dense_jumps(params: SystemParams, spec: HilbertSpec) -> list[np.ndarray]:
-    """Dense collapse_set for validated params."""
     dim, photons = spec.dim, np.arange(spec.n_max + 1)
     lower, root = _lowering(spec)
     a = np.zeros((dim, dim))

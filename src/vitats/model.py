@@ -228,9 +228,13 @@ def thermal_occupation(omega_c: float, temperature: float) -> float:
         raise NonpositiveTemperature(f"temperature = {temperature} K must be > 0")
     if omega_c <= 0:
         raise MissingCavityFrequency(f"omega_c = {omega_c} rad/s must be > 0")
-    x = _HBAR * omega_c / (_K_B * temperature)
+    k_t = _K_B * temperature  # underflows to 0 for a tiny temperature
+    x = _HBAR * omega_c / k_t if k_t > 0.0 else math.inf
     if x > 700.0:  # expm1 overflows; occupation is numerically zero
         return 0.0
+    if not x > 1e-300:  # hbar omega_c underflows: 1/expm1(x) would overflow
+        raise ParameterError(f"thermal occupation at omega_c = {omega_c} rad/s and "
+                             f"temperature = {temperature} K exceeds 1e300")
     return 1.0 / math.expm1(x)
 
 
@@ -264,7 +268,11 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
         value = cfg[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{key} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ParameterError(f"{key} must be a finite number, got an "
+                                 f"integer too large for a float") from None
 
     has_eff = [k for k in _EFFECTIVE_KEYS if k in cfg]
     has_full = [k for k in _FULL_KEYS if k in cfg]
@@ -290,13 +298,14 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
     elif "temperature_mK" in cfg:
         if "omega_c_GHz" not in cfg:
             raise MissingCavityFrequency("temperature_mK requires omega_c_GHz")
-        if num("temperature_mK") == 0.0:
-            # absolute zero has no Bose factor to evaluate: the vacuum bath
+        temperature = num("temperature_mK") * 1e-3
+        if temperature == 0.0:
+            # absolute zero, or a temperature that underflows in kelvin, has
+            # no Bose factor to evaluate: the vacuum bath
             pump = ThermalPump(0.0)
         else:
-            pump = TemperaturePump(
-                temperature=num("temperature_mK") * 1e-3,
-                omega_c=2.0 * math.pi * 1e9 * num("omega_c_GHz"))
+            pump = TemperaturePump(temperature=temperature,
+                                   omega_c=2.0 * math.pi * 1e9 * num("omega_c_GHz"))
     elif "Omega" in cfg:
         pump = CoherentPump(num("Omega"), num("pump_detuning", 0.0))
     elif "pump_detuning" in cfg:

@@ -45,9 +45,9 @@ near 60, and from 1.2x faster to 1.25x slower at 100, depending on the
 host. Either way, ||L_GG vec(rho_cav)|| is rho0's full-L0 residual and
 must pass the same tolerance. kappa = 0 is refused up front: the block is
 then Hamiltonian and has no unique steady state.
-Unless f and e both drain to g, the full L0 is assembled after all, and
-the same singular-value bound on its {f, e} block rules out a steady state
-there.
+Unless f and e both drain to g, L0's {f, e} block is assembled from the
+factors as well, and the same singular-value bound on it rules out a steady
+state there. So outside the oracles the full D^2 x D^2 L0 is never built.
 """
 
 from __future__ import annotations
@@ -277,18 +277,17 @@ def _offset_order(dim: int) -> np.ndarray:
     return np.lexsort((np.minimum(m, n), n - m))
 
 
-def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int, *,
-                         check_uniqueness: bool) -> np.ndarray:
+def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int) -> np.ndarray:
     """_trace_completed_solve of the dim^2 x dim^2 cavity block by one
     LAPACK band LU (zgbsv, partial pivoting), in _offset_order.
 
     The trace-completed block is factored once for two right-hand sides:
     e_r, and the seeded probe of _require_nonsingular, whose sigma_min bound
-    is checked against the block's residual tolerance when check_uniqueness.
-    An exactly singular factor raises NonUniqueSteadyState. For the cavity
-    block of a coherent pump (kl, ku) = (k, k) with k = dim = n_max + 1, so
-    the band holds (3k + 1) k^2 complex numbers and factoring it costs
-    O(k^4) (see the module docstring for the crossover with SuperLU).
+    is checked against the block's residual tolerance. An exactly singular
+    factor raises NonUniqueSteadyState. For the cavity block of a coherent
+    pump (kl, ku) = (k, k) with k = dim = n_max + 1, so the band holds
+    (3k + 1) k^2 complex numbers and factoring it costs O(k^4) (see the
+    module docstring for the crossover with SuperLU).
     """
     completed, row = _trace_completed(cavity, dim)
     coo = completed.tocoo()
@@ -305,8 +304,7 @@ def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int, *,
     what = "the trace-completed cavity block"
     if info > 0:
         raise NonUniqueSteadyState(f"steady state not unique: {what} is singular")
-    if check_uniqueness:
-        _require_nonsingular(probe, x[:, 1], _residual_tol(cavity), what)
+    _require_nonsingular(probe, x[:, 1], _residual_tol(cavity), what)
     return _density_matrix(x[position, 0], dim)
 
 
@@ -353,13 +351,6 @@ def truncation_report(state: SteadyState) -> TruncationReport:
                             converged=tail < _TAIL_TOL)
 
 
-def _atom_block(spec: HilbertSpec, levels: tuple[int, ...]) -> np.ndarray:
-    """Sorted vec indices of the |x,m><y,n| elements with atom levels x, y in
-    levels; for one level they column-stack the photon-number matrix."""
-    rows = (3 * np.arange(spec.n_max + 1)[:, None] + np.array(levels)).ravel()
-    return (rows[None, :] + spec.dim * rows[:, None]).ravel()
-
-
 def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
                      what: str, keep: np.ndarray | None = None) -> sp.csr_matrix:
     """L on the product block rows x cols (LindbladFactors.entries), or on
@@ -397,6 +388,13 @@ def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarra
     return csr_from_entries(r, c, v, size)
 
 
+def _l0_scale(factors: LindbladFactors) -> float:
+    """max|M| + max|N| + sum_c max|c|^2: an upper bound on the largest entry
+    of L0 = I kron M + N^T kron I + sum_c conj(c) kron c, from the factors."""
+    return float(np.abs(factors.m).max() + np.abs(factors.n).max()
+                 + (np.abs(factors.jumps) ** 2).max(axis=(1, 2)).sum())
+
+
 def _check_excited_sector_decays(factors: LindbladFactors) -> None:
     """Raise NonUniqueSteadyState if a steady state keeps the atom in {f, e}.
 
@@ -404,18 +402,18 @@ def _check_excited_sector_decays(factors: LindbladFactors) -> None:
     only itself and the |g><g| block, and coherences with g feed only
     themselves. So a steady state besides |g><g| (x) rho_cav exists iff the
     {f, e} block E of L0 is singular, which _require_nonsingular checks
-    against the converged residual tolerance of the full L0.
+    against the residual tolerance of the full L0, scaled by _l0_scale
+    (never below max|L0|); only E is assembled.
     """
-    spec = factors.spec
-    l0 = factors.superoperator().matrix
-    block = _atom_block(spec, (1, 2))
+    fe = np.flatnonzero(np.arange(factors.spec.dim) % 3)
     what = "the {f, e} block of L0 (the atom can stay out of |g>)"
     try:
-        lu = _factor(l0[block][:, block], what)
+        lu = _factor(factors.block(fe, fe), what)
     except SolverFailure:
         raise NonUniqueSteadyState(f"steady state not unique: {what} is singular") from None
-    probe = _uniqueness_probe(block.size)
-    _require_nonsingular(probe, lu.solve(probe), _residual_tol(l0), what)
+    probe = _uniqueness_probe(fe.size ** 2)
+    tol = 1e-9 * max(1.0, _l0_scale(factors))  # the scaling of _residual_tol
+    _require_nonsingular(probe, lu.solve(probe), tol, what)
 
 
 def _bose_state(n_th: float, n_max: int) -> np.ndarray:
@@ -427,15 +425,14 @@ def _bose_state(n_th: float, n_max: int) -> np.ndarray:
     return np.diag(weights / weights.sum()).astype(complex)
 
 
-def probe_free_state(params: SystemParams, n_max: int, *,
-                     check_uniqueness: bool = True):
+def probe_free_state(params: SystemParams, n_max: int):
     """(LindbladFactors of L0, steady state, TruncationReport) without the
     probe.
 
     Without the probe nothing leaves |g>, so rho0 = |g><g| (x) rho_cav with
     rho_cav the steady state of L0 on its invariant |g,m><g,n| block, which
     is assembled on its own from L0's Hilbert-space factors (the full
-    D^2 x D^2 L0 is never built unless the {f, e} sector needs checking).
+    D^2 x D^2 L0 is never built).
     kappa = 0 leaves that block Hamiltonian, so every function of the cavity
     Hamiltonian is steady: NonUniqueSteadyState before anything is built.
     For a thermal pump or the vacuum (Omega = 0), rho_cav is the truncated
@@ -447,6 +444,13 @@ def probe_free_state(params: SystemParams, n_max: int, *,
     truncated coherent state is not the truncated model's steady state
     (residual 2.2e-6 at Omega = 1.5, n_max = 20, above the 4e-8 tolerance,
     with a tail of only 2.5e-9).
+    So under a coherent pump the populations P_n come from the truncated
+    master equation in the lab frame, while the spectrum's read-out works
+    in the displaced frame (_readout_system). The largest relative gap
+    between P_0..P_3 and the normalized truncated coherent state (eta 80,
+    kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig. 8a's sweep
+    (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and 3.3e-8 at
+    Omega = 1.5, n_max = 16, where the tail of 4.5e-6 already warns.
     rho0 is unique iff rho_cav is and no steady state keeps the atom in
     {f, e}; that sector is checked unless f and e both drain to g
     (gamma_fg > 0 and gamma_eg + gamma_ef > 0), which rules such states
@@ -466,13 +470,12 @@ def probe_free_state(params: SystemParams, n_max: int, *,
     ground = 3 * np.arange(n_max + 1)
     cavity = _invariant_block(factors, ground, ground, "the |g><g| block")
     if params.Omega > 0.0:
-        rho_cav = _banded_cavity_solve(cavity, n_max + 1,
-                                       check_uniqueness=check_uniqueness)
+        rho_cav = _banded_cavity_solve(cavity, n_max + 1)
     else:
         rho_cav = _bose_state(params.n_th, n_max)
     gamma = params.gamma
     drains = gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0
-    if check_uniqueness and not drains:
+    if not drains:
         _check_excited_sector_decays(factors)
     residual = float(np.linalg.norm(cavity @ vec(rho_cav)))
     if not residual <= _residual_tol(cavity):  # also catches a non-finite value
@@ -489,8 +492,9 @@ def probe_free_state(params: SystemParams, n_max: int, *,
 
 
 def check_truncation_convergence(params: SystemParams, n_max: int) -> TruncationReport:
-    """Steady-state tail mass near the Fock cutoff; converged iff < 1e-8."""
-    return probe_free_state(params, n_max, check_uniqueness=False)[2]
+    """Steady-state tail mass near the Fock cutoff; converged iff < 1e-8.
+    NonUniqueSteadyState if the probe-free state is not unique."""
+    return probe_free_state(params, n_max)[2]
 
 
 # --- spectrum methods ---------------------------------------------------------

@@ -172,6 +172,45 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, payload):
     assert not out.exists()
 
 
+_HUGE_INT = "9" * 400  # a JSON integer far beyond the float range
+
+
+@pytest.mark.parametrize("command, text", [
+    ("classify", '{"gamma_e": 5, "gamma_f": 1, "kappa": 1, "eta": %s}' % _HUGE_INT),
+    ("populations", '{"gamma_e": 5, "gamma_f": 1, "kappa": 1, "eta": 2, "n_max": 4, '
+                    '"sweep_key": "n_th", "sweep_values": [0.1, %s]}' % _HUGE_INT),
+    ("classify", '{"eta": %s}' % ("9" * 5000)),  # beyond the int parser's limit
+], ids=["parameter", "sweep-value", "unparsable-integer"])
+def test_oversized_config_number_exits_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b"\xff\xfe" + '{"gamma_e": 5}'.encode("utf-16-le"))
+    assert cli.main(["classify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("temperature_mk", [1e-300, 1e-310])
+def test_populations_at_a_tiny_temperature(tmp_path, capsys, temperature_mk):
+    # k_B T underflows to 0: the occupation is 0, not a division by zero
+    out = tmp_path / "p.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 0.2, "eta": 2.0, "n_max": 4,
+        "temperature_mK": temperature_mk, "omega_c_GHz": 5.0, "output": str(out)})
+    assert cli.main(["populations", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert json.loads(out.with_name("p.csv.meta.json").read_text())["params"]["n_th"] == 0.0
+
+
 def _per_cell(value) -> str:
     """The per-cell formatting the row template must reproduce byte for byte."""
     if isinstance(value, str):
@@ -343,24 +382,31 @@ def test_spectrum_sweep_key_must_be_known(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_spectrum_byte_identical_across_runs_and_threads(tmp_path):
-    def run(name, threads):
+def test_spectrum_byte_identical_across_runs_and_threads(tmp_path, capsys):
+    def run(name):
         out = tmp_path / name
         cfg = _write_config(tmp_path, f"{name}.json", {
             "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0,
             "n_th": 0.05, "n_max": 12,
             "delta_min": -10.0, "delta_max": 10.0, "delta_points": 9,
             "method": "linear_response", "output": str(out)})
-        assert cli.main(["spectrum", "--config", cfg,
-                         "--threads", str(threads)]) == 0
+        assert cli.main(["spectrum", "--config", cfg]) == 0
         return out.read_bytes(), (tmp_path / f"{name}.meta.json").with_name(
             name + ".meta.json").read_bytes()
 
-    first, meta_first = run("a.csv", 1)
-    second, meta_second = run("b.csv", 1)
-    threaded, meta_threaded = run("c.csv", 2)
-    assert first == second == threaded
-    assert meta_first == meta_second == meta_threaded
+    first, meta_first = run("a.csv")
+    second, meta_second = run("b.csv")
+    assert first == second
+    assert meta_first == meta_second
+    # every solve runs in this process: the former --threads no-op is refused
+    capsys.readouterr()
+    for argv in (["spectrum", "--config", str(tmp_path / "a.csv.json")],
+                 ["reproduce", "3a", "--output", str(tmp_path / "fig")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    assert not (tmp_path / "fig").exists()
 
 
 def test_populations_files(tmp_path, capsys):

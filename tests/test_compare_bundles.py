@@ -42,6 +42,21 @@ def test_differences_fail(tmp_path, capsys, change, message):
     assert message in capsys.readouterr().out
 
 
+def test_byte_identical_files_are_counted(tmp_path, capsys):
+    a, b = _bundle(tmp_path / "a"), _bundle(tmp_path / "b")
+    assert compare_bundles.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "3 of 3 files are byte-identical"
+    # equal within rtol but not byte for byte: the CSV and the sidecar
+    b2 = _bundle(tmp_path / "b2", cell="0.2500001", meta_value=1.6e-15)
+    assert compare_bundles.main([str(a), str(b2), "--rtol", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok: 3 files agree within rtol 0.1", "1 of 3 files are byte-identical"]
+    # the same numbers written differently agree, and are not byte-identical
+    b3 = _bundle(tmp_path / "b3", cell="2.5e-1")
+    assert compare_bundles.main([str(a), str(b3)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2 of 3 files are byte-identical"
+
+
 def test_tolerance_and_missing_file(tmp_path, capsys):
     a = _bundle(tmp_path / "a")
     b = _bundle(tmp_path / "b", cell="0.2500001", meta_value=1.6e-15)

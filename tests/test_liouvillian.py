@@ -21,21 +21,32 @@ from vitats import (
     SystemParams,
     ThermalPump,
     assemble_liouvillian,
-    build_hamiltonian_rotating,
     build_operators,
-    collapse_set,
     liouvillian_at,
     manifold,
     unvec,
     vec,
 )
 from vitats import solver
-from vitats.liouvillian import factors_at, trace_indices
+from vitats.liouvillian import (
+    _dense_hamiltonian,
+    _dense_jumps,
+    factors_at,
+    trace_indices,
+)
 from vitats.model import validate_params
 
 
 def _dense(op):
     return np.asarray(op.todense())
+
+
+def _hamiltonian(params, Delta, spec, epsilon=None):
+    return _dense_hamiltonian(validate_params(params), Delta, spec, epsilon)
+
+
+def _jumps(params, spec):
+    return _dense_jumps(validate_params(params), spec)
 
 
 def test_hilbert_spec_indexing():
@@ -93,7 +104,7 @@ def test_hamiltonian_matrix_elements():
     p = SystemParams.from_effective(5.0, 1.0, eta=3.0, kappa=0.2, delta=1.4,
                                     pump=CoherentPump(Omega=0.7), epsilon=0.05)
     spec = HilbertSpec(n_max=5)
-    h = _dense(build_hamiltonian_rotating(p, Delta=2.0, spec=spec))
+    h = _hamiltonian(p, 2.0, spec)
     idx = spec.index
     for n in range(spec.n_max):
         assert h[idx(n + 1, "f"), idx(n, "e")] == pytest.approx(
@@ -117,10 +128,8 @@ def test_hamiltonian_hermitian_random():
             pump=CoherentPump(Omega=rng.uniform(0, 2),
                               pump_detuning=rng.uniform(-3, 3)),
             epsilon=rng.uniform(0, 0.5))
-        h = build_hamiltonian_rotating(p, float(rng.uniform(-30, 30)),
-                                       HilbertSpec(n_max=3))
-        defect = (h - h.conj().T)
-        assert defect.nnz == 0 or np.abs(defect.data).max() < 1e-12
+        h = _hamiltonian(p, float(rng.uniform(-30, 30)), HilbertSpec(n_max=3))
+        assert np.abs(h - h.conj().T).max() < 1e-12
 
 
 def test_hamiltonian_eigenvalues_match_dressed_manifolds():
@@ -129,7 +138,7 @@ def test_hamiltonian_eigenvalues_match_dressed_manifolds():
     p = SystemParams.from_effective(5.0, 1.0, eta=2.3, kappa=0.5)
     n_max = 6
     spec = HilbertSpec(n_max=n_max)
-    h = _dense(build_hamiltonian_rotating(p, Delta=0.0, spec=spec, epsilon=0.0))
+    h = _hamiltonian(p, 0.0, spec, epsilon=0.0)
     got = np.sort(np.linalg.eigvalsh(h))
     expected = [0.0] * (n_max + 3)
     for n in range(n_max):
@@ -145,8 +154,7 @@ def test_hamiltonian_eigenvalues_match_dressed_manifolds_detuned():
     spec = HilbertSpec(n_max=n_max)
     # Delta = delta/2 zeroes the e level; each doublet then sits at
     # delta/2 + omega_-+ relative to |n,g>
-    h = _dense(build_hamiltonian_rotating(p, Delta=3.1 / 2, spec=spec,
-                                          epsilon=0.0))
+    h = _hamiltonian(p, 3.1 / 2, spec, epsilon=0.0)
     idx = spec.index
     for n in range(n_max):
         block = np.array([[h[idx(n, "e"), idx(n, "e")],
@@ -164,24 +172,24 @@ def test_collapse_set_contents():
                      eta=2.0, kappa=0.8)
     spec = HilbertSpec(n_max=2)
     ops = build_operators(spec)
-    cs = collapse_set(p, spec)
+    cs = _jumps(p, spec)
     # n_th = 0: no raising jump; order is cavity, then sorted gamma pairs
     assert len(cs) == 4
-    assert (cs[0] - math.sqrt(1.6) * ops.a).nnz == 0
-    assert (cs[1] - math.sqrt(0.5) * ops.sigma[("e", "e")]).nnz == 0
-    assert (cs[2] - math.sqrt(4.0) * ops.sigma[("g", "e")]).nnz == 0
-    assert (cs[3] - math.sqrt(1.0) * ops.sigma[("g", "f")]).nnz == 0
+    assert np.array_equal(cs[0], _dense(math.sqrt(1.6) * ops.a))
+    assert np.array_equal(cs[1], _dense(math.sqrt(0.5) * ops.sigma[("e", "e")]))
+    assert np.array_equal(cs[2], _dense(math.sqrt(4.0) * ops.sigma[("g", "e")]))
+    assert np.array_equal(cs[3], _dense(math.sqrt(1.0) * ops.sigma[("g", "f")]))
 
     thermal = SystemParams(gamma={("e", "g"): 4.0}, kappa=0.8,
                            pump=ThermalPump(n_th=0.25))
-    cs = collapse_set(thermal, spec)
+    cs = _jumps(thermal, spec)
     assert len(cs) == 3
-    assert (cs[0] - math.sqrt(2 * 0.8 * 1.25) * ops.a).nnz == 0
-    assert (cs[1] - math.sqrt(2 * 0.8 * 0.25) * ops.a_dag).nnz == 0
+    assert np.array_equal(cs[0], _dense(math.sqrt(2 * 0.8 * 1.25) * ops.a))
+    assert np.array_equal(cs[1], _dense(math.sqrt(2 * 0.8 * 0.25) * ops.a_dag))
 
     # kappa = 0 with no thermal pump contributes no cavity jump at all
     lossless = SystemParams(gamma={("e", "g"): 4.0}, kappa=0.0)
-    assert len(collapse_set(lossless, spec)) == 1
+    assert len(_jumps(lossless, spec)) == 1
 
 
 def test_vec_convention_and_trace_indices():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import constants
 
 from vitats import (
@@ -84,6 +85,22 @@ def test_thermal_occupation_low_temperature_limit():
         thermal_occupation(omega, 0.0)
     with pytest.raises(NonpositiveTemperature):
         thermal_occupation(omega, -1.0)
+
+
+@pytest.mark.parametrize("temperature_mk", [1e-300, 1e-310, 5e-324])
+def test_thermal_occupation_at_a_tiny_temperature(temperature_mk):
+    # k_B T underflows to 0 (5e-324 mK is 0 K: the vacuum bath); the
+    # occupation is 0, not a division by zero
+    p = params_from_config({"gamma_e": 5, "gamma_f": 1, "omega_c_GHz": 5.0,
+                            "temperature_mK": temperature_mk})
+    assert p.n_th == 0.0
+
+
+def test_thermal_occupation_beyond_the_float_range_is_refused():
+    # hbar omega_c underflows to 0: the occupation would be infinite
+    with pytest.raises(ParameterError, match="exceeds 1e300"):
+        params_from_config({"gamma_e": 5, "gamma_f": 1, "omega_c_GHz": 1e-300,
+                            "temperature_mK": 10.0})
 
 
 def test_thermal_occupation_is_bit_equal_to_scipy_constants():
@@ -205,6 +222,30 @@ def test_config_round_trip():
         assert q == p
         for key, value in cfg.items():
             assert echo[key] == value
+
+
+_FULL_GAMMA_KEYS = ("gamma_eg", "gamma_ef", "gamma_ee", "gamma_fg", "gamma_ff")
+_CONFIG_RATES = st.one_of(
+    st.fixed_dictionaries({"gamma_e": st.floats(0, 100), "gamma_f": st.floats(0, 100)}),
+    st.dictionaries(st.sampled_from(_FULL_GAMMA_KEYS), st.floats(0, 100)))
+_CONFIG_PUMP = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"n_th": st.floats(0, 100)}),
+    st.fixed_dictionaries({"temperature_mK": st.floats(0, 1000),
+                           "omega_c_GHz": st.floats(1e-3, 1e3)}),
+    st.fixed_dictionaries({"Omega": st.floats(0, 10)},
+                          optional={"pump_detuning": st.floats(-100, 100)}))
+_CONFIG_REST = st.fixed_dictionaries({}, optional={
+    "eta": st.floats(0, 1e3), "kappa": st.floats(0, 100),
+    "delta": st.floats(-100, 100), "beta": st.floats(1e-6, 1e3),
+    "epsilon": st.floats(1e-9, 1.0)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rates=_CONFIG_RATES, pump=_CONFIG_PUMP, rest=_CONFIG_REST)
+def test_config_round_trip_randomized(rates, pump, rest):
+    p = params_from_config({**rates, **pump, **rest})
+    assert params_from_config(params_to_config(p)) == p
 
 
 def test_pump_defaults_zero():

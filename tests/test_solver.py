@@ -292,7 +292,7 @@ def test_banded_cavity_solve_matches_sparse_lu(monkeypatch, params, n_max):
         return zgbsv(kl, ku, *args, **kwargs)
 
     monkeypatch.setattr(solver, "zgbsv", recording)
-    banded = solver._banded_cavity_solve(cavity, n_max + 1, check_uniqueness=True)
+    banded = solver._banded_cavity_solve(cavity, n_max + 1)
     assert np.abs(banded - sparse).max() <= 1e-14
     assert widths == [(n_max + 1, n_max + 1)]
 
@@ -306,13 +306,11 @@ def _decay_generator(rate: float, dim: int) -> sp.csr_matrix:
                          - 0.5 * np.kron(cdc.T, eye))
 
 
-@pytest.mark.parametrize("check_uniqueness", [True, False])
-def test_banded_cavity_solve_refuses_a_singular_block(capfd, check_uniqueness):
+def test_banded_cavity_solve_refuses_a_singular_block(capfd):
     # L = 0: every state is steady, the trace-completed block has rank 1;
     # zgbsv meets a zero pivot, which is reported without LAPACK's words
     with pytest.raises(NonUniqueSteadyState, match="not unique") as raised:
-        solver._banded_cavity_solve(sp.csr_matrix((9, 9), dtype=complex), 3,
-                                    check_uniqueness=check_uniqueness)
+        solver._banded_cavity_solve(sp.csr_matrix((9, 9), dtype=complex), 3)
     assert "zgbsv" not in str(raised.value) and "info" not in str(raised.value)
     assert capfd.readouterr() == ("", "")
 
@@ -321,14 +319,12 @@ def test_banded_cavity_solve_refuses_a_nearly_singular_block(capfd):
     # a decay rate of 1e-12 leaves sigma_min far below the 1e-9 tolerance,
     # though every pivot is nonzero; at rate 1 the same block is accepted
     dim = 3
-    rho = solver._banded_cavity_solve(_decay_generator(1.0, dim), dim,
-                                      check_uniqueness=True)
+    rho = solver._banded_cavity_solve(_decay_generator(1.0, dim), dim)
     assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() <= 1e-15
     weak = _decay_generator(1e-12, dim)
     with pytest.raises(NonUniqueSteadyState, match="has a singular value") as raised:
-        solver._banded_cavity_solve(weak, dim, check_uniqueness=True)
+        solver._banded_cavity_solve(weak, dim)
     assert "zgbsv" not in str(raised.value) and "info" not in str(raised.value)
-    solver._banded_cavity_solve(weak, dim, check_uniqueness=False)
     assert capfd.readouterr() == ("", "")
 
 
@@ -350,6 +346,15 @@ def test_factorized_state_rejects_dark_f_in_the_vacuum():
         _probe_free_state(params, 8)
     with pytest.raises((NonUniqueSteadyState, SolverFailure)):
         solver.probe_free_state(params, 8)
+
+
+def test_truncation_check_refuses_a_non_unique_state():
+    # the dark-f vacuum above: no tail mass is reported for a state that is
+    # not unique
+    params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
+                          pump=ThermalPump(n_th=0.0))
+    with pytest.raises(NonUniqueSteadyState, match="the {f, e} block"):
+        check_truncation_convergence(params, 8)
 
 
 @pytest.mark.parametrize("pump", [None, ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
@@ -830,15 +835,54 @@ def test_linear_response_spectrum_assemblies(monkeypatch, pump):
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-def test_excited_sector_check_assembles_the_full_l0(monkeypatch):
-    # gamma_fg = 0 under a pump: the {f, e} sector check keeps the full L0's
-    # tolerance scale, so it assembles L0 once and factors its {f, e} block,
-    # the only LU (the thermal cavity state is closed-form)
+def test_excited_sector_check_assembles_only_the_fe_block(monkeypatch):
+    # gamma_fg = 0 under a pump: the {f, e} sector check assembles and
+    # factors only the {f, e} block of L0 (10 x 10 joint indices), the only
+    # LU (the thermal cavity state is closed-form); the full 225-dim L0 is
+    # never built
     params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
                           pump=ThermalPump(0.3))
     calls = _count_assemblies_and_lus(monkeypatch)
     solver.probe_free_state(params, 4)
-    assert calls == {"blocks": [25, 225], "splu": {100: 1}, "band_lu": {}}
+    assert calls == {"blocks": [25, 100], "splu": {100: 1}, "band_lu": {}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({pair: _zero_or(0.01, 50.0) for pair in (
+           ("e", "g"), ("e", "f"), ("e", "e"), ("f", "g"), ("f", "f"))}),
+       eta=_zero_or(0.1, 100.0), kappa=_zero_or(0.01, 10.0),
+       delta=_zero_or_signed(0.1, 10.0), pump=st.one_of(
+           st.builds(ThermalPump, _zero_or(0.01, 5.0)),
+           st.builds(CoherentPump, _zero_or(0.01, 3.0), _zero_or_signed(0.1, 5.0))),
+       n_max=st.integers(1, 5))
+def test_l0_scale_bounds_the_largest_entry_of_l0(gamma, eta, kappa, delta, pump,
+                                                 n_max):
+    # the {f, e} sector check's tolerance is 1e-9 max(1, _l0_scale): it must
+    # never fall below the full L0's 1e-9 max(1, max|L0|)
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
+    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
+    l0 = factors.superoperator().matrix
+    assert solver._l0_scale(factors) >= np.abs(l0.data).max(initial=0.0)
+
+
+def test_l0_scale_bounds_generic_generators():
+    # random dense H and jumps: a jump with diagonal entries of opposite
+    # signs makes M + N + conj(c) kron c exceed max|M| + max|N|, so the
+    # bound needs its jump term
+    rng = np.random.default_rng(5)
+    spec = HilbertSpec(1)
+    d = spec.dim
+
+    def random_matrix():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    for _ in range(50):
+        h = random_matrix()
+        factors = lindblad_factors(h + h.conj().T,
+                                   [random_matrix() for _ in range(rng.integers(1, 4))],
+                                   spec)
+        l0 = factors.superoperator().matrix
+        assert solver._l0_scale(factors) >= np.abs(l0.data).max()
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
