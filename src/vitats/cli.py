@@ -49,6 +49,10 @@ from .solver import populations as _populations, probe_free_state, probe_spectru
 _RUN_KEYS = ("n_max", "delta_min", "delta_max", "delta_points", "method",
              "output", "format", "sweep_key", "sweep_values")
 _PUMP_CONFIG_KEYS = ("n_th", "temperature_mK", "Omega")
+# the largest Fock cutoff and grid a run accepts, checked before anything is
+# allocated (README "Config keys" gives the memory each implies)
+_N_MAX_LIMIT = 200
+_DELTA_POINTS_LIMIT = 10_001
 _P_COLUMNS = ["P_0", "P_1", "P_2", "P_3"]
 
 
@@ -157,14 +161,22 @@ def _config_number(run: dict, key: str) -> float:
     return float(value)
 
 
-def _n_max(args, run: dict) -> int:
-    """--n-max if given, else the config's n_max (a JSON integer >= 1), else 60."""
-    if args.n_max is not None:
-        return args.n_max
-    value = run.get("n_max", 60)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"n_max must be an integer >= 1, got {value!r}")
+def _within_limit(key: str, value: int, limit: int) -> int:
+    """value, unless it exceeds limit (ParameterError naming the limit)."""
+    if value > limit:
+        raise ParameterError(f"{key} = {value} exceeds the limit of {limit}")
     return value
+
+
+def _n_max(args, run: dict) -> int:
+    """--n-max if given, else the config's n_max (a JSON integer >= 1), else
+    60; at most _N_MAX_LIMIT either way."""
+    value = args.n_max
+    if value is None:
+        value = run.get("n_max", 60)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ParameterError(f"n_max must be an integer >= 1, got {value!r}")
+    return _within_limit("n_max", value, _N_MAX_LIMIT)
 
 
 def _grid_from_run(run: dict) -> np.ndarray:
@@ -174,6 +186,7 @@ def _grid_from_run(run: dict) -> np.ndarray:
     points = run["delta_points"]
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
         raise ParameterError("delta_points must be an integer >= 2")
+    _within_limit("delta_points", points, _DELTA_POINTS_LIMIT)
     lo, hi = (_config_number(run, key) for key in ("delta_min", "delta_max"))
     if not hi > lo:
         raise ParameterError("delta_max must exceed delta_min")
@@ -508,12 +521,13 @@ def _cmd_reproduce(args) -> int:
         raise UnknownFigure(
             f"unknown figure {args.figure!r}; choose from {sorted(_FIGURES)}")
     notes, job = _FIGURES[args.figure]
+    n_max = _n_max(args, {"n_max": _PRESET_N_MAX})
     outdir = Path(args.output or f"fig{args.figure}")
     # the outermost directory this command creates, removed if the job fails
     created = next((d for d in (*reversed(outdir.parents), outdir)
                     if not d.exists()), None)
     try:
-        job(outdir, _PRESET_N_MAX if args.n_max is None else args.n_max)
+        job(outdir, n_max)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

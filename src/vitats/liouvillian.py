@@ -115,10 +115,9 @@ def build_operators(spec: HilbertSpec) -> Operators:
 
 
 def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
-                       epsilon: float | None, *, ef_drive: complex = 0.0) -> np.ndarray:
+                       epsilon: float | None) -> np.ndarray:
     """Static rotating-frame Hamiltonian at probe detuning Delta for
-    validated params, plus a classical field ef_drive*sigma_ef + h.c. on the
-    f-e transition (used by the frame displaced by the cavity amplitude).
+    validated params.
 
     epsilon overrides params.epsilon (0 gives the probe-free generator used
     by the linear-response solver). Hermiticity is asserted at build time.
@@ -136,7 +135,6 @@ def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
     h[e, e] = dd * n + de
     h[e[:-1], f[1:]] = h[f[1:], e[:-1]] = params.eta * np.sqrt(n[1:])
     h[e, g] = h[g, e] = eps
-    h[e, f], h[f, e] = ef_drive, np.conj(ef_drive)
     h[lower, lower + 3] = h[lower + 3, lower] = params.Omega * root
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise DimensionMismatch("Hamiltonian lost hermiticity during assembly")

@@ -7,9 +7,10 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
   (_readout_system), assembled on its own like rho0's block. That block is
-  banded, so each grid point takes one banded LU with partial pivoting
-  (LAPACK gbsv), O(m) for block dim m; the probe amplitude is eliminated
-  analytically. Any pump.
+  banded and meets Delta only as +i Delta, so the whole grid is one
+  block-diagonal band and takes one banded LU with partial pivoting
+  (LAPACK gbsv), O(m) per point for block dim m; the probe amplitude is
+  eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
@@ -77,12 +78,10 @@ from .liouvillian import (
     HilbertSpec,
     LindbladFactors,
     SuperOperator,
-    _dense_hamiltonian,
-    _dense_jumps,
+    _lowering,
     assemble_liouvillian,
     csr_from_entries,
     factors_at,
-    lindblad_factors,
     liouvillian_at,
     trace_indices,
     unvec,
@@ -251,19 +250,18 @@ def _trace_completed_solve(lmat: sp.csr_matrix, dim: int, *,
     return _density_matrix(lu.solve(rhs), dim)
 
 
-def _band_storage(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int,
-                  count: int = 1) -> tuple[int, int, np.ndarray]:
-    """(kl, ku, band): count copies of the size x size matrix with the given
-    entries (distinct positions) in LAPACK gbsv band storage. Entry (i, j)
-    sits at band[k, kl + ku + i - j, j]; the kl rows above the matrix's band
-    hold the fill of partial pivoting. Each band[k] is Fortran-contiguous.
-    The bandwidths are read from the entries, so a wider band only costs
-    time and memory: (2 kl + ku + 1) size complex numbers per copy."""
+def _band_storage(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                  size: int) -> tuple[int, int, np.ndarray]:
+    """(kl, ku, band): the size x size matrix with the given entries
+    (distinct positions) in LAPACK gbsv band storage, Fortran-contiguous.
+    Entry (i, j) sits at band[kl + ku + i - j, j]; the kl rows above the
+    matrix's band hold the fill of partial pivoting. The bandwidths are read
+    from the entries, so a wider band only costs time and memory:
+    (2 kl + ku + 1) size complex numbers."""
     kl = int((rows - cols).max(initial=0))
     ku = int((cols - rows).max(initial=0))
-    band = np.zeros((count, size, 2 * kl + ku + 1), dtype=complex)
-    band = band.transpose(0, 2, 1)
-    band[:, kl + ku + rows - cols, cols] = vals
+    band = np.zeros((2 * kl + ku + 1, size), dtype=complex, order="F")
+    band[kl + ku + rows - cols, cols] = vals
     return kl, ku, band
 
 
@@ -300,7 +298,7 @@ def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int) -> np.ndarray:
     rhs = np.zeros((order.size, 2), dtype=complex, order="F")
     rhs[position[row], 0] = 1.0
     rhs[:, 1] = probe[order]
-    _, _, x, info = zgbsv(kl, ku, band[0], rhs, overwrite_ab=1, overwrite_b=1)
+    _, _, x, info = zgbsv(kl, ku, band, rhs, overwrite_ab=1, overwrite_b=1)
     what = "the trace-completed cavity block"
     if info > 0:
         raise NonUniqueSteadyState(f"steady state not unique: {what} is singular")
@@ -514,16 +512,19 @@ def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
     return assemble_liouvillian(proj, [], spec).matrix
 
 
-def _displaced_generator(params: SystemParams, spec: HilbertSpec) -> LindbladFactors:
-    """Factors of the probe-free L0 of a coherently pumped system in the frame
-    displaced by the cavity amplitude alpha = -i Omega/(kappa + i dd): the
-    drive cancels, leaving H(Omega=0) + eta(alpha sigma_ef + h.c.) and the
-    same jumps."""
+def _displaced_generator(params: SystemParams,
+                         factors: LindbladFactors) -> LindbladFactors:
+    """The lab-frame factors of a coherently pumped probe-free L0 moved to the
+    frame displaced by the cavity amplitude alpha = -i Omega/(kappa + i dd):
+    the drive cancels, and H gains dH = eta(alpha sigma_ef + h.c.) -
+    Omega(a + a^dag), so M and N shift by -i dH and +i dH; jumps and K stay."""
+    f = 3 * np.arange(factors.spec.n_max + 1) + 1
+    lower, root = _lowering(factors.spec)
     alpha = -1j * params.Omega / (params.kappa + 1j * params.pump_detuning)
-    undriven = replace(params, pump=replace(params.pump, Omega=0.0))
-    hamiltonian = _dense_hamiltonian(undriven, 0.0, spec, 0.0,
-                                     ef_drive=params.eta * alpha)
-    return lindblad_factors(hamiltonian, _dense_jumps(params, spec), spec)
+    shift = np.zeros_like(factors.m)
+    shift[f + 1, f], shift[f, f + 1] = params.eta * alpha, np.conj(params.eta * alpha)
+    shift[lower, lower + 3] = shift[lower + 3, lower] = -params.Omega * root
+    return replace(factors, m=factors.m + (0 - 1j) * shift, n=factors.n + 1j * shift)
 
 
 def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.ndarray):
@@ -541,7 +542,7 @@ def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.nda
     dim, m = spec.dim, np.arange(spec.n_max + 1)
     excited = (3 * m[:, None] + np.array([1, 2])).ravel()
     if params.Omega > 0.0:
-        a = _invariant_block(_displaced_generator(params, spec), m[:1], excited,
+        a = _invariant_block(_displaced_generator(params, factors), m[:1], excited,
                              "the read-out block")
         out, weights = np.array([1]), np.ones(1)
     else:
@@ -561,24 +562,24 @@ def _readout_response(a: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi/beta and residual norm at each Delta from (A + i Delta I) x = b.
 
-    The bandwidths (kl, ku) are read from A's nonzeros, so a wider band only
-    costs time: (2, 2) for a thermal pump, (1, 2) for the vacuum and (1, 1)
-    for the displaced coherent block in _readout_system's order. The band
-    is laid out once for the grid and each point is one LAPACK zgbsv call,
-    so no point's bits depend on the others. An exactly singular point, or
-    a residual ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| +
+    The grid is one block-diagonal system, block k being A + i Delta_k I,
+    in one band that one LAPACK zgbsv call factors and solves. Its bandwidths
+    are A's: (2, 2) thermal, (1, 2) vacuum, (1, 1) displaced coherent.
+    Pivoting never leaves a block, so no point's bits depend on the others.
+    An exactly singular point (the block of the first zero pivot), or a
+    residual ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| +
     |Delta|), the scaling of _residual_tol, raises SolverFailure.
     """
     coo = a.tocoo()
     coo.sum_duplicates()
-    kl, ku, band = _band_storage(coo.row, coo.col, coo.data, rhs.size, grid.size)
-    band[:, kl + ku] += 1j * grid[:, None]  # the diagonal's row
-    x = np.empty((grid.size, rhs.size), dtype=complex)
-    for k, delta in enumerate(grid):
-        _, _, x[k], info = zgbsv(kl, ku, band[k], rhs, overwrite_ab=1)
-        if info != 0:
-            raise SolverFailure(f"read-out matrix is singular at Delta={delta:g} "
-                                f"(zgbsv info {info})")
+    kl, ku, block = _band_storage(coo.row, coo.col, coo.data, rhs.size)
+    band = np.tile(block.T, (grid.size, 1)).T  # A's band per point, Fortran order
+    band[kl + ku] += 1j * np.repeat(grid, rhs.size)  # the diagonal's row
+    _, _, x, info = zgbsv(kl, ku, band, np.tile(rhs, grid.size), overwrite_ab=1)
+    if info > 0:
+        raise SolverFailure("read-out matrix is singular at "
+                            f"Delta={grid[(info - 1) // rhs.size]:g}")
+    x = x.reshape(grid.size, rhs.size)
     resid = np.linalg.norm((a @ x.T).T + 1j * grid[:, None] * x - rhs, axis=1)
     # take keeps the rows C-contiguous, so each point is summed alone (numpy's
     # pairwise sum, as row.sum() would); x[:, out] comes out Fortran-ordered

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vitats import (
     DegenerateDamping,
@@ -348,6 +349,57 @@ def test_classify_regime_boundary_tie():
     r = classify_regime(SystemParams.from_effective(ge, gf, eta=eta, kappa=kappa))
     assert r.boundary_degenerate
     assert r.regime is Regime.VACUUM_ATS  # tie classifies as stronger coupling
+
+
+def test_classify_regime_tie_at_gamma_r_two():
+    # gamma_R = 2 closes the VIT window: eta_d = eta_c = 1/2 there. Just
+    # above 2, within the tie tolerance, eta_R between eta_d and eta_c would
+    # be VIT if gamma_R counted as above 2; the tie gives the doublet
+    for gamma_e, eta in ((4.0, 1.0), (4.0 + 8e-13, 1.0 + 2e-13), (4.0, 2.0)):
+        r = classify_regime(SystemParams.from_effective(gamma_e, 1.0, eta=eta, kappa=1.0))
+        assert abs(r.gamma_R - 2.0) <= 1e-12 and r.boundary_degenerate
+        assert r.dip_present and r.regime is Regime.VACUUM_ATS
+    r = classify_regime(SystemParams.from_effective(4.0, 1.0, eta=0.5, kappa=1.0))
+    assert r.boundary_degenerate and not r.dip_present and r.regime is Regime.NO_DIP
+
+
+@pytest.mark.parametrize("offset", [-5e-13, 0.0, 5e-13])
+@pytest.mark.parametrize("gamma_e, regime", [(8.0, Regime.VIT), (2.0, Regime.VACUUM_ATS)],
+                         ids=["gamma_R=4", "gamma_R=1"])
+def test_classify_regime_tie_at_eta_d(gamma_e, regime, offset):
+    # eta_R = eta_d = 1/sqrt(2 + gamma_R), within the tie tolerance: the dip
+    # is present, and the regime is the one just above the threshold
+    eta_d = 1.0 / math.sqrt(2.0 + gamma_e / 2.0)
+    r = classify_regime(SystemParams.from_effective(gamma_e, 1.0, eta=2.0 * (eta_d + offset),
+                                                    kappa=1.0))
+    assert abs(r.eta_R - r.eta_d) <= 1e-12 and r.boundary_degenerate
+    assert r.dip_present and r.regime is regime
+
+
+_REGIME_ORDER = [Regime.NO_DIP, Regime.VIT, Regime.VACUUM_ATS]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gamma_r=st.one_of(st.floats(0.0, 20.0),
+                         st.sampled_from([2.0, 2.0 - 4e-13, 2.0 + 4e-13])),
+       gamma_f=st.floats(0.0, 5.0), kappa=st.floats(0.01, 5.0),
+       eta_r=st.lists(st.floats(0.0, 15.0), max_size=6))
+def test_classify_regime_never_falls_back_as_eta_grows(gamma_r, gamma_f, kappa, eta_r):
+    # at fixed rates the regime only moves NoDip -> VIT -> VacuumATS as eta
+    # grows, ties included: the etas are drawn around both thresholds
+    total = gamma_f + kappa
+
+    def report(eta):
+        return classify_regime(SystemParams.from_effective(gamma_r * total, gamma_f,
+                                                           eta=eta, kappa=kappa))
+
+    start = report(0.0)
+    etas = [0.0, *(total * x for x in eta_r)]
+    for bound in (start.eta_d, start.eta_c):
+        etas += [total * (bound + d) for d in (-2e-12, -5e-13, 0.0, 5e-13, 2e-12)
+                 if bound + d >= 0.0]
+    ranks = [_REGIME_ORDER.index(report(eta).regime) for eta in sorted(etas)]
+    assert ranks == sorted(ranks)
 
 
 def test_classify_regime_requires_zero_delta():

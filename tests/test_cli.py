@@ -343,6 +343,60 @@ def test_config_grid_bounds_must_be_numbers(tmp_path, capsys, key, literal):
     assert captured.out == ""
 
 
+_HUGE = 10 ** 29  # 30 digits: np.linspace or HilbertSpec would fail on it
+
+
+def _sizes_config(tmp_path, **run):
+    """A thermal spectrum / populations config at n_max = delta_points = 5."""
+    return _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0, "n_th": 0.1,
+        "n_max": 5, "delta_min": -5.0, "delta_max": 5.0, "delta_points": 5,
+        "output": str(tmp_path / "out.csv"), **run})
+
+
+@pytest.fixture
+def low_limits(monkeypatch):
+    # lowered so that a check that ran too late would allocate nothing large
+    monkeypatch.setattr(cli, "_N_MAX_LIMIT", 5)
+    monkeypatch.setattr(cli, "_DELTA_POINTS_LIMIT", 5)
+
+
+@pytest.mark.usefixtures("low_limits")
+@pytest.mark.parametrize("value", [_HUGE, 6], ids=["30-digit", "limit+1"])
+@pytest.mark.parametrize("command, key", [
+    ("spectrum", "n_max"), ("populations", "n_max"), ("spectrum", "delta_points")])
+def test_config_size_above_its_limit_exits_2(tmp_path, capsys, command, key, value):
+    assert cli.main([command, "--config", _sizes_config(tmp_path, **{key: value})]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {key} = {value} exceeds the limit of 5" in captured.err
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.usefixtures("low_limits")
+@pytest.mark.parametrize("value", [_HUGE, 6], ids=["30-digit", "limit+1"])
+@pytest.mark.parametrize("command", [["spectrum"], ["populations"], ["reproduce", "3a"],
+                                     ["reproduce", "8a"]],
+                         ids=["spectrum", "populations", "reproduce-3a", "reproduce-8a"])
+def test_n_max_flag_above_its_limit_exits_2(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    config = [] if command[0] == "reproduce" else ["--config", _sizes_config(tmp_path)]
+    argv = [*command, *config, "--output", str(out), "--n-max", str(value)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: n_max = {value} exceeds the limit of 5" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.usefixtures("low_limits")
+def test_sizes_at_their_limits_run(tmp_path, capsys):
+    cfg = _sizes_config(tmp_path)
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    assert cli.main(["populations", "--config", cfg, "--n-max", "5"]) == 0
+    assert cli.main(["reproduce", "8a", "--output", str(tmp_path / "f"),
+                     "--n-max", "5"]) == 0
+    capsys.readouterr()
+
+
 def test_spectrum_sweep_renames_delta(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = _write_config(tmp_path, "c.json", {

@@ -95,3 +95,22 @@ def test_ignore_key_repeats_and_reaches_nested_objects(tmp_path, capsys):
     (b / "p.csv").write_text("n,level,P\n0,g,0.3\n1,f,0\n", encoding="utf-8")
     assert compare_bundles.main(both + ["--ignore-key", "P"]) == 1
     assert "row 1 column P" in capsys.readouterr().out
+
+
+def test_largest_relative_change_is_reported(tmp_path, capsys):
+    a = _bundle(tmp_path / "a")
+    assert compare_bundles.main([str(a), str(_bundle(tmp_path / "same"))]) == 0
+    assert capsys.readouterr().err == ""
+    # the CSV cell moves by 4e-7 relative and the sidecar value by 0.0625
+    b = _bundle(tmp_path / "b", cell="0.2500001", meta_value=1.6e-15)
+    assert compare_bundles.main([str(a), str(b), "--rtol", "0.1"]) == 0
+    assert capsys.readouterr().err == (
+        "largest relative change: 0.0625 at p.csv.meta.json.residual_max\n")
+    c = _bundle(tmp_path / "c", cell="0.2500001")
+    assert compare_bundles.main([str(a), str(c), "--rtol", "1e-6"]) == 0
+    assert capsys.readouterr().err == (
+        "largest relative change: 4e-07 at p.csv row 1 column P\n")
+    # the same numbers written differently: no number moved
+    d = _bundle(tmp_path / "d", cell="2.5e-1")
+    assert compare_bundles.main([str(a), str(d)]) == 0
+    assert capsys.readouterr().err == "largest relative change: 0 (no number moved)\n"

@@ -445,7 +445,8 @@ def test_displaced_generator_matches_kron_reference(n_max, gamma, eta, kappa, de
              - Omega * (ops.a_dag + ops.a))
     want = _kron_reference(_operator_hamiltonian(params, 0.0, ops, 0.0) + shift,
                            _operator_jumps(params, ops))
-    _assert_matches_reference(solver._displaced_generator(params, spec)
+    lab = factors_at(params, 0.0, spec, epsilon=0.0)
+    _assert_matches_reference(solver._displaced_generator(params, lab)
                               .superoperator().matrix, want)
 
 
@@ -489,7 +490,8 @@ def test_product_blocks_are_exact_slices_of_the_liouvillian(n_max, gamma, eta, k
         _assert_exact_slice(factors.block(rows, cols), full,
                             _product_block(rows, cols, spec.dim))
     if params.Omega > 0.0:
-        displaced = solver._displaced_generator(params, spec)
+        displaced = solver._displaced_generator(
+            params, factors_at(params, 0.0, spec, epsilon=0.0))
         _assert_exact_slice(displaced.block(ground[:1], excited),
                             displaced.superoperator().matrix,
                             _product_block(ground[:1], excited, spec.dim))

@@ -643,6 +643,39 @@ def test_readout_singular_point_raises():
     assert np.all(np.isfinite(chi)) and np.all(np.isfinite(resid))
 
 
+@pytest.mark.parametrize("column", [0, 2], ids=["first-pivot", "last-pivot"])
+@pytest.mark.parametrize("grid", [[2.0, 3.0, 4.0], [-1.0, 2.0, 3.0], [-1.0, 0.0, 2.0]],
+                         ids=["first", "middle", "last"])
+def test_readout_singular_point_is_named_wherever_it_sits(grid, column):
+    # the grid is one block-diagonal band LU; its first zero pivot, in the
+    # first or the last column of a block, must name that block's Delta
+    a, rhs, out = _singular_readout()
+    if column:  # the same block reversed: its last column vanishes at Delta = 2
+        a = sp.csr_matrix(a.toarray()[::-1, ::-1])
+        rhs, out = rhs[::-1].copy(), np.array([2])
+    with pytest.raises(SolverFailure, match=r"singular at Delta=2$"):
+        solver._readout_response(a, rhs, out, np.array(grid))
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_coherent_spectrum_builds_the_lindblad_factors_once(monkeypatch):
+    # the displaced read-out shifts the probe-free state's lab factors
+    # instead of building a second set (a module that imports the builder by
+    # name is counted too)
+    built, build = [], liouvillian.lindblad_factors
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(liouvillian, "lindblad_factors", counting)
+    monkeypatch.setattr(solver, "lindblad_factors", counting, raising=False)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                         pump=CoherentPump(Omega=0.5))
+    probe_spectrum(params, np.linspace(-10, 10, 11), n_max=6)
+    assert len(built) == 1
+
+
 def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
     out = tmp_path / "s.csv"
     cfg = tmp_path / "c.json"
@@ -657,7 +690,7 @@ def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-def test_readout_block_rejects_a_leaking_generator(monkeypatch):
+def test_readout_block_rejects_a_leaking_generator():
     spec = HilbertSpec(4)
     thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
     _, state, _ = solver.probe_free_state(thermal, 4)
@@ -667,21 +700,20 @@ def test_readout_block_rejects_a_leaking_generator(monkeypatch):
         solver._readout_system(thermal, probed, state.rho)
     # an f-e drive takes |g,m><e,m| to |g,m><f,m|: inside |g><{f,e}|, but out
     # of the read-out block picked there
-    driven = lindblad_factors(
-        liouvillian._dense_hamiltonian(thermal, 0.0, spec, 0.0, ef_drive=0.5),
-        liouvillian._dense_jumps(thermal, spec), spec)
+    f = 3 * np.arange(spec.n_max + 1) + 1
+    hamiltonian = liouvillian._dense_hamiltonian(thermal, 0.0, spec, 0.0)
+    hamiltonian[f + 1, f] = hamiltonian[f, f + 1] = 0.5
+    driven = lindblad_factors(hamiltonian, liouvillian._dense_jumps(thermal, spec), spec)
     with pytest.raises(SolverFailure, match="leaks"):
         solver._readout_system(thermal, driven, state.rho)
 
-    # the displaced frame: a g-e coupling in its H
-    dense_hamiltonian = solver._dense_hamiltonian
-    monkeypatch.setattr(solver, "_dense_hamiltonian",
-                        lambda params, Delta, spec, epsilon, **kwargs:
-                        dense_hamiltonian(params, Delta, spec, 0.3, **kwargs))
+    # the displaced frame: a g-e coupling in the lab factors it shifts
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
+    _, state, _ = solver.probe_free_state(coherent, 4)
+    probed = factors_at(coherent, 0.0, spec, epsilon=0.3)
     with pytest.raises(SolverFailure, match="leaks"):
-        probe_spectrum(coherent, np.linspace(-5, 5, 3), n_max=4)
+        solver._readout_system(coherent, probed, state.rho)
 
 
 def _factor_leak(kind, spec):
@@ -719,7 +751,8 @@ def _readout_slice_of_l0(params, spec):
     one for a coherent pump), by vec index."""
     dim, m = spec.dim, np.arange(spec.n_max + 1)
     if params.Omega > 0.0:
-        l0 = solver._displaced_generator(params, spec).superoperator().matrix
+        l0 = solver._displaced_generator(
+            params, factors_at(params, 0.0, spec, epsilon=0.0)).superoperator().matrix
         block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
     else:
         l0 = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
@@ -766,12 +799,12 @@ def test_readout_points_independent_of_batching(params):
 ], ids=["thermal", "coherent"])
 def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
     # a coherent pump band-factors the 49-dim cavity block of the probe-free
-    # state, a thermal one takes the closed form; each grid point takes one
-    # band LU of the read-out block (14 dims displaced, 13 thermal)
+    # state, a thermal one takes the closed form; the whole grid takes one
+    # band LU of 101 read-out blocks (14 dims displaced, 13 thermal)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     assert calls["splu"] == {}
-    assert calls["band_lu"] == ({49: 1, 14: 101} if params.Omega > 0.0 else {13: 101})
+    assert calls["band_lu"] == ({49: 1, 1414: 1} if params.Omega > 0.0 else {1313: 1})
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:

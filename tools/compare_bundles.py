@@ -12,7 +12,10 @@ drops that key from every object in the `.json` files, on both sides, at
 any depth: for example `residual_max`, which moves in its last digits
 whenever a solver changes. Prints the first mismatch and exits 1 on any
 difference; when the trees agree, prints how many files did and how many of
-those are byte-identical, and exits 0.
+those are byte-identical, and exits 0. If some file is not byte-identical,
+it also prints to stderr the largest relative change of a number, with its
+file and cell (CSV row and column, or `.json` key path), so that the cells
+a change moved can be listed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,20 @@ class Mismatch(Exception):
     pass
 
 
+class _Largest:
+    """The largest relative change |a - b| / max(|a|, |b|) among the number
+    pairs noted, and where it was (None while no number moved)."""
+
+    def __init__(self):
+        self.rel, self.where = 0.0, None
+
+    def note(self, a: float, b: float, where: str) -> None:
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            rel = abs(a - b) / max(abs(a), abs(b))
+            if self.where is None or rel > self.rel:
+                self.rel, self.where = rel, where
+
+
 def _number(text: str) -> float | None:
     try:
         return float(text)
@@ -41,16 +58,18 @@ def _close(a: float, b: float, rtol: float) -> bool:
     return math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)
 
 
-def _compare_cells(a: str, b: str, rtol: float, where: str) -> None:
+def _compare_cells(a: str, b: str, rtol: float, where: str, largest: _Largest) -> None:
     x, y = _number(a), _number(b)
     if x is None or y is None:
         if a != b:
             raise Mismatch(f"{where}: {a!r} != {b!r}")
     elif not _close(x, y, rtol):
         raise Mismatch(f"{where}: {a} vs {b} differ beyond rtol {rtol:g}")
+    else:
+        largest.note(x, y, where)
 
 
-def _compare_csv(a: Path, b: Path, rtol: float, name: str) -> None:
+def _compare_csv(a: Path, b: Path, rtol: float, name: str, largest: _Largest) -> None:
     lines_a = a.read_text(encoding="utf-8").splitlines()
     lines_b = b.read_text(encoding="utf-8").splitlines()
     if not lines_a or not lines_b or lines_a[0] != lines_b[0]:
@@ -64,25 +83,28 @@ def _compare_csv(a: Path, b: Path, rtol: float, name: str) -> None:
             raise Mismatch(f"{name} row {row}: {len(cells_a)} vs {len(cells_b)} cells")
         for col, (cell_a, cell_b) in enumerate(zip(cells_a, cells_b)):
             label = columns[col] if col < len(columns) else str(col)
-            _compare_cells(cell_a, cell_b, rtol, f"{name} row {row} column {label}")
+            _compare_cells(cell_a, cell_b, rtol, f"{name} row {row} column {label}",
+                           largest)
 
 
-def _compare_json(a, b, rtol: float, where: str, ignore: frozenset = frozenset()) -> None:
+def _compare_json(a, b, rtol: float, where: str, ignore: frozenset,
+                  largest: _Largest) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         keys_a, keys_b = sorted(set(a) - ignore), sorted(set(b) - ignore)
         if keys_a != keys_b:
             raise Mismatch(f"{where}: keys {keys_a} vs {keys_b}")
         for key in keys_a:
-            _compare_json(a[key], b[key], rtol, f"{where}.{key}", ignore)
+            _compare_json(a[key], b[key], rtol, f"{where}.{key}", ignore, largest)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: lengths {len(a)} vs {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            _compare_json(x, y, rtol, f"{where}[{i}]", ignore)
+            _compare_json(x, y, rtol, f"{where}[{i}]", ignore, largest)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
             and not isinstance(a, bool) and not isinstance(b, bool):
         if not _close(float(a), float(b), rtol):
             raise Mismatch(f"{where}: {a!r} vs {b!r} differ beyond rtol {rtol:g}")
+        largest.note(float(a), float(b), where)
     elif a != b or type(a) is not type(b):
         raise Mismatch(f"{where}: {a!r} != {b!r}")
 
@@ -92,29 +114,29 @@ def _files(root: Path) -> set[str]:
 
 
 def compare_trees(root_a: Path, root_b: Path, rtol: float,
-                  ignore: frozenset = frozenset()) -> int:
+                  ignore: frozenset = frozenset()) -> tuple[int, _Largest]:
     """Raise Mismatch at the first difference between the two trees; keys
     in ignore are skipped in `.json` files. Returns how many files are
-    byte-identical."""
+    byte-identical, and the largest relative change of a number."""
     names_a, names_b = _files(root_a), _files(root_b)
     if names_a != names_b:
         raise Mismatch(f"file sets differ: only in {root_a}: "
                        f"{sorted(names_a - names_b)}; only in {root_b}: "
                        f"{sorted(names_b - names_a)}")
-    identical = 0
+    identical, largest = 0, _Largest()
     for name in sorted(names_a):
         a, b = root_a / name, root_b / name
         same = a.read_bytes() == b.read_bytes()
         identical += same
         if name.endswith(".csv"):
-            _compare_csv(a, b, rtol, name)
+            _compare_csv(a, b, rtol, name, largest)
         elif name.endswith(".json"):
             _compare_json(json.loads(a.read_text(encoding="utf-8")),
                           json.loads(b.read_text(encoding="utf-8")), rtol, name,
-                          ignore)
+                          ignore, largest)
         elif not same:
             raise Mismatch(f"{name}: contents differ")
-    return identical
+    return identical, largest
 
 
 def main(argv=None) -> int:
@@ -131,14 +153,18 @@ def main(argv=None) -> int:
             print(f"error: {root} is not a directory", file=sys.stderr)
             return 2
     try:
-        identical = compare_trees(args.dir_a, args.dir_b, args.rtol,
-                                  frozenset(args.ignore_key))
+        identical, largest = compare_trees(args.dir_a, args.dir_b, args.rtol,
+                                           frozenset(args.ignore_key))
     except Mismatch as exc:
         print(f"mismatch: {exc}")
         return 1
     total = len(_files(args.dir_a))
     print(f"ok: {total} files agree within rtol {args.rtol:g}")
     print(f"{identical} of {total} files are byte-identical")
+    if identical < total:
+        moved = (f"{largest.rel:.3g} at {largest.where}" if largest.where
+                 else "0 (no number moved)")
+        print(f"largest relative change: {moved}", file=sys.stderr)
     return 0
 
 
