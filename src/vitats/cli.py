@@ -289,7 +289,7 @@ def _cmd_spectrum(args) -> int:
                         series.im_chi, series.re_chi))
         residuals.append(None if series.residuals is None
                          else float(series.residuals.max()))
-        notes.extend(series.warnings)
+        notes.extend(f"{key}={value!r}: {note}" for note in series.warnings)
     md = _metadata(runs[0][1], method=method,
                    n_max=None if method == "analytic" else n_max,
                    notes=notes,

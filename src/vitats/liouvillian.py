@@ -238,22 +238,17 @@ class LindbladFactors:
                      for part in (out_rows, out_cols, vals))
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-        """L on the product block rows x cols (see entries) as CSR."""
-        return csr_from_entries(*self.entries(rows, cols), rows.size * cols.size)
+        """L on the product block rows x cols (see entries) as CSR, duplicates
+        summed in their given order and zeros dropped."""
+        r, c, v = self.entries(rows, cols)
+        matrix = sp.csr_matrix((v, (r, c)), shape=(rows.size * cols.size,) * 2)
+        matrix.eliminate_zeros()
+        return matrix
 
     def superoperator(self) -> SuperOperator:
         """The full D^2 x D^2 L: the block R = C = all."""
         full = np.arange(self.spec.dim)
         return SuperOperator(matrix=self.block(full, full), spec=self.spec)
-
-
-def csr_from_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                     size: int) -> sp.csr_matrix:
-    """size x size CSR matrix of the given entries, duplicates summed in
-    their given order and zeros dropped."""
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    matrix.eliminate_zeros()
-    return matrix
 
 
 def lindblad_factors(hamiltonian, collapses: list,

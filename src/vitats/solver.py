@@ -6,10 +6,10 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - analytic: the closed-form vacuum susceptibility (no pumping).
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
-  (_readout_system), assembled on its own like rho0's block. That block is
-  banded and meets Delta only as +i Delta, so the whole grid is one
-  block-diagonal band and takes one banded LU with partial pivoting
-  (LAPACK gbsv), O(m) per point for block dim m; the probe amplitude is
+  (_readout_system), dense on its m <= 2(n_max+1) kept positions after one
+  check on L0's factors (_readout_block). It is banded and meets Delta only
+  as +i Delta, so the grid is one block-diagonal band and one banded LU with
+  partial pivoting (LAPACK gbsv), O(m) per point; the probe amplitude is
   eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
@@ -80,7 +80,6 @@ from .liouvillian import (
     SuperOperator,
     _lowering,
     assemble_liouvillian,
-    csr_from_entries,
     factors_at,
     liouvillian_at,
     trace_indices,
@@ -350,16 +349,14 @@ def truncation_report(state: SteadyState) -> TruncationReport:
 
 
 def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
-                     what: str, keep: np.ndarray | None = None) -> sp.csr_matrix:
-    """L on the product block rows x cols (LindbladFactors.entries), or on
-    the sorted block positions keep inside it, after checking that L maps no
-    element of it elsewhere (else SolverFailure).
+                     what: str) -> sp.csr_matrix:
+    """L on the product block rows x cols (LindbladFactors.entries), after
+    checking that L maps no element of it elsewhere (else SolverFailure).
 
-    The product block is checked on the D x D factors: for rho supported on
-    R x C, M rho stays there iff M[R^c, R] = 0 and rho N iff N[C, C^c] = 0;
+    The block is checked on the D x D factors: for rho supported on R x C,
+    M rho stays there iff M[R^c, R] = 0 and rho N iff N[C, C^c] = 0;
     c rho c^dag leaves it iff c[R^c, R] and c[:, C] are both nonzero, or
-    c[:, R] and c[C^c, C] are. Inside it, no entry of a Kronecker term may
-    take a keep position to another position.
+    c[:, R] and c[C^c, C] are.
     """
     dim = factors.spec.dim
     out_rows = np.ones(dim, dtype=bool)
@@ -369,21 +366,11 @@ def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarra
     support = factors.jumps != 0
     from_rows = support[:, :, rows].any(axis=2)  # where each c takes R
     from_cols = support[:, :, cols].any(axis=2)
-    leaks = factors.m[out_rows][:, rows].any() or factors.n[cols][:, out_cols].any() \
-        or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
-        or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any()
-    r, c, v = factors.entries(rows, cols)
-    size = rows.size * cols.size
-    if keep is not None:
-        inside = np.zeros(size, dtype=bool)
-        inside[keep] = True
-        leaks = leaks or (inside[c] & ~inside[r]).any()
-        kept = inside[r] & inside[c]
-        position = np.cumsum(inside) - 1
-        r, c, v, size = position[r[kept]], position[c[kept]], v[kept], keep.size
-    if leaks:
+    if factors.m[out_rows][:, rows].any() or factors.n[cols][:, out_cols].any() \
+            or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
+            or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any():
         raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
-    return csr_from_entries(r, c, v, size)
+    return factors.block(rows, cols)
 
 
 def _l0_scale(factors: LindbladFactors) -> float:
@@ -527,66 +514,83 @@ def _displaced_generator(params: SystemParams,
     return replace(factors, m=factors.m + (0 - 1j) * shift, n=factors.n + 1j * shift)
 
 
+def _readout_block(factors: LindbladFactors, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """L, dense, on the positions |r_k><c_k| = |rows[k]><cols[k]| in vec order:
+    A[k, l] = M[r_k, r_l] d(c_k, c_l) + N[c_l, c_k] d(r_k, r_l) + sum_c
+    c[r_k, r_l] conj(c[c_k, c_l]), summed as LindbladFactors.entries sums L.
+    SolverFailure unless one pass on the factors finds every target of each
+    term from each kept |r_l><c_l| kept: the rows of M[:, r_l], the columns
+    of N[c_l, :] and the same-jump nonzero pairs of c[:, r_l] and c[:, c_l]."""
+    jumps = factors.jumps[(factors.jumps[:, :, np.unique(rows)] != 0).any(axis=(1, 2))]
+    per_col = (jumps != 0).sum(1)  # the nonzeros in each column of each jump
+    cr, cc = jumps[:, rows[:, None], rows], jumps[:, cols[:, None], cols]
+    m = np.where(cols[:, None] == cols, factors.m[np.ix_(rows, rows)], 0)
+    n = factors.n[np.ix_(cols, cols)].T
+    n[rows[:, None] != rows] = 0  # in place: one K^2 copy fewer at the peak
+    if ((m != 0).sum(0) < (factors.m != 0).sum(0)[rows]).any() \
+            or ((n != 0).sum(0) < (factors.n != 0).sum(1)[cols]).any() \
+            or (((cr != 0) & (cc != 0)).sum(1) < per_col[:, rows] * per_col[:, cols]).any():
+        raise SolverFailure("probe-free Liouvillian leaks out of the read-out block")
+    return np.add(np.add((cc.conj() * cr).sum(0), m, out=m), n, out=m)
+
+
 def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.ndarray):
-    """(A, b, out): L0 at Delta = 0 (CSR) on the invariant block of
-    |g,m><x,n| coherences (x in {f, e}) holding the read-out, where
-    dL/dDelta = +i; the source b = i[V, rho0] on it; the read-out positions.
-    factors are those of the lab-frame L0 (probe_free_state). Only product
-    blocks of L0 are assembled, their invariance checked on the factors.
-    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1|, picked (and checked
-    invariant) inside the |g><{f, e}| block, with b = -i P_m on |g,m><e,m|.
-    Coherent pump: in the displaced frame of _displaced_generator,
-    rho0 = |g,0><g,0|; the block is |g,0><{f, e}| itself, and chi is its
-    |g,0><e,0| element (b = -i) as the displacement keeps the cavity trace."""
-    spec = factors.spec
-    dim, m = spec.dim, np.arange(spec.n_max + 1)
-    excited = (3 * m[:, None] + np.array([1, 2])).ravel()
+    """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
+    invariant block of |g,m><x,n| coherences (x in {f, e}) holding the
+    read-out (_readout_block), where dL/dDelta = +i; the source b = i[V, rho0]
+    on it; the read-out positions. factors are the lab-frame L0's.
+    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1| in vec order, with
+    b = -i P_m on |g,m><e,m|. Coherent pump: in the displaced frame of
+    _displaced_generator, rho0 = |g,0><g,0|, the block is |g,0><{f, e}|, and
+    chi is its |g,0><e,0| element (b = -i): the displacement keeps the trace."""
+    m = np.arange(factors.spec.n_max + 1)
     if params.Omega > 0.0:
-        a = _invariant_block(_displaced_generator(params, factors), m[:1], excited,
-                             "the read-out block")
-        out, weights = np.array([1]), np.ones(1)
-    else:
-        ground = 3 * m
-        readout = 3 * m + dim * (3 * m + 2)
-        block = np.sort(np.concatenate([readout, 3 * m[:-1] + dim * (3 * m[1:] + 1)]))
-        outer = (ground[None, :] + dim * excited[:, None]).ravel()
-        a = _invariant_block(factors, ground, excited, "the read-out block",
-                             keep=np.searchsorted(outer, block))
-        out, weights = np.searchsorted(block, readout), np.diag(rho0)[3 * m].real
-    rhs = np.zeros(a.shape[0], dtype=complex)
+        factors = _displaced_generator(params, factors)
+        rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
+        out, weights = np.array([1]), 1.0
+    else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max
+        rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
+        out, weights = 2 * m, np.diag(rho0)[3 * m].real
+    rhs = np.zeros(rows.size, dtype=complex)
     rhs[out] = -1j * weights
-    return a, rhs, out
+    return _readout_block(factors, rows, cols), rhs, out
 
 
-def _readout_response(a: sp.csr_matrix, rhs: np.ndarray, out: np.ndarray,
+def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi/beta and residual norm at each Delta from (A + i Delta I) x = b.
 
-    The grid is one block-diagonal system, block k being A + i Delta_k I,
-    in one band that one LAPACK zgbsv call factors and solves. Its bandwidths
-    are A's: (2, 2) thermal, (1, 2) vacuum, (1, 1) displaced coherent.
-    Pivoting never leaves a block, so no point's bits depend on the others.
-    An exactly singular point (the block of the first zero pivot), or a
-    residual ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| +
-    |Delta|), the scaling of _residual_tol, raises SolverFailure.
-    """
-    coo = a.tocoo()
-    coo.sum_duplicates()
-    kl, ku, block = _band_storage(coo.row, coo.col, coo.data, rhs.size)
+    The grid is one block-diagonal system, block k being A + i Delta_k I, in
+    one band from the dense A's nonzeros that one zgbsv call factors and
+    solves; its bandwidths are A's: (2, 2) thermal, (1, 2) vacuum, (1, 1)
+    coherent. Pivoting never leaves a block, so no point's bits depend on the
+    others. A singular point (the first zero pivot's block), or a residual
+    ||A x + i Delta x - b|| (A x summed as a CSR matvec would) above
+    1e-9 |b| max(1, max|A_ij| + |Delta|) raises SolverFailure."""
+    kl, ku, block = _band_storage(*np.nonzero(a != 0), a[a != 0], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T  # A's band per point, Fortran order
     band[kl + ku] += 1j * np.repeat(grid, rhs.size)  # the diagonal's row
     _, _, x, info = zgbsv(kl, ku, band, np.tile(rhs, grid.size), overwrite_ab=1)
     if info > 0:
         raise SolverFailure("read-out matrix is singular at "
                             f"Delta={grid[(info - 1) // rhs.size]:g}")
+    del band  # the factored band, freed before the residual's arrays
     x = x.reshape(grid.size, rhs.size)
-    resid = np.linalg.norm((a @ x.T).T + 1j * grid[:, None] * x - rhs, axis=1)
+    x_re, x_im = np.ascontiguousarray(x.real.T), np.ascontiguousarray(x.imag.T)
+    ax = np.zeros((rhs.size, grid.size), dtype=complex)  # A x, a column per point
+    for offset in range(-kl, ku + 1):  # a CSR matvec's order and real roundings
+        lo, hi = max(0, -offset), min(rhs.size, rhs.size - offset)
+        d, xr, xi = (v[lo + offset:hi + offset] for v in
+                     (block[kl + ku - offset, :, None], x_re, x_im))
+        ax.real[lo:hi] += d.real * xr - d.imag * xi
+        ax.imag[lo:hi] += d.real * xi + d.imag * xr
+    resid = np.linalg.norm(ax.T + 1j * grid[:, None] * x - rhs, axis=1)
     # take keeps the rows C-contiguous, so each point is summed alone (numpy's
     # pairwise sum, as row.sum() would); x[:, out] comes out Fortran-ordered
     # and would be summed column by column, its bits depending on grid.size
     chi = x.take(out, axis=1).sum(axis=1)
-    scale = np.abs(coo.data).max(initial=0.0)
-    tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, scale + np.abs(grid))
+    tol = 1e-9 * np.linalg.norm(rhs) * np.maximum(1.0, np.abs(a).max() + np.abs(grid))
     bad = np.flatnonzero(~(resid <= tol))  # also catches non-finite values
     if bad.size:
         k = bad[0]

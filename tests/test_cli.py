@@ -426,6 +426,25 @@ def test_spectrum_sweep_other_key_keeps_name(tmp_path):
     assert header == ["delta", "eta", "im_chi", "re_chi"]
 
 
+def test_spectrum_sweep_warnings_name_their_value(tmp_path, capsys):
+    # the truncation warning of each sweep value is kept, prefixed with that
+    # value, as residual_max_per_sweep is per value
+    out = tmp_path / "sweep.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "n_th": 0.5, "n_max": 3,
+        "delta_min": -3.0, "delta_max": 3.0, "delta_points": 3,
+        "method": "finite_epsilon", "output": str(out),
+        "sweep_key": "eta", "sweep_values": [1, 2]})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text("utf-8"))
+    assert len(meta["residual_max_per_sweep"]) == 2
+    notes = meta["warnings"]
+    assert [note.split(": ", 1)[0] for note in notes] == ["eta=1.0", "eta=2.0"]
+    assert all(note.split(": ", 1)[1].startswith("TruncationNotConverged: ")
+               for note in notes)
+
+
 def test_spectrum_sweep_key_must_be_known(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {
         "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 0.2, "eta": 2.0,

@@ -580,14 +580,20 @@ def test_readout_block_matches_lab_frame_reference_randomized(
 
 
 def _assert_readout_band_is_narrow(params, n_max=10):
-    """The read-out block's (kl, ku), read from its nonzeros, is at most
-    (2, 2) for a thermal pump or the vacuum and (1, 1) for the displaced
-    coherent block; a wider band would make each grid point cost O(m^3)."""
+    """The read-out block's (kl, ku), read from its nonzeros, is exactly
+    (2, 2) for a thermal pump, (1, 2) for the vacuum and (1, 1) for the
+    displaced coherent block: the eta coupling (and, displaced, the
+    sigma_ef shift) gives the offsets +-1, which vanish at eta = 0, and a
+    and a^dag of the lab-frame block give +2 and -2. A wider band would make
+    each grid point cost more."""
     sop, state, _ = solver.probe_free_state(params, n_max)
-    a = solver._readout_system(params, sop, state.rho)[0].tocoo()
-    bands = (int((a.row - a.col).max()), int((a.col - a.row).max()))
-    limit = 1 if params.Omega > 0.0 else 2
-    assert max(bands) <= limit, bands
+    rows, cols = np.nonzero(solver._readout_system(params, sop, state.rho)[0])
+    bands = (int((rows - cols).max()), int((cols - rows).max()))
+    coupled = int(params.eta > 0.0)
+    if params.Omega > 0.0:
+        assert bands == (coupled, coupled)
+    else:
+        assert bands == (2 if params.n_th > 0.0 else coupled, 2)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -605,9 +611,8 @@ def test_readout_block_is_banded_randomized(gamma, eta, kappa, delta, pump):
 
 
 def _dense_batched_readout(a, rhs, out, grid):
-    """chi/beta from the former read-out solve: A densified once and the
-    grid solved with batched np.linalg.solve, 16 points per batch."""
-    a = a.toarray()
+    """chi/beta from the former read-out solve: the grid solved on the dense
+    A with batched np.linalg.solve, 16 points per batch."""
     chi = np.empty(grid.size, dtype=complex)
     for start in range(0, grid.size, 16):
         batch = slice(start, start + 16)
@@ -629,10 +634,29 @@ def test_band_readout_matches_dense_batched_solve(params):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _ORACLE_SYSTEMS,
+                         ids=["vacuum", "thermal", "coherent", "coherent-detuned",
+                              "full-gamma-map"])
+def test_readout_residual_has_the_bits_of_a_csr_matvec(params):
+    # the residuals (and the sidecars' residual_max) keep the bits of the
+    # former CSR residual, computed here on the same band solution
+    sop, state, _ = solver.probe_free_state(params, 12)
+    a, rhs, out = solver._readout_system(params, sop, state.rho)
+    grid = np.linspace(-120, 120, 241)
+    kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
+    band = np.tile(block.T, (grid.size, 1)).T
+    band[kl + ku] += 1j * np.repeat(grid, rhs.size)
+    x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
+    want = np.linalg.norm((sp.csr_matrix(a) @ x.T).T + 1j * grid[:, None] * x - rhs,
+                          axis=1)
+    assert solver._readout_response(a, rhs, out, grid)[1].tobytes() == want.tobytes()
+
+
 def _singular_readout():
     """(A, b, out) with A + i Delta I exactly singular at Delta = 2 only: its
     first column is then zero."""
-    a = sp.csr_matrix(np.array([[-2j, 1.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.3, -1.0]]))
+    a = np.array([[-2j, 1.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.3, -1.0]])
     return a, np.array([-1j, 0.0, 0.0]), np.array([0])
 
 
@@ -651,7 +675,7 @@ def test_readout_singular_point_is_named_wherever_it_sits(grid, column):
     # first or the last column of a block, must name that block's Delta
     a, rhs, out = _singular_readout()
     if column:  # the same block reversed: its last column vanishes at Delta = 2
-        a = sp.csr_matrix(a.toarray()[::-1, ::-1])
+        a = a[::-1, ::-1]
         rhs, out = rhs[::-1].copy(), np.array([2])
     with pytest.raises(SolverFailure, match=r"singular at Delta=2$"):
         solver._readout_response(a, rhs, out, np.array(grid))
@@ -716,11 +740,17 @@ def test_readout_block_rejects_a_leaking_generator():
         solver._readout_system(coherent, probed, state.rho)
 
 
+def _thermal_factors(spec):
+    """Probe-free L0's factors under a thermal pump (n_th = 0.3)."""
+    return factors_at(SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                                  pump=ThermalPump(0.3)),
+                      0.0, spec, epsilon=0.0)
+
+
 def _factor_leak(kind, spec):
     """Thermal L0's factors with one leak out of the |g><{f,e}| block, each
     caught by one clause of the factor check alone."""
-    factors = factors_at(SystemParams.from_effective(
-        5, 1, eta=4, kappa=1, pump=ThermalPump(0.3)), 0.0, spec, epsilon=0.0)
+    factors = _thermal_factors(spec)
     g0, f0, e0, g1 = (spec.index(n, x) for n, x in ((0, "g"), (0, "f"), (0, "e"),
                                                       (1, "g")))
     leak = np.zeros((spec.dim, spec.dim))
@@ -746,6 +776,60 @@ def test_product_block_check_catches_each_kind_of_leak(kind):
         solver._invariant_block(_factor_leak(kind, spec), ground, excited, "G x FE")
 
 
+def _thermal_readout_positions(spec):
+    """(rows, cols) of |g,m><e,m| and |g,m><f,m+1|, sorted by vec index."""
+    pairs = [(spec.index(m, "g"), spec.index(m, "e")) for m in range(spec.n_max + 1)]
+    pairs += [(spec.index(m, "g"), spec.index(m + 1, "f")) for m in range(spec.n_max)]
+    pairs.sort(key=lambda p: p[0] + spec.dim * p[1])
+    return tuple(np.array(x) for x in zip(*pairs))
+
+
+def _readout_leak(kind, spec):
+    """Thermal L0's factors with one leak out of the kept read-out positions
+    but inside the |g><{f,e}| product block, each caught by one clause of
+    the kept-set check alone."""
+    factors = _thermal_factors(spec)
+    g0, f0, e0, g1 = (spec.index(n, x) for n, x in ((0, "g"), (0, "f"), (0, "e"),
+                                                      (1, "g")))
+    leak = np.zeros((spec.dim, spec.dim))
+    if kind == "M":  # M[:, r_k]: |g,0><e,0| -> |g,1><e,0|
+        leak[g1, g0] = 1.0
+        return replace(factors, m=factors.m + leak)
+    if kind == "N":  # N[c_k, :]: |g,0><e,0| -> |g,0><f,0|
+        leak[e0, f0] = 1.0
+        return replace(factors, n=factors.n + leak)
+    # c = |g,0><g,0| + |f,0><e,0| takes |g,0><e,0| to |g,0><f,0|
+    leak[g0, g0] = leak[f0, e0] = 1.0
+    return _with_jump(factors, leak)
+
+
+@pytest.mark.parametrize("kind", ["M", "N", "jump pair"])
+def test_readout_block_check_catches_each_kind_of_leak(kind):
+    spec = HilbertSpec(3)
+    rows, cols = _thermal_readout_positions(spec)
+    leaky = _readout_leak(kind, spec)
+    ground = 3 * np.arange(spec.n_max + 1)
+    excited = np.sort(np.concatenate([ground + 1, ground + 2]))
+    solver._invariant_block(leaky, ground, excited, "G x FE")  # no product-block leak
+    with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
+        solver._readout_block(leaky, rows, cols)
+
+
+def test_readout_block_check_pairs_nonzeros_of_one_jump():
+    # the jump-pair leak split over two jumps, |g,0><g,0| and
+    # |f,0><e,0| + |g,1><g,1|: both act on a kept row, but neither takes a
+    # kept position anywhere, so the block is built
+    spec = HilbertSpec(3)
+    rows, cols = _thermal_readout_positions(spec)
+    factors = _thermal_factors(spec)
+    for pairs in ([(0, "g", 0, "g")], [(0, "f", 0, "e"), (1, "g", 1, "g")]):
+        jump = np.zeros((spec.dim, spec.dim))
+        for n, x, m, y in pairs:
+            jump[spec.index(n, x), spec.index(m, y)] = 1.0
+        factors = _with_jump(factors, jump)
+    assert solver._readout_block(factors, rows, cols).shape == (rows.size, rows.size)
+
+
 def _readout_slice_of_l0(params, spec):
     """The read-out block sliced out of the full probe-free L0 (the displaced
     one for a coherent pump), by vec index."""
@@ -758,9 +842,7 @@ def _readout_slice_of_l0(params, spec):
         l0 = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
         block = np.sort(np.concatenate([3 * m + dim * (3 * m + 2),
                                         3 * m[:-1] + dim * (3 * m[1:] + 1)]))
-    want = l0[block][:, block].tocsr()
-    want.sort_indices()
-    return want
+    return l0[block][:, block].toarray()
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -770,10 +852,7 @@ def _readout_slice_of_l0(params, spec):
 def test_readout_block_is_an_exact_slice_of_l0(params):
     factors, state, _ = solver.probe_free_state(params, 8)
     got = solver._readout_system(params, factors, state.rho)[0]
-    want = _readout_slice_of_l0(params, factors.spec)
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got, _readout_slice_of_l0(params, factors.spec))
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -808,17 +887,22 @@ def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
-    """Record the size of every Liouvillian block assembled (the full space
-    included: every path goes through LindbladFactors.entries) and count the
-    sparse LUs and the LAPACK band LUs by matrix size, by wrapping them; no
-    wall clock involved."""
+    """Record the number of positions of every Liouvillian block assembled
+    (the full space included: every product block goes through
+    LindbladFactors.entries, the read-out block through
+    solver._readout_block) and count the sparse LUs and the LAPACK band LUs
+    by matrix size, by wrapping them; no wall clock involved."""
     calls = {"blocks": [], "splu": Counter(), "band_lu": Counter()}
-    entries, splu, zgbsv = liouvillian.LindbladFactors.entries, solver.spla.splu, \
-        solver.zgbsv
+    entries, readout_block = liouvillian.LindbladFactors.entries, solver._readout_block
+    splu, zgbsv = solver.spla.splu, solver.zgbsv
 
     def counting_entries(self, rows, cols):
         calls["blocks"].append(rows.size * cols.size)
         return entries(self, rows, cols)
+
+    def counting_readout_block(factors, rows, cols):
+        calls["blocks"].append(rows.size)
+        return readout_block(factors, rows, cols)
 
     def counting_splu(matrix, *args, **kwargs):
         calls["splu"][matrix.shape[0]] += 1
@@ -829,6 +913,7 @@ def _count_assemblies_and_lus(monkeypatch) -> dict:
         return zgbsv(kl, ku, ab, *args, **kwargs)
 
     monkeypatch.setattr(liouvillian.LindbladFactors, "entries", counting_entries)
+    monkeypatch.setattr(solver, "_readout_block", counting_readout_block)
     monkeypatch.setattr(solver.spla, "splu", counting_splu)
     monkeypatch.setattr(solver, "zgbsv", counting_zgbsv)
     return calls
@@ -855,14 +940,15 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
 @pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
                          ids=["thermal", "coherent"])
 def test_linear_response_spectrum_assemblies(monkeypatch, pump):
-    # the 7^2 cavity block, then |g><{f,e}| (7 x 14) for a thermal pump or
-    # the displaced |g,0><{f,e}| (1 x 14) for a coherent one; never D^2 = 441.
-    # No sparse LU: a coherent pump band-factors the cavity block once
+    # the 7^2 cavity block, then the dense read-out block on its 13 kept
+    # positions for a thermal pump or the displaced |g,0><{f,e}| (14) for a
+    # coherent one; never D^2 = 441. No sparse LU: a coherent pump
+    # band-factors the cavity block once
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     coherent = params.Omega > 0.0
-    assert calls["blocks"] == [49, 14 if coherent else 98]
+    assert calls["blocks"] == [49, 14 if coherent else 13]
     assert calls["splu"] == {}
     assert calls["band_lu"][49] == int(coherent)
 
