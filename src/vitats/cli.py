@@ -214,17 +214,26 @@ def _sweep(system: dict, key: str, values) -> list[tuple[float, SystemParams]]:
             for v in values]
 
 
+def _truncation_notes(report, prefix: str = "") -> list[str]:
+    """The sidecar note of a truncation report that did not converge, as
+    probe_spectrum words it, after prefix."""
+    return [] if report.converged else [f"{prefix}TruncationNotConverged: {report.message}"]
+
+
 def _population_sweep(system: dict, key: str, values, n_max: int,
                       echo: tuple[str, ...] = ()):
-    """(first params, rows) with one row per sweep value: the value, the
-    params attributes named in echo, and P_0..P_3 of the probe-free state."""
+    """(first params, rows, notes) with one row per sweep value: the value,
+    the params attributes named in echo, and P_0..P_3 of the probe-free
+    state; each truncation note is prefixed with its sweep value, as in a
+    swept spectrum."""
     runs = _sweep(system, key, values)
-    rows = []
+    rows, notes = [], []
     for value, params in runs:
-        _, state, _ = probe_free_state(params, n_max)
+        _, state, report = probe_free_state(params, n_max)
         rows.append([value, *(getattr(params, name) for name in echo),
                      *(float(p) for p in _populations(state).p_n[:4])])
-    return runs[0][1], rows
+        notes.extend(_truncation_notes(report, f"{key}={value!r}: "))
+    return runs[0][1], rows, notes
 
 
 def _resolve(args, run: dict, key: str, default):
@@ -319,10 +328,11 @@ def _cmd_populations(args) -> int:
 
     if sweep is None:
         params = params_from_config(system)
-        _, state, _ = probe_free_state(params, n_max)
+        _, state, report = probe_free_state(params, n_max)
         table = _populations(state)
         md = _metadata(params, method="steady_state", n_max=n_max,
-                       residuals=[state.residual_norm])
+                       residuals=[state.residual_norm],
+                       notes=_truncation_notes(report))
         rows = [(n, p) for n, p in enumerate(table.p_n)]
         _emit(output, fmt, md, ["n", "P_n"], rows)
         joint_rows = [(n, level, table.joint[(n, level)])
@@ -336,8 +346,8 @@ def _cmd_populations(args) -> int:
         return 0
 
     key, values = sweep
-    base, rows = _population_sweep(system, key, values, n_max)
-    md = _metadata(base, method="steady_state", n_max=n_max,
+    base, rows, notes = _population_sweep(system, key, values, n_max)
+    md = _metadata(base, method="steady_state", n_max=n_max, notes=notes,
                    extra={"sweep_key": key, "sweep_values": values})
     _emit(output, fmt, md, ["sweep_value", *_P_COLUMNS], rows)
     return 0
@@ -392,8 +402,8 @@ def _poles_job(outdir: Path, n_max, *, system: dict, key: str, values,
 def _populations_job(outdir: Path, n_max: int, *, system: dict, key: str, values,
                      name: str, echo: tuple[str, ...] = (),
                      extra: dict | None = None) -> None:
-    base, rows = _population_sweep(system, key, values, n_max, echo)
-    md = _metadata(base, method="steady_state", n_max=n_max,
+    base, rows, notes = _population_sweep(system, key, values, n_max, echo)
+    md = _metadata(base, method="steady_state", n_max=n_max, notes=notes,
                    extra={"sweep_key": key, "sweep_points": len(values),
                           **(extra or {})})
     _emit(outdir / name, "csv", md, [key, *echo, *_P_COLUMNS], rows)

@@ -30,25 +30,34 @@ assembled, from L0's D x D Hilbert-space factors
 (liouvillian.LindbladFactors), and its invariance is checked on those
 factors. For a thermal pump or the vacuum the block is a thermally damped
 oscillator whose truncation keeps detailed balance, so rho_cav is the
-truncated Bose state in closed form, unique for kappa > 0; no LU runs. A
-coherent pump needs a solve: the normalized truncated coherent state is
-not the truncated model's steady state (at Omega = 1.5, n_max = 20 it
-leaves a residual of 2.2e-6, above the 4e-8 tolerance, with a tail of
-only 2.5e-9). With the entries |m><n| ordered by diagonal offset n - m,
-then by min(m, n), the trace-completed block is banded with
-(kl, ku) = (k, k), k = n_max + 1: the drive, decay and detuning move
-|m><n| by one photon at most, and the diagonal entries of the trace row
-are contiguous. It takes one LAPACK band LU (zgbsv), with the uniqueness
-probe as a second right-hand side. The band holds (3k + 1) k^2 complex
-numbers (0.45 MB at n_max = 20, 11 MB at 60, 50 MB at 100) and costs
-O(k^4) time: 2-3x faster than SuperLU on this block at n_max = 20, on par
-near 60, and from 1.2x faster to 1.25x slower at 100, depending on the
-host. Either way, ||L_GG vec(rho_cav)|| is rho0's full-L0 residual and
-must pass the same tolerance. kappa = 0 is refused up front: the block is
+truncated Bose state in closed form, unique for kappa > 0; no LU runs.
+Under a coherent pump the spectrum's read-out needs no lab-frame state: in
+the frame displaced by the cavity amplitude alpha the drive cancels, the
+probe-free state is exactly |g,0><g,0|, and its photon statistics are
+Poisson in |alpha|^2 (_displaced_probe_free_state). That state is gated by
+its residual in the displaced L0, computed from column 0 of the factors,
+and its truncation is reported as the Poisson tail; no cavity block is
+assembled and no LU runs. populations, check_truncation_convergence and
+finite_epsilon keep the lab-frame probe_free_state, whose coherent
+rho_cav takes a solve: the normalized truncated coherent state is not the
+truncated model's steady state (at Omega = 1.5, n_max = 20 it leaves a
+residual of 2.2e-6, above the 4e-8 tolerance, with a tail of only 2.5e-9).
+With the entries |m><n| ordered by diagonal offset n - m, then by
+min(m, n), the trace-completed block is banded with (kl, ku) = (k, k),
+k = n_max + 1: the drive, decay and detuning move |m><n| by one photon at
+most, and the diagonal entries of the trace row are contiguous. It takes
+one LAPACK band LU (zgbsv), with the uniqueness probe as a second
+right-hand side. The band holds (3k + 1) k^2 complex numbers (0.45 MB at
+n_max = 20, 11 MB at 60, 50 MB at 100) and costs O(k^4) time: 2-3x faster
+than SuperLU on this block at n_max = 20, on par near 60, and from 1.2x
+faster to 1.25x slower at 100, depending on the host. Either way,
+||L_GG vec(rho_cav)|| is rho0's full-L0 residual and must pass the same
+tolerance. kappa = 0 is refused up front in either frame: the block is
 then Hamiltonian and has no unique steady state.
 Unless f and e both drain to g, L0's {f, e} block is assembled from the
 factors as well, and the same singular-value bound on it rules out a steady
-state there. So outside the oracles the full D^2 x D^2 L0 is never built.
+state there; both frames share this check (_probe_free_factors). So
+outside the oracles the full D^2 x D^2 L0 is never built.
 """
 
 from __future__ import annotations
@@ -348,15 +357,13 @@ def truncation_report(state: SteadyState) -> TruncationReport:
                             converged=tail < _TAIL_TOL)
 
 
-def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
-                     what: str) -> sp.csr_matrix:
-    """L on the product block rows x cols (LindbladFactors.entries), after
-    checking that L maps no element of it elsewhere (else SolverFailure).
-
-    The block is checked on the D x D factors: for rho supported on R x C,
-    M rho stays there iff M[R^c, R] = 0 and rho N iff N[C, C^c] = 0;
-    c rho c^dag leaves it iff c[R^c, R] and c[:, C] are both nonzero, or
-    c[:, R] and c[C^c, C] are.
+def _require_invariant(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
+                       what: str) -> None:
+    """SolverFailure unless L maps no element of the product block
+    rows x cols out of it, checked on the D x D factors: for rho supported
+    on R x C, M rho stays there iff M[R^c, R] = 0 and rho N iff
+    N[C, C^c] = 0; c rho c^dag leaves it iff c[R^c, R] and c[:, C] are both
+    nonzero, or c[:, R] and c[C^c, C] are.
     """
     dim = factors.spec.dim
     out_rows = np.ones(dim, dtype=bool)
@@ -370,6 +377,13 @@ def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarra
             or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
             or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any():
         raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
+
+
+def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
+                     what: str) -> sp.csr_matrix:
+    """L on the product block rows x cols (LindbladFactors.block), after
+    _require_invariant."""
+    _require_invariant(factors, rows, cols, what)
     return factors.block(rows, cols)
 
 
@@ -410,16 +424,45 @@ def _bose_state(n_th: float, n_max: int) -> np.ndarray:
     return np.diag(weights / weights.sum()).astype(complex)
 
 
+def _probe_free_factors(params: SystemParams, n_max: int) -> LindbladFactors:
+    """The lab-frame LindbladFactors of L0 after the uniqueness checks that
+    both frames of the probe-free state share.
+
+    kappa = 0 leaves the |g><g| block Hamiltonian, so every function of the
+    cavity Hamiltonian is steady: NonUniqueSteadyState before anything is
+    built. A steady state that keeps the atom in {f, e} is ruled out when f
+    and e both drain to g (gamma_fg > 0 and gamma_eg + gamma_ef > 0), and
+    checked on L0's {f, e} block otherwise (_check_excited_sector_decays).
+    """
+    spec = HilbertSpec(n_max)
+    if params.kappa == 0.0:
+        raise NonUniqueSteadyState(
+            "steady state not unique: kappa = 0 leaves the cavity undamped, so "
+            "every function of its Hamiltonian is steady on the |g><g| block")
+    factors = factors_at(params, 0.0, spec, epsilon=0.0)
+    gamma = params.gamma
+    if not (gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0):
+        _check_excited_sector_decays(factors)
+    return factors
+
+
+def _warn_unless_converged(report: TruncationReport) -> None:
+    """TruncationNotConverged unless the report's tail converged, attributed
+    to the caller of the public function that made the report."""
+    if not report.converged:
+        warnings.warn(report.message, TruncationNotConverged, stacklevel=4)
+
+
 def probe_free_state(params: SystemParams, n_max: int):
     """(LindbladFactors of L0, steady state, TruncationReport) without the
-    probe.
+    probe, in the lab frame.
 
     Without the probe nothing leaves |g>, so rho0 = |g><g| (x) rho_cav with
     rho_cav the steady state of L0 on its invariant |g,m><g,n| block, which
     is assembled on its own from L0's Hilbert-space factors (the full
-    D^2 x D^2 L0 is never built).
-    kappa = 0 leaves that block Hamiltonian, so every function of the cavity
-    Hamiltonian is steady: NonUniqueSteadyState before anything is built.
+    D^2 x D^2 L0 is never built). _probe_free_factors refuses kappa = 0 and
+    any steady state that keeps the atom in {f, e}, so rho0 is unique iff
+    rho_cav is.
     For a thermal pump or the vacuum (Omega = 0), rho_cav is the truncated
     Bose state (_bose_state), unique for kappa > 0 because the truncated a
     generates the whole matrix algebra; no LU runs. A coherent pump solves
@@ -430,38 +473,28 @@ def probe_free_state(params: SystemParams, n_max: int):
     (residual 2.2e-6 at Omega = 1.5, n_max = 20, above the 4e-8 tolerance,
     with a tail of only 2.5e-9).
     So under a coherent pump the populations P_n come from the truncated
-    master equation in the lab frame, while the spectrum's read-out works
-    in the displaced frame (_readout_system). The largest relative gap
-    between P_0..P_3 and the normalized truncated coherent state (eta 80,
-    kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig. 8a's sweep
-    (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and 3.3e-8 at
-    Omega = 1.5, n_max = 16, where the tail of 4.5e-6 already warns.
-    rho0 is unique iff rho_cav is and no steady state keeps the atom in
-    {f, e}; that sector is checked unless f and e both drain to g
-    (gamma_fg > 0 and gamma_eg + gamma_ef > 0), which rules such states
-    out. rho0 vanishes outside the invariant block, so its full-L0 residual
-    is the block's ||L_GG vec(rho_cav)||; SolverFailure unless that is
-    within steady_state's tolerance for the block, whichever way rho_cav
-    was obtained. Warns (TruncationNotConverged) unless the tail mass
+    master equation in the lab frame, while a linear-response spectrum
+    never calls this function: it reads out in the displaced frame, from
+    the displaced vacuum (_displaced_probe_free_state). The largest
+    relative gap between P_0..P_3 and the normalized truncated coherent
+    state (eta 80, kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig.
+    8a's sweep (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and
+    3.3e-8 at Omega = 1.5, n_max = 16, where the tail of 4.5e-6 already
+    warns.
+    rho0 vanishes outside the invariant block, so its full-L0 residual is
+    the block's ||L_GG vec(rho_cav)||; SolverFailure unless that is within
+    steady_state's tolerance for the block, whichever way rho_cav was
+    obtained. Warns (TruncationNotConverged) unless the tail mass
     converged.
     """
     params = validate_params(params)
-    spec = HilbertSpec(n_max)
-    if params.kappa == 0.0:
-        raise NonUniqueSteadyState(
-            "steady state not unique: kappa = 0 leaves the cavity undamped, so "
-            "every function of its Hamiltonian is steady on the |g><g| block")
-    factors = factors_at(params, 0.0, spec, epsilon=0.0)
+    factors = _probe_free_factors(params, n_max)
     ground = 3 * np.arange(n_max + 1)
     cavity = _invariant_block(factors, ground, ground, "the |g><g| block")
     if params.Omega > 0.0:
         rho_cav = _banded_cavity_solve(cavity, n_max + 1)
     else:
         rho_cav = _bose_state(params.n_th, n_max)
-    gamma = params.gamma
-    drains = gamma[("f", "g")] > 0 and gamma[("e", "g")] + gamma[("e", "f")] > 0
-    if not drains:
-        _check_excited_sector_decays(factors)
     residual = float(np.linalg.norm(cavity @ vec(rho_cav)))
     if not residual <= _residual_tol(cavity):  # also catches a non-finite value
         raise SolverFailure(f"factorized probe-free state leaves residual "
@@ -471,8 +504,7 @@ def probe_free_state(params: SystemParams, n_max: int):
     state = SteadyState(rho=np.kron(rho_cav, ground_atom), residual_norm=residual,
                         n_max=n_max, converged=True)
     report = truncation_report(state)
-    if not report.converged:
-        warnings.warn(report.message, TruncationNotConverged, stacklevel=3)
+    _warn_unless_converged(report)
     return factors, state, report
 
 
@@ -514,6 +546,68 @@ def _displaced_generator(params: SystemParams,
     return replace(factors, m=factors.m + (0 - 1j) * shift, n=factors.n + 1j * shift)
 
 
+def _displaced_vacuum_residual(factors: LindbladFactors) -> float:
+    """||L vec(|g,0><g,0|)|| of the generator with these factors, from their
+    column 0 alone: L |0><0| = M[:, 0] <0| + |0> N[0, :] + sum_c c[:, 0]
+    c[:, 0]^dag."""
+    column = factors.jumps[:, :, 0]
+    residual = (column.T @ column.conj()).astype(complex)  # the jumps may be real
+    residual[:, 0] += factors.m[:, 0]
+    residual[0, :] += factors.n[0, :]
+    return float(np.linalg.norm(residual))
+
+
+def _poisson_tail(log_mean: float, n_max: int) -> float:
+    """The weight above photon number n_max - 5 of the Poisson distribution
+    of mean exp(log_mean), truncated at n_max and normalized there. The
+    weights are formed as logarithms, so no mean under- or overflows."""
+    n = np.arange(n_max + 1)
+    log_weights = n * log_mean - np.cumsum(np.log(np.maximum(n, 1)))
+    weights = np.exp(log_weights - log_weights.max())
+    return float(weights[max(0, n_max - 5) + 1:].sum() / weights.sum())
+
+
+def _displaced_probe_free_state(params: SystemParams, n_max: int):
+    """(displaced LindbladFactors, steady state, TruncationReport) of a
+    coherently pumped L0 without the probe, in the frame displaced by
+    alpha = -i Omega/(kappa + i dd) (_displaced_generator), where the drive
+    cancels and the probe-free state is exactly rho0' = |g,0><g,0|.
+
+    No cavity block is assembled and no LU runs. The uniqueness checks are
+    probe_free_state's (_probe_free_factors, on the lab factors): kappa > 0
+    then makes |0><0| the unique steady state of the undriven, damped
+    cavity, as for the thermal closed form, since the truncated a generates
+    the whole matrix algebra. On the displaced factors, _require_invariant
+    checks that the |g><g| block is invariant, and rho0' must leave a
+    residual ||L' vec(rho0')|| (_displaced_vacuum_residual) within
+    1e-9 max(1, _l0_scale) or SolverFailure; the exact state leaves zero up
+    to rounding, so a wrong alpha fails here. The truncation report is the
+    tail of the lab-frame state |alpha><alpha|: the normalized truncated
+    Poisson weights of |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5
+    (_poisson_tail). Warns (TruncationNotConverged) unless it converged.
+    """
+    params = validate_params(params)
+    factors = _displaced_generator(params, _probe_free_factors(params, n_max))
+    ground = 3 * np.arange(n_max + 1)
+    _require_invariant(factors, ground, ground, "the |g><g| block")
+    residual = _displaced_vacuum_residual(factors)
+    tol = 1e-9 * max(1.0, _l0_scale(factors))
+    if not residual <= tol:  # also catches a non-finite value
+        raise SolverFailure(f"displaced probe-free state leaves residual "
+                            f"{residual:.3e} in the displaced L0, above {tol:.3e}")
+    rho = np.zeros((factors.spec.dim, factors.spec.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    # |alpha|^2 = Omega^2/(kappa^2 + dd^2), by its logarithm
+    tail = _poisson_tail(
+        2.0 * (math.log(params.Omega) - math.log(math.hypot(params.kappa,
+                                                            params.pump_detuning))),
+        n_max)
+    report = TruncationReport(n_max=n_max, tail_mass=tail, converged=tail < _TAIL_TOL)
+    _warn_unless_converged(report)
+    return factors, SteadyState(rho=rho, residual_norm=residual, n_max=n_max,
+                                converged=True), report
+
+
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
                    cols: np.ndarray) -> np.ndarray:
     """L, dense, on the positions |r_k><c_k| = |rows[k]><cols[k]| in vec order:
@@ -539,21 +633,23 @@ def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.nda
     """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
     invariant block of |g,m><x,n| coherences (x in {f, e}) holding the
     read-out (_readout_block), where dL/dDelta = +i; the source b = i[V, rho0]
-    on it; the read-out positions. factors are the lab-frame L0's.
-    Thermal pump or vacuum: |g,m><e,m| and |g,m><f,m+1| in vec order, with
-    b = -i P_m on |g,m><e,m|. Coherent pump: in the displaced frame of
-    _displaced_generator, rho0 = |g,0><g,0|, the block is |g,0><{f, e}|, and
-    chi is its |g,0><e,0| element (b = -i): the displacement keeps the trace."""
+    on it, -i rho0[g_m, g_m] on each read-out position |g,m><e,m|; the
+    read-out positions. factors and rho0 are L0's and its probe-free state
+    in the frame the block lives in, taken as given.
+    Thermal pump or vacuum, lab frame: |g,m><e,m| and |g,m><f,m+1| in vec
+    order, with b = -i P_m on |g,m><e,m|. Coherent pump, the displaced frame
+    of _displaced_probe_free_state: rho0 = |g,0><g,0|, the block is
+    |g,0><{f, e}|, and chi is its |g,0><e,0| element (b = -i): the
+    displacement keeps the trace."""
     m = np.arange(factors.spec.n_max + 1)
     if params.Omega > 0.0:
-        factors = _displaced_generator(params, factors)
         rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
-        out, weights = np.array([1]), 1.0
+        out = np.array([1])
     else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max
         rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
-        out, weights = 2 * m, np.diag(rho0)[3 * m].real
+        out = 2 * m
     rhs = np.zeros(rows.size, dtype=complex)
-    rhs[out] = -1j * weights
+    rhs[out] = -1j * np.diag(rho0)[rows[out]].real
     return _readout_block(factors, rows, cols), rhs, out
 
 
@@ -637,7 +733,12 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     methods truncate the cavity at n_max and warn (TruncationNotConverged)
     when the probe-free steady state leaves > 1e-8 population near the
     cutoff. workers is accepted and ignored: every solve runs in this
-    process.
+    process. linear_response reads out in the lab frame from
+    probe_free_state's rho0 for a thermal pump or the vacuum, and under a
+    coherent pump in the displaced frame from the displaced vacuum
+    (_displaced_probe_free_state), whose tail is the Poisson tail of
+    |alpha|^2; no lab-frame cavity solve runs there. finite_epsilon checks
+    uniqueness and the tail on probe_free_state, in the lab frame.
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -661,7 +762,9 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    factors, state, report = probe_free_state(params, n_max)
+    displaced = method == "linear_response" and params.Omega > 0.0
+    factors, state, report = (_displaced_probe_free_state if displaced
+                              else probe_free_state)(params, n_max)
     if not report.converged:
         notes.append(f"TruncationNotConverged: {report.message}")
 

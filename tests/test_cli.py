@@ -534,6 +534,30 @@ def test_populations_truncation_warning_on_stderr(tmp_path, capsys):
     assert "warning:" in err and "tail mass" in err
 
 
+def test_populations_sidecar_records_truncation_warnings(tmp_path, capsys):
+    # the sidecar keeps the truncation note that stderr prints: prefixed
+    # with its value in a sweep, as a swept spectrum's sidecar does, and
+    # bare in a single run
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "n_th": 0.5, "n_max": 3,
+        "output": str(tmp_path / "sweep.csv"), "sweep_key": "eta",
+        "sweep_values": [1, 2]})
+    assert cli.main(["populations", "--config", cfg]) == 0
+    assert capsys.readouterr().err.count("warning: steady-state tail mass") == 2
+    notes = json.loads((tmp_path / "sweep.csv.meta.json").read_text("utf-8"))["warnings"]
+    assert [note.split(": ", 1)[0] for note in notes] == ["eta=1.0", "eta=2.0"]
+    assert all(note.split(": ", 1)[1].startswith("TruncationNotConverged: steady-state "
+                                                 "tail mass ") for note in notes)
+
+    cfg = _write_config(tmp_path, "one.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "n_th": 0.5, "n_max": 3,
+        "eta": 1.0, "output": str(tmp_path / "one.csv")})
+    assert cli.main(["populations", "--config", cfg]) == 0
+    capsys.readouterr()
+    notes = json.loads((tmp_path / "one.csv.meta.json").read_text("utf-8"))["warnings"]
+    assert notes == [notes[0]] and notes[0].startswith("TruncationNotConverged: ")
+
+
 def test_reproduce_pole_trajectories(tmp_path, capsys):
     outdir = tmp_path / "bundle"
     assert cli.main(["reproduce", "4cd", "--output", str(outdir)]) == 0

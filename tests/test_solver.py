@@ -579,6 +579,17 @@ def test_readout_block_matches_lab_frame_reference_randomized(
     _assert_matches_lab_frame(params, grid=np.linspace(-8, 8, 9))
 
 
+def _readout_frame(params, n_max):
+    """(factors, rho0) of the probe-free L0 in the frame the read-out block
+    lives in: the lab frame (probe_free_state) for a thermal pump or the
+    vacuum, the displaced one (_displaced_probe_free_state) for a coherent
+    pump."""
+    frame = (solver._displaced_probe_free_state if params.Omega > 0.0
+             else solver.probe_free_state)
+    factors, state, _ = frame(params, n_max)
+    return factors, state.rho
+
+
 def _assert_readout_band_is_narrow(params, n_max=10):
     """The read-out block's (kl, ku), read from its nonzeros, is exactly
     (2, 2) for a thermal pump, (1, 2) for the vacuum and (1, 1) for the
@@ -586,8 +597,8 @@ def _assert_readout_band_is_narrow(params, n_max=10):
     sigma_ef shift) gives the offsets +-1, which vanish at eta = 0, and a
     and a^dag of the lab-frame block give +2 and -2. A wider band would make
     each grid point cost more."""
-    sop, state, _ = solver.probe_free_state(params, n_max)
-    rows, cols = np.nonzero(solver._readout_system(params, sop, state.rho)[0])
+    rows, cols = np.nonzero(solver._readout_system(params,
+                                                   *_readout_frame(params, n_max))[0])
     bands = (int((rows - cols).max()), int((cols - rows).max()))
     coupled = int(params.eta > 0.0)
     if params.Omega > 0.0:
@@ -626,8 +637,7 @@ def _dense_batched_readout(a, rhs, out, grid):
                          ids=["vacuum", "thermal", "coherent", "coherent-detuned",
                               "full-gamma-map"])
 def test_band_readout_matches_dense_batched_solve(params):
-    sop, state, _ = solver.probe_free_state(params, 12)
-    system = solver._readout_system(params, sop, state.rho)
+    system = solver._readout_system(params, *_readout_frame(params, 12))
     grid = np.linspace(-120, 120, 241)
     chi, _ = solver._readout_response(*system, grid)
     np.testing.assert_allclose(chi, _dense_batched_readout(*system, grid),
@@ -641,8 +651,7 @@ def test_band_readout_matches_dense_batched_solve(params):
 def test_readout_residual_has_the_bits_of_a_csr_matvec(params):
     # the residuals (and the sidecars' residual_max) keep the bits of the
     # former CSR residual, computed here on the same band solution
-    sop, state, _ = solver.probe_free_state(params, 12)
-    a, rhs, out = solver._readout_system(params, sop, state.rho)
+    a, rhs, out = solver._readout_system(params, *_readout_frame(params, 12))
     grid = np.linspace(-120, 120, 241)
     kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T
@@ -731,11 +740,12 @@ def test_readout_block_rejects_a_leaking_generator():
     with pytest.raises(SolverFailure, match="leaks"):
         solver._readout_system(thermal, driven, state.rho)
 
-    # the displaced frame: a g-e coupling in the lab factors it shifts
+    # the displaced frame: a g-e coupling in the factors it shifts
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
-    _, state, _ = solver.probe_free_state(coherent, 4)
-    probed = factors_at(coherent, 0.0, spec, epsilon=0.3)
+    _, state, _ = solver._displaced_probe_free_state(coherent, 4)
+    probed = solver._displaced_generator(coherent,
+                                         factors_at(coherent, 0.0, spec, epsilon=0.3))
     with pytest.raises(SolverFailure, match="leaks"):
         solver._readout_system(coherent, probed, state.rho)
 
@@ -850,9 +860,8 @@ def _readout_slice_of_l0(params, spec):
                          ids=["vacuum", "thermal", "coherent", "coherent-detuned",
                               "full-gamma-map"])
 def test_readout_block_is_an_exact_slice_of_l0(params):
-    factors, state, _ = solver.probe_free_state(params, 8)
-    got = solver._readout_system(params, factors, state.rho)[0]
-    assert np.array_equal(got, _readout_slice_of_l0(params, factors.spec))
+    got = solver._readout_system(params, *_readout_frame(params, 8))[0]
+    assert np.array_equal(got, _readout_slice_of_l0(params, HilbertSpec(8)))
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -877,13 +886,13 @@ def test_readout_points_independent_of_batching(params):
     SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
 ], ids=["thermal", "coherent"])
 def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
-    # a coherent pump band-factors the 49-dim cavity block of the probe-free
-    # state, a thermal one takes the closed form; the whole grid takes one
-    # band LU of 101 read-out blocks (14 dims displaced, 13 thermal)
+    # no cavity LU: a thermal pump takes the closed form, a coherent one the
+    # displaced vacuum; the whole grid takes one band LU of 101 read-out
+    # blocks (14 dims displaced, 13 thermal)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     assert calls["splu"] == {}
-    assert calls["band_lu"] == ({49: 1, 1414: 1} if params.Omega > 0.0 else {1313: 1})
+    assert calls["band_lu"] == ({1414: 1} if params.Omega > 0.0 else {1313: 1})
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
@@ -940,30 +949,138 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
 @pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
                          ids=["thermal", "coherent"])
 def test_linear_response_spectrum_assemblies(monkeypatch, pump):
-    # the 7^2 cavity block, then the dense read-out block on its 13 kept
-    # positions for a thermal pump or the displaced |g,0><{f,e}| (14) for a
-    # coherent one; never D^2 = 441. No sparse LU: a coherent pump
-    # band-factors the cavity block once
+    # a thermal pump: the 7^2 cavity block for the residual gate, then the
+    # dense read-out block on its 13 kept positions; a coherent pump: only
+    # the displaced |g,0><{f,e}| (14), its probe-free state gated on the
+    # factors; never D^2 = 441. No sparse LU, and no cavity band LU
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
-    coherent = params.Omega > 0.0
-    assert calls["blocks"] == [49, 14 if coherent else 13]
+    assert calls["blocks"] == ([14] if params.Omega > 0.0 else [49, 13])
     assert calls["splu"] == {}
-    assert calls["band_lu"][49] == int(coherent)
+    assert calls["band_lu"][49] == 0
+
+
+def _not_unique(call) -> bool:
+    """Whether call() raises NonUniqueSteadyState (any other outcome but a
+    return propagates)."""
+    try:
+        call()
+    except NonUniqueSteadyState:
+        return True
+    return False
+
+
+# kappa is 0 (refused as not unique) or starts at 0.01, for the reason
+# given above; f or e may keep its population (no decay to g), so the
+# {f, e} sector check runs
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({pair: _zero_or(0.2, 10.0) for pair in (
+           ("e", "g"), ("e", "f"), ("e", "e"), ("f", "g"), ("f", "f"))}),
+       eta=_zero_or(0.5, 5.0), kappa=_zero_or(0.01, 5.0),
+       delta=_zero_or_signed(0.2, 3.0), omega=st.floats(0.1, 2.0),
+       pump_detuning=_zero_or_signed(0.2, 3.0), n_max=st.integers(1, 8))
+def test_displaced_spectrum_matches_the_lab_factors_readout(gamma, eta, kappa, delta,
+                                                           omega, pump_detuning, n_max):
+    # probe_spectrum reads out from the displaced vacuum without the
+    # lab-frame cavity solve; it must refuse exactly the systems that
+    # probe_free_state refuses, and otherwise give the bits of the read-out
+    # composed from probe_free_state's lab factors, displaced
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta,
+                          pump=CoherentPump(omega, pump_detuning))
+    grid = np.linspace(-8, 8, 9)
+    lab_refused = _not_unique(lambda: solver.probe_free_state(params, n_max))
+    assert _not_unique(lambda: probe_spectrum(params, grid, n_max=n_max)) == lab_refused
+    if lab_refused:
+        return
+    lab, _, _ = solver.probe_free_state(params, n_max)
+    vacuum = np.zeros((lab.spec.dim, lab.spec.dim))
+    vacuum[0, 0] = 1.0
+    want, _ = solver._readout_response(*solver._readout_system(
+        params, solver._displaced_generator(params, lab), vacuum), grid)
+    assert np.array_equal(probe_spectrum(params, grid, n_max=n_max).chi, want)
+
+
+def test_displaced_residual_gate_trips_on_a_wrong_alpha(monkeypatch):
+    # alpha for Omega 1% too large leaves the drive uncancelled, so
+    # |g,0><g,0| is no steady state of the displaced L0
+    displaced = solver._displaced_generator
+
+    def wrong_alpha(params, factors):
+        pump = CoherentPump(1.01 * params.Omega, params.pump_detuning)
+        return displaced(replace(params, pump=pump), factors)
+
+    monkeypatch.setattr(solver, "_displaced_generator", wrong_alpha)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                         pump=CoherentPump(Omega=0.5, pump_detuning=0.3))
+    with pytest.raises(SolverFailure, match="residual"):
+        probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
+
+
+def test_displaced_readout_rejects_a_leaking_generator(monkeypatch):
+    # an extra jump |f><g| takes |g,m><g,n| to |f,m><f,n|: the displaced
+    # path checks the |g><g| block on its factors, as the lab frame does
+    spec = HilbertSpec(3)
+    excite = np.zeros((spec.dim, spec.dim))
+    excite[3 * np.arange(spec.n_max + 1) + 1, 3 * np.arange(spec.n_max + 1)] = 1.0
+    jumps = liouvillian._dense_jumps
+    monkeypatch.setattr(liouvillian, "_dense_jumps",
+                        lambda params, spec: [*jumps(params, spec), excite])
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(0.5))
+    with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
+        probe_spectrum(params, np.linspace(-5, 5, 5), n_max=3)
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+def test_displaced_truncation_report_is_the_poisson_tail(n_max):
+    # |alpha|^2 = 0.64: the Poisson weights of n above n_max - 5 (n >= 1 at
+    # n_max 3, n >= 4 at n_max 8), normalized on n = 0..n_max
+    params = SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(0.8))
+    weights = [0.64 ** n / math.factorial(n) for n in range(n_max + 1)]
+    with pytest.warns(TruncationNotConverged):
+        _, state, report = solver._displaced_probe_free_state(params, n_max)
+    tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
+    assert report.tail_mass == pytest.approx(tail, rel=1e-12)
+    assert not report.converged and report.n_max == n_max
+    assert state.residual_norm <= 1e-15
+    with pytest.warns(TruncationNotConverged, match=f"tail mass {tail:.3e} above photon "
+                                                     f"number {max(0, n_max - 5)} exceeds"):
+        series = probe_spectrum(params, np.linspace(-5, 5, 3), n_max=n_max)
+    assert series.warnings == (f"TruncationNotConverged: {report.message}",)
+
+
+def test_displaced_vacuum_residual_is_the_full_space_residual():
+    # the residual from column 0 of the factors against ||L vec(|0><0|)||
+    # on the full superoperator, for random dense H and jumps
+    rng = np.random.default_rng(11)
+    spec = HilbertSpec(1)
+    vacuum = np.zeros((spec.dim, spec.dim))
+    vacuum[0, 0] = 1.0
+
+    def random_matrix():
+        return rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
+
+    for _ in range(20):
+        h = random_matrix()
+        factors = lindblad_factors(h + h.conj().T,
+                                   [random_matrix() for _ in range(rng.integers(1, 4))],
+                                   spec)
+        full = np.linalg.norm(factors.superoperator().matrix @ vec(vacuum))
+        assert solver._displaced_vacuum_residual(factors) == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 def test_excited_sector_check_assembles_only_the_fe_block(monkeypatch):
     # gamma_fg = 0 under a pump: the {f, e} sector check assembles and
     # factors only the {f, e} block of L0 (10 x 10 joint indices), the only
-    # LU (the thermal cavity state is closed-form); the full 225-dim L0 is
-    # never built
+    # LU (the thermal cavity state is closed-form), before the cavity block
+    # is built; the full 225-dim L0 is never built
     params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
                           pump=ThermalPump(0.3))
     calls = _count_assemblies_and_lus(monkeypatch)
     solver.probe_free_state(params, 4)
-    assert calls == {"blocks": [25, 100], "splu": {100: 1}, "band_lu": {}}
+    assert calls == {"blocks": [100, 25], "splu": {100: 1}, "band_lu": {}}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
