@@ -14,15 +14,16 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
 
-A steady-state solve replaces one diagonal row of a trace-preserving
-generator L with the trace functional and solves M x = e_r with one LU.
-M is nonsingular iff the kernel of L is one-dimensional, so uniqueness is
-checked on the same factor: one more solve M y = b with a seeded random b
-bounds the smallest singular value of M by |b|/|y|. steady_state solves
-the full D^2 space with a sparse LU (SuperLU), refusing a structurally
-singular M before it is factored; finite_epsilon, the time-domain
-cross-check and the tests use it as the independent oracle. In vec order
-the full L0 has no narrow band, so it never takes the band path below.
+A steady-state solve replaces row 0 of a trace-preserving generator L, that
+of the first diagonal element, with the trace functional and solves
+M x = e_0 with one LU. M is nonsingular iff the kernel of L is
+one-dimensional, so uniqueness is checked on the same factor: one more
+solve M y = b with a seeded random b bounds the smallest singular value
+of M by |b|/|y|. steady_state solves the full D^2 space with a sparse LU
+(SuperLU), refusing a structurally singular M before it is factored;
+finite_epsilon, the time-domain cross-check and the tests use it as the
+independent oracle. In vec order the full L0 has no narrow band, so it
+never takes the band path below.
 
 The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
 state of the (n_max+1)^2 |g,m><g,n| block of L0. Only that block is
@@ -170,21 +171,6 @@ class PeakSet:
     min_prominence: float
 
 
-def _replace_row(matrix: sp.csr_matrix, row: int, cols: np.ndarray,
-                 vals: np.ndarray) -> sp.csr_matrix:
-    """Return a copy of matrix with one row replaced by the given entries
-    (cols sorted)."""
-    m = matrix.tocsr()
-    start, stop = m.indptr[row], m.indptr[row + 1]
-    indptr = m.indptr.copy()
-    indptr[row + 1:] += len(cols) - (stop - start)
-    return sp.csr_matrix(
-        (np.concatenate([m.data[:start], np.asarray(vals, dtype=complex),
-                         m.data[stop:]]),
-         np.concatenate([m.indices[:start], cols, m.indices[stop:]]), indptr),
-        shape=m.shape)
-
-
 def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
     """Sparse LU of matrix. A structurally singular matrix (no perfect
     matching of rows to stored entries) is singular for every value of its
@@ -219,14 +205,16 @@ def _require_nonsingular(probe: np.ndarray, solution: np.ndarray, tol: float,
             f"steady state not unique: {what} has a singular value <= {bound:.3e}")
 
 
-def _trace_completed(lmat: sp.csr_matrix, dim: int) -> tuple[sp.csr_matrix, int]:
-    """(M, r): lmat with the row r of the first diagonal element replaced by
-    the trace functional. M x = e_r gives the trace-one kernel vector of
-    the trace-preserving lmat, and M is nonsingular iff that kernel is
+def _trace_completed(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+    """lmat with row 0, that of the first diagonal element, replaced by the
+    trace functional. M x = e_0 gives the trace-one kernel vector of the
+    trace-preserving lmat, and M is nonsingular iff that kernel is
     one-dimensional."""
-    diag_idx = trace_indices(dim)
-    row = int(diag_idx[0])
-    return _replace_row(lmat, row, diag_idx, np.ones(dim)), row
+    start = lmat.indptr[1]
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(dim, dtype=complex), lmat.data[start:]]),
+         np.concatenate([trace_indices(dim), lmat.indices[start:]]),
+         np.concatenate([[0], lmat.indptr[1:] + (dim - start)])), shape=lmat.shape)
 
 
 def _density_matrix(x: np.ndarray, dim: int) -> np.ndarray:
@@ -247,14 +235,14 @@ def _trace_completed_solve(lmat: sp.csr_matrix, dim: int, *,
     LU; when check_uniqueness, _require_nonsingular checks on the same
     factor that it is nonsingular, against lmat's residual tolerance.
     """
-    completed, row = _trace_completed(lmat, dim)
+    completed = _trace_completed(lmat, dim)
     what = "the trace-completed generator"
     lu = _factor(completed, what)
     if check_uniqueness:
         probe = _uniqueness_probe(dim * dim)
         _require_nonsingular(probe, lu.solve(probe), _residual_tol(lmat), what)
     rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[row] = 1.0
+    rhs[0] = 1.0
     return _density_matrix(lu.solve(rhs), dim)
 
 
@@ -288,15 +276,14 @@ def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int) -> np.ndarray:
     LAPACK band LU (zgbsv, partial pivoting), in _offset_order.
 
     The trace-completed block is factored once for two right-hand sides:
-    e_r, and the seeded probe of _require_nonsingular, whose sigma_min bound
+    e_0, and the seeded probe of _require_nonsingular, whose sigma_min bound
     is checked against the block's residual tolerance. An exactly singular
     factor raises NonUniqueSteadyState. For the cavity block of a coherent
     pump (kl, ku) = (k, k) with k = dim = n_max + 1, so the band holds
     (3k + 1) k^2 complex numbers and factoring it costs O(k^4) (see the
     module docstring for the crossover with SuperLU).
     """
-    completed, row = _trace_completed(cavity, dim)
-    coo = completed.tocoo()
+    coo = _trace_completed(cavity, dim).tocoo()
     order = _offset_order(dim)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -304,7 +291,7 @@ def _banded_cavity_solve(cavity: sp.csr_matrix, dim: int) -> np.ndarray:
                                  order.size)
     probe = _uniqueness_probe(order.size)
     rhs = np.zeros((order.size, 2), dtype=complex, order="F")
-    rhs[position[row], 0] = 1.0
+    rhs[position[0], 0] = 1.0
     rhs[:, 1] = probe[order]
     _, _, x, info = zgbsv(kl, ku, band, rhs, overwrite_ab=1, overwrite_b=1)
     what = "the trace-completed cavity block"
@@ -377,14 +364,6 @@ def _require_invariant(factors: LindbladFactors, rows: np.ndarray, cols: np.ndar
             or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
             or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any():
         raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
-
-
-def _invariant_block(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
-                     what: str) -> sp.csr_matrix:
-    """L on the product block rows x cols (LindbladFactors.block), after
-    _require_invariant."""
-    _require_invariant(factors, rows, cols, what)
-    return factors.block(rows, cols)
 
 
 def _l0_scale(factors: LindbladFactors) -> float:
@@ -471,7 +450,11 @@ def probe_free_state(params: SystemParams, n_max: int):
     min(m, n), where (kl, ku) = (n_max + 1, n_max + 1): the normalized
     truncated coherent state is not the truncated model's steady state
     (residual 2.2e-6 at Omega = 1.5, n_max = 20, above the 4e-8 tolerance,
-    with a tail of only 2.5e-9).
+    with a tail of only 2.5e-9). That rho_cav is unique for kappa > 0 by the
+    same argument, so a failed sigma_min bound or a zero pivot of the band
+    LU means the block is ill-conditioned at this drive (the tolerance
+    grows with max|L_GG|, so with Omega): SolverFailure, naming the bound
+    and the tolerance, not NonUniqueSteadyState.
     So under a coherent pump the populations P_n come from the truncated
     master equation in the lab frame, while a linear-response spectrum
     never calls this function: it reads out in the displaced frame, from
@@ -490,9 +473,19 @@ def probe_free_state(params: SystemParams, n_max: int):
     params = validate_params(params)
     factors = _probe_free_factors(params, n_max)
     ground = 3 * np.arange(n_max + 1)
-    cavity = _invariant_block(factors, ground, ground, "the |g><g| block")
+    _require_invariant(factors, ground, ground, "the |g><g| block")
+    cavity = factors.block(ground, ground)
     if params.Omega > 0.0:
-        rho_cav = _banded_cavity_solve(cavity, n_max + 1)
+        try:
+            rho_cav = _banded_cavity_solve(cavity, n_max + 1)
+        except NonUniqueSteadyState as exc:
+            # kappa > 0 makes rho_cav unique (see above), so a failed bound or
+            # a zero pivot means the block is ill-conditioned at this drive
+            reason = str(exc).removeprefix("steady state not unique: ")
+            raise SolverFailure(
+                f"lab-frame steady state ill-conditioned at this drive: {reason} "
+                f"(tolerance {_residual_tol(cavity):.3e}; kappa > 0 makes the "
+                f"state unique)") from None
     else:
         rho_cav = _bose_state(params.n_th, n_max)
     residual = float(np.linalg.norm(cavity @ vec(rho_cav)))
@@ -662,8 +655,9 @@ def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
     solves; its bandwidths are A's: (2, 2) thermal, (1, 2) vacuum, (1, 1)
     coherent. Pivoting never leaves a block, so no point's bits depend on the
     others. A singular point (the first zero pivot's block), or a residual
-    ||A x + i Delta x - b|| (A x summed as a CSR matvec would) above
-    1e-9 |b| max(1, max|A_ij| + |Delta|) raises SolverFailure."""
+    ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| + |Delta|)
+    raises SolverFailure. A x is summed diagonal by diagonal, elementwise, so
+    each point's residual is independent of the grid as well."""
     kl, ku, block = _band_storage(*np.nonzero(a != 0), a[a != 0], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T  # A's band per point, Fortran order
     band[kl + ku] += 1j * np.repeat(grid, rhs.size)  # the diagonal's row
@@ -673,15 +667,11 @@ def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
                             f"Delta={grid[(info - 1) // rhs.size]:g}")
     del band  # the factored band, freed before the residual's arrays
     x = x.reshape(grid.size, rhs.size)
-    x_re, x_im = np.ascontiguousarray(x.real.T), np.ascontiguousarray(x.imag.T)
-    ax = np.zeros((rhs.size, grid.size), dtype=complex)  # A x, a column per point
-    for offset in range(-kl, ku + 1):  # a CSR matvec's order and real roundings
+    ax = np.zeros_like(x)  # A x, a row per point, diagonal by diagonal
+    for offset in range(-kl, ku + 1):
         lo, hi = max(0, -offset), min(rhs.size, rhs.size - offset)
-        d, xr, xi = (v[lo + offset:hi + offset] for v in
-                     (block[kl + ku - offset, :, None], x_re, x_im))
-        ax.real[lo:hi] += d.real * xr - d.imag * xi
-        ax.imag[lo:hi] += d.real * xi + d.imag * xr
-    resid = np.linalg.norm(ax.T + 1j * grid[:, None] * x - rhs, axis=1)
+        ax[:, lo:hi] += np.diagonal(a, offset) * x[:, lo + offset:hi + offset]
+    resid = np.linalg.norm(ax + 1j * grid[:, None] * x - rhs, axis=1)
     # take keeps the rows C-contiguous, so each point is summed alone (numpy's
     # pairwise sum, as row.sum() would); x[:, out] comes out Fortran-ordered
     # and would be summed column by column, its bits depending on grid.size

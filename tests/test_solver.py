@@ -270,7 +270,8 @@ def test_banded_cavity_state_matches_full_space(omega, kappa, delta, pump_detuni
 def _cavity_block(params, n_max):
     ground = 3 * np.arange(n_max + 1)
     factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
-    return solver._invariant_block(factors, ground, ground, "G")
+    solver._require_invariant(factors, ground, ground, "G")
+    return factors.block(ground, ground)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -295,6 +296,36 @@ def test_banded_cavity_solve_matches_sparse_lu(monkeypatch, params, n_max):
     banded = solver._banded_cavity_solve(cavity, n_max + 1)
     assert np.abs(banded - sparse).max() <= 1e-14
     assert widths == [(n_max + 1, n_max + 1)]
+
+
+def _lil_trace_completed(lmat, dim):
+    """lmat with row 0 replaced by the trace functional, by LIL row surgery."""
+    ref = lmat.tolil()
+    ref.rows[0] = list(range(0, dim * dim, dim + 1))
+    ref.data[0] = [1.0] * dim
+    return ref.tocsr()
+
+
+@pytest.mark.parametrize("lmat, dim", [
+    (liouvillian_at(SystemParams.from_effective(5, 1, eta=2, kappa=0.2,
+                                                pump=ThermalPump(n_th=0.3)),
+                    0.0, HilbertSpec(3), epsilon=0.0).matrix, 12),
+    (liouvillian_at(SystemParams.from_effective(
+        5, 1, eta=4, kappa=1, delta=1.3, pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
+        0.0, HilbertSpec(3), epsilon=0.0).matrix, 12),
+    (_cavity_block(SystemParams.from_effective(
+        5, 1, eta=4, kappa=0.3, pump=CoherentPump(Omega=1.5, pump_detuning=-0.9)), 8), 9),
+], ids=["thermal-l0", "coherent-l0", "coherent-cavity"])
+def test_trace_completed_is_lil_row_replacement(lmat, dim):
+    completed = solver._trace_completed(lmat, dim)
+    reference = _lil_trace_completed(lmat, dim)
+    assert completed.shape == reference.shape
+    assert np.array_equal(completed.toarray(), reference.toarray())
+    # only row 0 differs from lmat, and it is the trace functional
+    assert np.array_equal(completed[1:].toarray(), lmat[1:].toarray())
+    assert np.array_equal(completed[0].toarray().ravel(),
+                          np.eye(dim).reshape(-1, order="F"))
+    assert not np.array_equal(completed[0].toarray(), lmat[0].toarray())
 
 
 def _decay_generator(rate: float, dim: int) -> sp.csr_matrix:
@@ -355,6 +386,31 @@ def test_truncation_check_refuses_a_non_unique_state():
                           pump=ThermalPump(n_th=0.0))
     with pytest.raises(NonUniqueSteadyState, match="the {f, e} block"):
         check_truncation_convergence(params, 8)
+
+
+def _large_drive(omega):
+    return SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                       pump=CoherentPump(Omega=omega, pump_detuning=0.5))
+
+
+def test_large_drive_is_ill_conditioned_not_non_unique(tmp_path, capsys):
+    # kappa > 0 makes the coherent cavity state unique at any drive; at
+    # Omega 1e12 the band LU's sigma_min bound fails against a tolerance that
+    # grows with max|L_GG|, so with Omega: the block is ill-conditioned
+    with pytest.raises(SolverFailure, match="ill-conditioned") as raised:
+        check_truncation_convergence(_large_drive(1e12), 6)
+    assert "singular value <= 3.718e+00" in str(raised.value)
+    assert "tolerance" in str(raised.value)
+    with pytest.warns(TruncationNotConverged):
+        report = check_truncation_convergence(_large_drive(1e6), 6)
+    assert report.tail_mass == pytest.approx(0.714, abs=5e-4)
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gamma_e": 5, "gamma_f": 1, "eta": 4, "kappa": 1,
+                               "Omega": 1e12, "pump_detuning": 0.5, "n_max": 6,
+                               "output": str(tmp_path / "p.csv")}), encoding="utf-8")
+    assert cli.main(["populations", "--config", str(cfg)]) == 4
+    assert "ill-conditioned" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pump", [None, ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
@@ -451,11 +507,12 @@ def test_cavity_block_rejects_a_leaking_generator(monkeypatch):
     spec = HilbertSpec(3)
     ground = 3 * np.arange(spec.n_max + 1)
     factors = factors_at(FIG5B, 0.0, spec, epsilon=0.0)
-    assert solver._invariant_block(factors, ground, ground, "G").shape == (16, 16)
+    solver._require_invariant(factors, ground, ground, "G")
+    assert factors.block(ground, ground).shape == (16, 16)
     excite = np.zeros((spec.dim, spec.dim))
     excite[ground + 1, ground] = 1.0
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._invariant_block(_with_jump(factors, excite), ground, ground, "G")
+        solver._require_invariant(_with_jump(factors, excite), ground, ground, "G")
 
     jumps = liouvillian._dense_jumps
     monkeypatch.setattr(liouvillian, "_dense_jumps",
@@ -648,18 +705,21 @@ def test_band_readout_matches_dense_batched_solve(params):
 @pytest.mark.parametrize("params", _ORACLE_SYSTEMS,
                          ids=["vacuum", "thermal", "coherent", "coherent-detuned",
                               "full-gamma-map"])
-def test_readout_residual_has_the_bits_of_a_csr_matvec(params):
-    # the residuals (and the sidecars' residual_max) keep the bits of the
-    # former CSR residual, computed here on the same band solution
+def test_readout_residual_is_that_of_the_dense_matrix(params):
+    # each residual is ||(A + i Delta I) x - b|| of the same band solution,
+    # with the dense A, to rounding, and within the gate's tolerance
     a, rhs, out = solver._readout_system(params, *_readout_frame(params, 12))
     grid = np.linspace(-120, 120, 241)
     kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T
     band[kl + ku] += 1j * np.repeat(grid, rhs.size)
     x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
-    want = np.linalg.norm((sp.csr_matrix(a) @ x.T).T + 1j * grid[:, None] * x - rhs,
-                          axis=1)
-    assert solver._readout_response(a, rhs, out, grid)[1].tobytes() == want.tobytes()
+    want = np.array([np.linalg.norm((a + 1j * delta * np.eye(rhs.size)) @ xk - rhs)
+                     for delta, xk in zip(grid, x)])
+    scale = np.maximum(1.0, np.abs(a).max() + np.abs(grid))
+    got = solver._readout_response(a, rhs, out, grid)[1]
+    assert np.all(np.abs(got - want) <= 1e-13 * scale * (1.0 + np.linalg.norm(x, axis=1)))
+    assert np.all(got <= 1e-9 * np.linalg.norm(rhs) * scale)
 
 
 def _singular_readout():
@@ -783,7 +843,7 @@ def test_product_block_check_catches_each_kind_of_leak(kind):
     ground = 3 * np.arange(spec.n_max + 1)
     excited = np.sort(np.concatenate([ground + 1, ground + 2]))
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._invariant_block(_factor_leak(kind, spec), ground, excited, "G x FE")
+        solver._require_invariant(_factor_leak(kind, spec), ground, excited, "G x FE")
 
 
 def _thermal_readout_positions(spec):
@@ -820,7 +880,8 @@ def test_readout_block_check_catches_each_kind_of_leak(kind):
     leaky = _readout_leak(kind, spec)
     ground = 3 * np.arange(spec.n_max + 1)
     excited = np.sort(np.concatenate([ground + 1, ground + 2]))
-    solver._invariant_block(leaky, ground, excited, "G x FE")  # no product-block leak
+    solver._require_invariant(leaky, ground, excited, "G x FE")  # no product-block leak
+    leaky.block(ground, excited)
     with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
         solver._readout_block(leaky, rows, cols)
 
