@@ -32,6 +32,7 @@ from .errors import (
     DegeneratePoles,
     DivisionDegenerate,
     NonzeroDetuning,
+    PreconditionError,
 )
 from .model import SystemParams, effective_rates, half_widths, validate_params
 
@@ -62,8 +63,12 @@ class ResonanceComponent:
     weight: complex
 
     def evaluate(self, Delta):
-        """R(Delta) = weight / (Delta - pole), vectorized over Delta."""
-        return self.weight / (np.asarray(Delta, dtype=float) - self.pole)
+        """R(Delta) = weight / (Delta - pole), vectorized over Delta; 0 for a
+        zero weight, also at a pole on the real axis."""
+        d = np.asarray(Delta, dtype=float)
+        if self.weight == 0:
+            return np.zeros(d.shape, dtype=complex)[()]  # [()]: a scalar for a scalar
+        return self.weight / (d - self.pole)
 
 
 class Regime(enum.Enum):
@@ -91,11 +96,23 @@ class RegimeReport:
     boundary_degenerate: bool = False
 
 
+def _square(value: float, name: str) -> float:
+    """value ** 2, or PreconditionError naming the parameter if it overflows."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise PreconditionError(f"{name} = {value:g} is too large: its square "
+                                f"overflows a float") from None
+
+
 def chi_vacuum(Delta, params: SystemParams):
     """Complex susceptibility of the unpumped (vacuum) system.
 
     Vectorized over Delta; returns a complex scalar for scalar input. Any
-    cavity detuning delta is allowed.
+    cavity detuning delta is allowed. At eta = 0 and gamma_f + kappa = 0 the
+    numerator and denominator share the factor Delta + delta/2, and chi is
+    the cancelled form -beta/(Delta - delta/2 + i gamma_e), finite there.
+    PreconditionError if eta^2 or delta^2 overflows.
     """
     params = validate_params(params)
     gamma_e, gamma_f = half_widths(params)
@@ -104,10 +121,13 @@ def chi_vacuum(Delta, params: SystemParams):
     if total == 0.0:
         raise DegenerateDamping("gamma_e + gamma_f + kappa = 0")
     g = gamma_f + kappa
-    big_c = (eta ** 2 + gamma_e * gamma_f + gamma_e * kappa + delta ** 2 / 4.0
-             + 0.5j * delta * (-gamma_e + g))
     d = np.asarray(Delta, dtype=float)
-    chi = params.beta * (d + delta / 2.0 + 1j * g) / (-d ** 2 - 1j * total * d + big_c)
+    if eta == 0.0 and g == 0.0:
+        chi = -params.beta / (d - delta / 2.0 + 1j * gamma_e)
+    else:
+        big_c = (_square(eta, "eta") + gamma_e * gamma_f + gamma_e * kappa
+                 + _square(delta, "delta") / 4.0 + 0.5j * delta * (-gamma_e + g))
+        chi = params.beta * (d + delta / 2.0 + 1j * g) / (-d ** 2 - 1j * total * d + big_c)
     return complex(chi) if np.isscalar(Delta) else chi
 
 
@@ -143,6 +163,7 @@ def poles(params: SystemParams) -> PolePair:
 
     Delta_{1,2} = [-i(gamma_e+gamma_f+kappa) +- sqrt(4 eta^2 - eta_T^2)] / 2,
     with the principal square root (negative discriminant gives +i sqrt|.|).
+    PreconditionError if eta^2 or eta_T^2 overflows.
     """
     params = validate_params(params)
     if params.delta != 0.0:
@@ -150,7 +171,7 @@ def poles(params: SystemParams) -> PolePair:
     gamma_e, gamma_f = half_widths(params)
     total = gamma_e + gamma_f + params.kappa
     eta_t = abs(gamma_f + params.kappa - gamma_e)
-    disc = 4.0 * params.eta ** 2 - eta_t ** 2
+    disc = 4.0 * _square(params.eta, "eta") - _square(eta_t, "eta_T")
     root = np.sqrt(complex(disc))
     return PolePair(
         delta_1=complex(-1j * total + root) / 2.0,
@@ -213,7 +234,7 @@ def classify_regime(params: SystemParams) -> RegimeReport:
     params = validate_params(params)
     if params.delta != 0.0:
         raise NonzeroDetuning("regime classification is defined only at delta = 0")
-    rates = effective_rates(params)  # raises DivisionDegenerate at gamma_f+kappa=0
+    rates = effective_rates(params)  # DivisionDegenerate unless gamma_R, eta_R finite
     gamma_r, eta_r = rates.gamma_R, rates.eta_R
     eta_d = 1.0 / math.sqrt(2.0 + gamma_r)
     eta_c = 0.5 * abs(1.0 - gamma_r)

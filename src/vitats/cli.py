@@ -72,10 +72,19 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _require_width(columns: list[str], rows) -> None:
+    """ValueError unless the first row has one cell per column name."""
+    if rows and len(rows[0]) != len(columns):
+        raise ValueError(f"{len(columns)} column names {columns} over rows of "
+                         f"{len(rows[0])} cells")
+
+
 def _write_csv(path: Path, columns: list[str], rows: list) -> None:
     """One row template, from the cell types of the first row; a column
     whose later cells format differently raises TypeError rather than be
-    printed with the wrong conversion (%d truncates a float)."""
+    printed with the wrong conversion (%d truncates a float), and a first
+    row of the wrong width raises ValueError (_require_width)."""
+    _require_width(columns, rows)
     lines = [",".join(columns)]
     if rows:
         formats = [_cell_format(type(cell)) for cell in rows[0]]
@@ -93,6 +102,7 @@ def _write_meta(path: Path, metadata: dict) -> None:
 
 
 def _write_json(path: Path, metadata: dict, columns: list[str], rows) -> None:
+    _require_width(columns, rows)
     doc = {"metadata": metadata,
            "columns": columns,
            "rows": [[None if cell is None else
@@ -349,7 +359,7 @@ def _cmd_populations(args) -> int:
     base, rows, notes = _population_sweep(system, key, values, n_max)
     md = _metadata(base, method="steady_state", n_max=n_max, notes=notes,
                    extra={"sweep_key": key, "sweep_values": values})
-    _emit(output, fmt, md, ["sweep_value", *_P_COLUMNS], rows)
+    _emit(output, fmt, md, ["sweep_value", *_P_COLUMNS[:n_max + 1]], rows)
     return 0
 
 
@@ -406,7 +416,7 @@ def _populations_job(outdir: Path, n_max: int, *, system: dict, key: str, values
     md = _metadata(base, method="steady_state", n_max=n_max, notes=notes,
                    extra={"sweep_key": key, "sweep_points": len(values),
                           **(extra or {})})
-    _emit(outdir / name, "csv", md, [key, *echo, *_P_COLUMNS], rows)
+    _emit(outdir / name, "csv", md, [key, *echo, *_P_COLUMNS[:n_max + 1]], rows)
 
 
 _OMEGA_C_NOTE = (

@@ -198,18 +198,25 @@ def half_widths(p: SystemParams) -> tuple[float, float]:
 
 
 def effective_rates(p: SystemParams) -> EffectiveRates:
-    """Effective half-widths and regime ratios for validated params."""
+    """Effective half-widths and regime ratios for validated params.
+    DivisionDegenerate when gamma_f + kappa = 0, or is so small that gamma_R
+    or eta_R overflows."""
     gamma_e, gamma_f = half_widths(p)
     total = gamma_f + p.kappa
     if total == 0.0:
         raise DivisionDegenerate(
             "gamma_f + kappa = 0: gamma_R and eta_R are undefined",
             gamma_e=gamma_e, gamma_f=gamma_f)
+    gamma_r, eta_r = gamma_e / total, p.eta / total
+    if not (math.isfinite(gamma_r) and math.isfinite(eta_r)):
+        raise DivisionDegenerate(
+            f"gamma_f + kappa = {total:g} is too small: gamma_R = {gamma_r:g} and "
+            f"eta_R = {eta_r:g} must be finite", gamma_e=gamma_e, gamma_f=gamma_f)
     return EffectiveRates(
         gamma_e=gamma_e,
         gamma_f=gamma_f,
-        gamma_R=gamma_e / total,
-        eta_R=p.eta / total,
+        gamma_R=gamma_r,
+        eta_R=eta_r,
         eta_T=abs(total - gamma_e),
     )
 

@@ -3,16 +3,19 @@
 Spectra are reported in normalized units chi/beta (dimensionless since all
 rates are multiples of gamma_ref). Three routes to the same quantity:
 
-- analytic: the closed-form vacuum susceptibility (no pumping).
+- analytic: the closed-form vacuum susceptibility (no pumping), evaluated
+  at beta = 1 so that it is chi/beta with nothing to divide out.
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
   (_readout_system), dense on its m <= 2(n_max+1) kept positions after one
-  check on L0's factors (_readout_block). It is banded and meets Delta only
-  as +i Delta, so the grid is one block-diagonal band and one banded LU with
-  partial pivoting (LAPACK gbsv), O(m) per point; the probe amplitude is
-  eliminated analytically. Any pump.
+  check on L0's factors (_readout_block). Its source is -i P_m, from the
+  populations P_m of |g,m> in rho0 alone. The block is banded and meets
+  Delta only as +i Delta, so the grid is one block-diagonal band and one
+  banded LU with partial pivoting (LAPACK gbsv), O(m) per point; the probe
+  amplitude is eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
-  epsilon, chi = rho_ge/epsilon; carries an automatic linearity check.
+  epsilon, chi = rho_ge/epsilon, with L built at each Delta
+  (liouvillian_at); carries an automatic linearity check.
 
 A steady-state solve replaces row 0 of a trace-preserving generator L, that
 of the first diagonal element, with the trace functional and solves
@@ -34,15 +37,16 @@ oscillator whose truncation keeps detailed balance, so rho_cav is the
 truncated Bose state in closed form, unique for kappa > 0; no LU runs.
 Under a coherent pump the spectrum's read-out needs no lab-frame state: in
 the frame displaced by the cavity amplitude alpha the drive cancels, the
-probe-free state is exactly |g,0><g,0|, and its photon statistics are
-Poisson in |alpha|^2 (_displaced_probe_free_state). That state is gated by
-its residual in the displaced L0, computed from column 0 of the factors,
-and its truncation is reported as the Poisson tail; no cavity block is
-assembled and no LU runs. populations, check_truncation_convergence and
-finite_epsilon keep the lab-frame probe_free_state, whose coherent
-rho_cav takes a solve: the normalized truncated coherent state is not the
-truncated model's steady state (at Omega = 1.5, n_max = 20 it leaves a
-residual of 2.2e-6, above the 4e-8 tolerance, with a tail of only 2.5e-9).
+probe-free state is exactly |g,0><g,0|, so P_m = e_0, and its photon
+statistics are Poisson in |alpha|^2 (_displaced_probe_free_state). That
+state is gated by its residual in the displaced L0, computed from column 0
+of the factors, and its truncation is reported as the Poisson tail; no
+cavity block is assembled, no LU runs and no density matrix is built.
+populations, check_truncation_convergence and finite_epsilon keep the
+lab-frame probe_free_state, whose coherent rho_cav takes a solve: the
+normalized truncated coherent state is not the truncated model's steady
+state (at Omega = 1.5, n_max = 20 it leaves a residual of 2.2e-6, above
+the 4e-8 tolerance, with a tail of only 2.5e-9).
 With the entries |m><n| ordered by diagonal offset n - m, then by
 min(m, n), the trace-completed block is banded with (kl, ku) = (k, k),
 k = n_max + 1: the drive, decay and detuning move |m><n| by one photon at
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,10 +81,12 @@ from scipy.sparse.csgraph import structural_rank
 from . import analytic
 from .errors import (
     AnalyticInvalidHere,
+    DegeneratePoles,
     IntegrationFailure,
     LinearityWarning,
     NonUniqueSteadyState,
     ParameterError,
+    PreconditionError,
     ResolutionWarning,
     SolverFailure,
     TruncationNotConverged,
@@ -517,13 +524,6 @@ def _ge_vec_indices(spec: HilbertSpec) -> np.ndarray:
     return rows + dim * cols
 
 
-def _delta_derivative_superop(spec: HilbertSpec) -> sp.csr_matrix:
-    """dL/dDelta: L is affine in Delta through H += Delta*(sigma_ee+sigma_ff),
-    so the slope is the Hamiltonian part of L for that projector."""
-    proj = np.diag(np.tile([0.0, 1.0, 1.0], spec.n_max + 1))
-    return assemble_liouvillian(proj, [], spec).matrix
-
-
 def _displaced_generator(params: SystemParams,
                          factors: LindbladFactors) -> LindbladFactors:
     """The lab-frame factors of a coherently pumped probe-free L0 moved to the
@@ -561,23 +561,25 @@ def _poisson_tail(log_mean: float, n_max: int) -> float:
 
 
 def _displaced_probe_free_state(params: SystemParams, n_max: int):
-    """(displaced LindbladFactors, steady state, TruncationReport) of a
+    """(displaced LindbladFactors, ground populations, TruncationReport) of a
     coherently pumped L0 without the probe, in the frame displaced by
     alpha = -i Omega/(kappa + i dd) (_displaced_generator), where the drive
-    cancels and the probe-free state is exactly rho0' = |g,0><g,0|.
+    cancels and the probe-free state is exactly rho0' = |g,0><g,0|, so its
+    populations P_m on |g,m> are e_0.
 
-    No cavity block is assembled and no LU runs. The uniqueness checks are
-    probe_free_state's (_probe_free_factors, on the lab factors): kappa > 0
-    then makes |0><0| the unique steady state of the undriven, damped
-    cavity, as for the thermal closed form, since the truncated a generates
-    the whole matrix algebra. On the displaced factors, _require_invariant
-    checks that the |g><g| block is invariant, and rho0' must leave a
-    residual ||L' vec(rho0')|| (_displaced_vacuum_residual) within
-    1e-9 max(1, _l0_scale) or SolverFailure; the exact state leaves zero up
-    to rounding, so a wrong alpha fails here. The truncation report is the
-    tail of the lab-frame state |alpha><alpha|: the normalized truncated
-    Poisson weights of |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5
-    (_poisson_tail). Warns (TruncationNotConverged) unless it converged.
+    No cavity block is assembled, no LU runs and no density matrix is built.
+    The uniqueness checks are probe_free_state's (_probe_free_factors, on
+    the lab factors): kappa > 0 then makes |0><0| the unique steady state of
+    the undriven, damped cavity, as for the thermal closed form, since the
+    truncated a generates the whole matrix algebra. On the displaced
+    factors, _require_invariant checks that the |g><g| block is invariant,
+    and rho0' must leave a residual ||L' vec(rho0')||
+    (_displaced_vacuum_residual) within 1e-9 max(1, _l0_scale) or
+    SolverFailure; the exact state leaves zero up to rounding, so a wrong
+    alpha fails here. The truncation report is the tail of the lab-frame
+    state |alpha><alpha|: the normalized truncated Poisson weights of
+    |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5 (_poisson_tail).
+    Warns (TruncationNotConverged) unless it converged.
     """
     params = validate_params(params)
     factors = _displaced_generator(params, _probe_free_factors(params, n_max))
@@ -588,8 +590,6 @@ def _displaced_probe_free_state(params: SystemParams, n_max: int):
     if not residual <= tol:  # also catches a non-finite value
         raise SolverFailure(f"displaced probe-free state leaves residual "
                             f"{residual:.3e} in the displaced L0, above {tol:.3e}")
-    rho = np.zeros((factors.spec.dim, factors.spec.dim), dtype=complex)
-    rho[0, 0] = 1.0
     # |alpha|^2 = Omega^2/(kappa^2 + dd^2), by its logarithm
     tail = _poisson_tail(
         2.0 * (math.log(params.Omega) - math.log(math.hypot(params.kappa,
@@ -597,8 +597,7 @@ def _displaced_probe_free_state(params: SystemParams, n_max: int):
         n_max)
     report = TruncationReport(n_max=n_max, tail_mass=tail, converged=tail < _TAIL_TOL)
     _warn_unless_converged(report)
-    return factors, SteadyState(rho=rho, residual_norm=residual, n_max=n_max,
-                                converged=True), report
+    return factors, np.eye(1, n_max + 1)[0], report
 
 
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
@@ -622,18 +621,19 @@ def _readout_block(factors: LindbladFactors, rows: np.ndarray,
     return np.add(np.add((cc.conj() * cr).sum(0), m, out=m), n, out=m)
 
 
-def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.ndarray):
+def _readout_system(params: SystemParams, factors: LindbladFactors, weights: np.ndarray):
     """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
     invariant block of |g,m><x,n| coherences (x in {f, e}) holding the
     read-out (_readout_block), where dL/dDelta = +i; the source b = i[V, rho0]
-    on it, -i rho0[g_m, g_m] on each read-out position |g,m><e,m|; the
-    read-out positions. factors and rho0 are L0's and its probe-free state
-    in the frame the block lives in, taken as given.
+    on it, -i P_m on each read-out position |g,m><e,m|, with P_m = weights[m]
+    the probe-free population of |g,m>; the read-out positions. factors and
+    weights are L0's and its probe-free state's in the frame the block lives
+    in, taken as given: rho0 is |g><g| (x) rho_cav, and only the diagonal of
+    rho_cav reaches b.
     Thermal pump or vacuum, lab frame: |g,m><e,m| and |g,m><f,m+1| in vec
-    order, with b = -i P_m on |g,m><e,m|. Coherent pump, the displaced frame
-    of _displaced_probe_free_state: rho0 = |g,0><g,0|, the block is
-    |g,0><{f, e}|, and chi is its |g,0><e,0| element (b = -i): the
-    displacement keeps the trace."""
+    order. Coherent pump, the displaced frame of _displaced_probe_free_state:
+    weights = e_0, the block is |g,0><{f, e}|, and chi is its |g,0><e,0|
+    element (b = -i): the displacement keeps the trace."""
     m = np.arange(factors.spec.n_max + 1)
     if params.Omega > 0.0:
         rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
@@ -642,7 +642,7 @@ def _readout_system(params: SystemParams, factors: LindbladFactors, rho0: np.nda
         rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
         out = 2 * m
     rhs = np.zeros(rows.size, dtype=complex)
-    rhs[out] = -1j * np.diag(rho0)[rows[out]].real
+    rhs[out] = -1j * weights[rows[out] // 3]
     return _readout_block(factors, rows, cols), rhs, out
 
 
@@ -687,18 +687,16 @@ def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
 
 def _finite_epsilon_chunk(params: SystemParams, n_max: int, deltas: np.ndarray,
                           epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """chi/beta and residual norm at each Delta from the full steady state."""
+    """chi/beta and residual norm at each Delta from the full steady state of
+    L with the probe at amplitude epsilon, built at that Delta
+    (liouvillian_at); uniqueness is checked at the first point only."""
     spec = HilbertSpec(n_max)
-    base = liouvillian_at(params, 0.0, spec, epsilon=epsilon)
-    slope = _delta_derivative_superop(spec)
     out_idx = _ge_vec_indices(spec)
-
     chi = np.empty(len(deltas), dtype=complex)
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
-        matrix = (base.matrix + float(delta_p) * slope).tocsr()
-        sop = SuperOperator(matrix=matrix, spec=spec)
-        state = steady_state(sop, check_uniqueness=(k == 0))
+        state = steady_state(liouvillian_at(params, float(delta_p), spec, epsilon=epsilon),
+                             check_uniqueness=(k == 0))
         chi[k] = vec(state.rho)[out_idx].sum() / epsilon
         resid[k] = state.residual_norm
     return chi, resid
@@ -723,12 +721,15 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     methods truncate the cavity at n_max and warn (TruncationNotConverged)
     when the probe-free steady state leaves > 1e-8 population near the
     cutoff. workers is accepted and ignored: every solve runs in this
-    process. linear_response reads out in the lab frame from
-    probe_free_state's rho0 for a thermal pump or the vacuum, and under a
-    coherent pump in the displaced frame from the displaced vacuum
-    (_displaced_probe_free_state), whose tail is the Poisson tail of
-    |alpha|^2; no lab-frame cavity solve runs there. finite_epsilon checks
-    uniqueness and the tail on probe_free_state, in the lab frame.
+    process. analytic evaluates the closed forms at beta = 1 and raises
+    PreconditionError at the first Delta where chi, Im R_1 or Im R_2 is not
+    finite. linear_response reads out from the populations P_m of |g,m>: in
+    the lab frame from probe_free_state's rho0 for a thermal pump or the
+    vacuum, and under a coherent pump in the displaced frame from the
+    displaced vacuum (_displaced_probe_free_state, P_m = e_0), whose tail is
+    the Poisson tail of |alpha|^2; no lab-frame cavity solve runs there.
+    finite_epsilon checks uniqueness and the tail on probe_free_state, in
+    the lab frame, and builds L at each Delta (_finite_epsilon_chunk).
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -738,29 +739,35 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
         if params.n_th > 0.0 or params.Omega > 0.0:
             raise AnalyticInvalidHere(
                 "closed form is vacuum-only; use linear_response or finite_epsilon")
-        chi = np.atleast_1d(analytic.chi_vacuum(grid, params)) / params.beta
+        unit = replace(params, beta=1.0)  # chi/beta, with no beta to divide out
+        chi = np.atleast_1d(analytic.chi_vacuum(grid, unit))
         im_r1 = im_r2 = None
         if params.delta == 0.0:
-            pair = analytic.poles(params)
-            if pair.discriminant != 0.0:
-                r_1, r_2 = analytic.decompose_resonances(params)
-                im_r1 = np.imag(r_1.evaluate(grid)) / params.beta
-                im_r2 = np.imag(r_2.evaluate(grid)) / params.beta
+            with suppress(DegeneratePoles):  # a double pole has no two-term split
+                im_r1, im_r2 = (np.imag(r.evaluate(grid))
+                                for r in analytic.decompose_resonances(unit))
+        parts = [chi] if im_r1 is None else [chi, im_r1, im_r2]
+        bad = np.flatnonzero(~np.isfinite(parts).all(axis=0))
+        if bad.size:
+            raise PreconditionError(
+                f"closed-form chi or its resonance terms are not finite at "
+                f"Delta={grid[bad[0]]:g}")
         return SpectrumSeries(grid=grid, im_chi=chi.imag, re_chi=chi.real,
                               method=method, params=params, im_r1=im_r1, im_r2=im_r2)
 
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    displaced = method == "linear_response" and params.Omega > 0.0
-    factors, state, report = (_displaced_probe_free_state if displaced
-                              else probe_free_state)(params, n_max)
+    if method == "linear_response" and params.Omega > 0.0:
+        factors, weights, report = _displaced_probe_free_state(params, n_max)
+    else:
+        factors, state, report = probe_free_state(params, n_max)
+        weights = np.diag(state.rho)[::3].real  # P_m on |g,m>
     if not report.converged:
         notes.append(f"TruncationNotConverged: {report.message}")
 
     if method == "linear_response":
-        chi, resid = _readout_response(*_readout_system(params, factors, state.rho),
-                                       grid)
+        chi, resid = _readout_response(*_readout_system(params, factors, weights), grid)
     else:
         chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
 

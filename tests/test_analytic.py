@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from vitats import (
     DegeneratePoles,
     DivisionDegenerate,
     NonzeroDetuning,
+    PreconditionError,
     Regime,
+    ResonanceComponent,
     SystemParams,
     chi_vacuum,
     classify_regime,
@@ -105,6 +108,48 @@ def test_chi_beta_scaling_and_shapes():
 def test_chi_degenerate_damping():
     with pytest.raises(DegenerateDamping):
         chi_vacuum(0.0, SystemParams(gamma={}, eta=1.0))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_chi_finite_at_the_removable_singularity(delta):
+    # eta = 0 and gamma_f + kappa = 0: numerator and denominator share the
+    # factor Delta + delta/2, and chi is -beta/(Delta - delta/2 + i gamma_e)
+    p = SystemParams.from_effective(5.0, 0.0, eta=0.0, kappa=0.0, delta=delta)
+    grid = np.linspace(-1.0, 1.0, 5) - delta / 2.0  # holds Delta = -delta/2
+    chi = chi_vacuum(grid, p)
+    assert np.all(np.isfinite(chi))
+    np.testing.assert_allclose(chi, -1.0 / (grid - delta / 2.0 + 5j), rtol=1e-15, atol=0)
+    assert chi_vacuum(-delta / 2.0, p) == -1.0 / (-delta + 5j)
+
+
+def test_resonances_finite_at_the_removable_singularity():
+    # R_1 has weight exactly 0 and its pole on the real axis, at Delta = 0
+    p = SystemParams.from_effective(5.0, 0.0, eta=0.0, kappa=0.0)
+    r_1, r_2 = decompose_resonances(p)
+    assert r_1.weight == 0 and r_1.pole == 0
+    grid = np.linspace(-1.0, 1.0, 5)
+    total = np.imag(r_1.evaluate(grid)) + np.imag(r_2.evaluate(grid))
+    assert np.all(np.isfinite(total))
+    assert np.abs(total - chi_vacuum(grid, p).imag).max() <= 1e-12
+
+
+def test_resonance_component_of_zero_weight_is_zero():
+    zero = ResonanceComponent(pole=0j, weight=0j)
+    assert np.array_equal(zero.evaluate([-1.0, 0.0, 2.0]), np.zeros(3, dtype=complex))
+    assert zero.evaluate(0.0) == 0 and np.ndim(zero.evaluate(0.0)) == 0
+
+
+@pytest.mark.parametrize("key, value", [("eta", 1e160), ("delta", 1e200)])
+def test_chi_square_overflow_is_a_precondition_error(key, value):
+    p = SystemParams.from_effective(5.0, 1.0, **{"eta": 2.0, "kappa": 1.0, key: value})
+    with pytest.raises(PreconditionError, match=re.escape(f"{key} = {value:g} is too large")):
+        chi_vacuum(0.0, p)
+
+
+def test_poles_square_overflow_is_a_precondition_error():
+    p = SystemParams.from_effective(5.0, 1.0, eta=1e160, kappa=1.0)
+    with pytest.raises(PreconditionError, match="^eta = 1e[+]160 is too large"):
+        poles(p)
 
 
 def test_first_order_recombination_matches_chi():

@@ -95,6 +95,16 @@ def test_classify_detuned_cavity_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_classify_rates_that_overflow_exit_3(tmp_path, capsys):
+    # gamma_R = 5/1e-320 would print as Infinity, which is not JSON
+    cfg = _write_config(tmp_path, "c.json",
+                        {"gamma_e": 5.0, "gamma_f": 1e-320, "kappa": 0.0, "eta": 2.0})
+    assert cli.main(["classify", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gamma_f + kappa = ")
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -237,12 +247,39 @@ def test_csv_row_template_matches_per_cell_formatting(tmp_path):
     assert path.read_text(encoding="utf-8") == ",".join(columns) + "\n"
 
 
+@pytest.mark.parametrize("write", [
+    cli._write_csv, lambda path, columns, rows: cli._write_json(path, {}, columns, rows)],
+    ids=["csv", "json"])
+def test_writers_refuse_rows_narrower_than_the_header(tmp_path, write):
+    path = tmp_path / "t.out"
+    with pytest.raises(ValueError, match="3 column names .* over rows of 2 cells"):
+        write(path, ["x", "P_0", "P_1"], [(0.0, 1.0), (1.0, 0.5)])
+    assert not path.exists()
+    write(path, ["x", "P_0"], [])  # no row: nothing to compare
+    assert path.exists()
+
+
 @pytest.mark.parametrize("later", [1.5, "1", np.float64(2.0)])
 def test_csv_column_of_mixed_cell_types_raises(tmp_path, later):
     # %d would print 1.5 as 1: a later row that formats differently from
     # the first refuses instead
     with pytest.raises(TypeError, match="'n' mixes cell types"):
         cli._write_csv(tmp_path / "t.csv", ["n", "x"], [(1, 0.5), (later, 0.25)])
+
+
+@pytest.mark.parametrize("key, value", [("eta", 1e160), ("delta", 1e200)])
+def test_analytic_square_overflow_exits_3(tmp_path, capsys, key, value):
+    out = tmp_path / "s.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 2.0, key: value,
+        "method": "analytic", "delta_min": -1.0, "delta_max": 1.0, "delta_points": 5,
+        "output": str(out)})
+    assert cli.main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {key} = {value:g} is too large: its square "
+                                f"overflows a float"]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_spectrum_csv_and_sidecar(tmp_path, capsys):
@@ -517,6 +554,27 @@ def test_populations_sweep_header(tmp_path, capsys):
     assert float(rows[1][2]) == pytest.approx(0.16 * math.exp(-0.16), abs=1e-6)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_populations_sweep_below_n_max_3_names_only_its_columns(tmp_path, capsys,
+                                                                n_max, fmt):
+    out = tmp_path / f"pop.{fmt}"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 80.0,
+        "n_max": n_max, "output": str(out), "format": fmt,
+        "sweep_key": "Omega", "sweep_values": [0.2, 0.4]})
+    assert cli.main(["populations", "--config", cfg]) == 0
+    capsys.readouterr()
+    want = ["sweep_value"] + [f"P_{n}" for n in range(n_max + 1)]
+    if fmt == "csv":
+        header, rows = _read_csv(out)
+    else:
+        doc = json.loads(out.read_text("utf-8"))
+        header, rows = doc["columns"], doc["rows"]
+    assert header == want
+    assert [len(row) for row in rows] == [len(want)] * 2
+
+
 def test_populations_require_pump(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {
         "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0,
@@ -625,6 +683,21 @@ def test_reproduce_coherent_populations(tmp_path, capsys):
     assert last[1] > last[2] > last[3] > last[4]
     notes = (outdir / "NOTES.txt").read_text(encoding="utf-8")
     assert "DISCREPANCY" in notes
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("figure, name, lead", [
+    ("6", "populations_vs_T.csv", ["temperature_mK", "n_th"]),
+    ("8a", "populations_vs_Omega.csv", ["Omega"])])
+def test_reproduce_populations_below_n_max_3(tmp_path, capsys, n_max, figure, name,
+                                             lead):
+    outdir = tmp_path / f"fig{figure}"
+    assert cli.main(["reproduce", figure, "--output", str(outdir),
+                     "--n-max", str(n_max)]) == 0
+    capsys.readouterr()
+    header, rows = _read_csv(outdir / name)
+    assert header == lead + [f"P_{n}" for n in range(n_max + 1)]
+    assert {len(row) for row in rows} == {len(header)}
 
 
 _SPECTRUM = "delta,im_chi,re_chi"

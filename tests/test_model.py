@@ -146,6 +146,15 @@ def test_effective_rates_degenerate():
     assert info.value.gamma_f == 0.0
 
 
+@pytest.mark.parametrize("gamma_f, kappa, eta", [(1e-320, 0.0, 2.0), (0.1, 0.0, 1e308)])
+def test_effective_rates_that_overflow_are_degenerate(gamma_f, kappa, eta):
+    # gamma_R or eta_R would be inf: refused, as at gamma_f + kappa = 0
+    p = SystemParams.from_effective(5.0, gamma_f, eta=eta, kappa=kappa)
+    with pytest.raises(DivisionDegenerate, match="must be finite") as info:
+        effective_rates(p)
+    assert (info.value.gamma_e, info.value.gamma_f) == (5.0, gamma_f)
+
+
 def test_effective_rates_scale_covariance():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -28,6 +28,7 @@ from vitats import (
     LinearityWarning,
     NonUniqueSteadyState,
     ParameterError,
+    PreconditionError,
     ResolutionWarning,
     SolverFailure,
     SuperOperator,
@@ -637,14 +638,14 @@ def test_readout_block_matches_lab_frame_reference_randomized(
 
 
 def _readout_frame(params, n_max):
-    """(factors, rho0) of the probe-free L0 in the frame the read-out block
-    lives in: the lab frame (probe_free_state) for a thermal pump or the
-    vacuum, the displaced one (_displaced_probe_free_state) for a coherent
-    pump."""
-    frame = (solver._displaced_probe_free_state if params.Omega > 0.0
-             else solver.probe_free_state)
-    factors, state, _ = frame(params, n_max)
-    return factors, state.rho
+    """(factors, P_m on |g,m>) of the probe-free L0 in the frame the read-out
+    block lives in: the lab frame (probe_free_state) for a thermal pump or
+    the vacuum, the displaced one (_displaced_probe_free_state) for a
+    coherent pump."""
+    if params.Omega > 0.0:
+        return solver._displaced_probe_free_state(params, n_max)[:2]
+    factors, state, _ = solver.probe_free_state(params, n_max)
+    return factors, np.diag(state.rho)[::3].real
 
 
 def _assert_readout_band_is_narrow(params, n_max=10):
@@ -787,10 +788,11 @@ def test_readout_block_rejects_a_leaking_generator():
     spec = HilbertSpec(4)
     thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
     _, state, _ = solver.probe_free_state(thermal, 4)
+    weights = np.diag(state.rho)[::3].real
     # a g-e coupling in H takes |g,m><x,n| to |e,m><x,n|, out of |g><{f,e}|
     probed = factors_at(thermal, 0.0, spec, epsilon=0.3)
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(thermal, probed, state.rho)
+        solver._readout_system(thermal, probed, weights)
     # an f-e drive takes |g,m><e,m| to |g,m><f,m|: inside |g><{f,e}|, but out
     # of the read-out block picked there
     f = 3 * np.arange(spec.n_max + 1) + 1
@@ -798,16 +800,16 @@ def test_readout_block_rejects_a_leaking_generator():
     hamiltonian[f + 1, f] = hamiltonian[f, f + 1] = 0.5
     driven = lindblad_factors(hamiltonian, liouvillian._dense_jumps(thermal, spec), spec)
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(thermal, driven, state.rho)
+        solver._readout_system(thermal, driven, weights)
 
     # the displaced frame: a g-e coupling in the factors it shifts
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
-    _, state, _ = solver._displaced_probe_free_state(coherent, 4)
+    _, weights, _ = solver._displaced_probe_free_state(coherent, 4)
     probed = solver._displaced_generator(coherent,
                                          factors_at(coherent, 0.0, spec, epsilon=0.3))
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(coherent, probed, state.rho)
+        solver._readout_system(coherent, probed, weights)
 
 
 def _thermal_factors(spec):
@@ -1056,8 +1058,8 @@ def test_displaced_spectrum_matches_the_lab_factors_readout(gamma, eta, kappa, d
     if lab_refused:
         return
     lab, _, _ = solver.probe_free_state(params, n_max)
-    vacuum = np.zeros((lab.spec.dim, lab.spec.dim))
-    vacuum[0, 0] = 1.0
+    vacuum = np.zeros(n_max + 1)
+    vacuum[0] = 1.0
     want, _ = solver._readout_response(*solver._readout_system(
         params, solver._displaced_generator(params, lab), vacuum), grid)
     assert np.array_equal(probe_spectrum(params, grid, n_max=n_max).chi, want)
@@ -1100,11 +1102,12 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     params = SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(0.8))
     weights = [0.64 ** n / math.factorial(n) for n in range(n_max + 1)]
     with pytest.warns(TruncationNotConverged):
-        _, state, report = solver._displaced_probe_free_state(params, n_max)
+        factors, populations, report = solver._displaced_probe_free_state(params, n_max)
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
-    assert state.residual_norm <= 1e-15
+    assert solver._displaced_vacuum_residual(factors) <= 1e-15
+    assert populations.tolist() == [1.0] + [0.0] * n_max
     with pytest.warns(TruncationNotConverged, match=f"tail mass {tail:.3e} above photon "
                                                      f"number {max(0, n_max - 5)} exceeds"):
         series = probe_spectrum(params, np.linspace(-5, 5, 3), n_max=n_max)
@@ -1350,6 +1353,34 @@ def test_spectrum_resonance_components_attach_rules():
         SystemParams.from_effective(5, 1, eta=1.5, kappa=1),
         grid, method="analytic")
     assert critical.im_r1 is None and critical.im_r2 is None
+
+
+def test_analytic_spectrum_is_chi_over_beta_at_any_beta():
+    # chi/beta is evaluated at beta = 1: a tiny beta neither overflows nor
+    # moves a bit
+    grid = np.linspace(-1.0, 1.0, 5)
+    unit = probe_spectrum(FIG5B, grid, method="analytic")
+    for beta in (1e-310, 2.5):
+        series = probe_spectrum(replace(FIG5B, beta=beta), grid, method="analytic")
+        for field in ("im_chi", "re_chi", "im_r1", "im_r2"):
+            assert np.array_equal(getattr(series, field), getattr(unit, field))
+        assert series.params.beta == beta
+
+
+def test_analytic_spectrum_at_the_removable_singularity():
+    p = SystemParams.from_effective(5.0, 0.0, eta=0.0, kappa=0.0)
+    grid = np.linspace(-1.0, 1.0, 5)
+    series = probe_spectrum(p, grid, method="analytic")
+    np.testing.assert_allclose(series.chi, -1.0 / (grid + 5j), rtol=1e-15, atol=0)
+    assert np.abs(series.im_r1 + series.im_r2 - series.im_chi).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analytic_spectrum_refuses_a_non_finite_value():
+    # gamma_e = 1e154 rounds R_1's pole onto the real axis, at Delta = 0
+    p = SystemParams.from_effective(1e154, 1.0, eta=1.0, kappa=1.0)
+    with pytest.raises(PreconditionError, match="not finite at Delta=0$"):
+        probe_spectrum(p, np.linspace(-1.0, 1.0, 5), method="analytic")
 
 
 def test_finite_epsilon_linearity_warning():
