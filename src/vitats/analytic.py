@@ -20,6 +20,7 @@ against the damping asymmetry eta_T = |gamma_f + kappa - gamma_e|.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -112,7 +113,8 @@ def chi_vacuum(Delta, params: SystemParams):
     cavity detuning delta is allowed. At eta = 0 and gamma_f + kappa = 0 the
     numerator and denominator share the factor Delta + delta/2, and chi is
     the cancelled form -beta/(Delta - delta/2 + i gamma_e), finite there.
-    PreconditionError if eta^2 or delta^2 overflows.
+    PreconditionError if eta^2 or delta^2 overflows, or any product in C
+    does (or their sum): chi would then be 0 at every Delta.
     """
     params = validate_params(params)
     gamma_e, gamma_f = half_widths(params)
@@ -125,8 +127,14 @@ def chi_vacuum(Delta, params: SystemParams):
     if eta == 0.0 and g == 0.0:
         chi = -params.beta / (d - delta / 2.0 + 1j * gamma_e)
     else:
-        big_c = (_square(eta, "eta") + gamma_e * gamma_f + gamma_e * kappa
-                 + _square(delta, "delta") / 4.0 + 0.5j * delta * (-gamma_e + g))
+        terms = {"eta^2": _square(eta, "eta"), "gamma_e*gamma_f": gamma_e * gamma_f,
+                 "gamma_e*kappa": gamma_e * kappa, "delta^2/4": _square(delta, "delta") / 4.0,
+                 "(delta/2)(gamma_f + kappa - gamma_e)": 0.5j * delta * (-gamma_e + g)}
+        big_c = sum(terms.values())
+        if not cmath.isfinite(big_c):  # a finite chi would be 0 at every Delta
+            name = next((k for k, v in terms.items() if not cmath.isfinite(v)), "their sum")
+            raise PreconditionError(f"the constant C of chi overflows a float: {name} "
+                                    f"is not finite")
         chi = params.beta * (d + delta / 2.0 + 1j * g) / (-d ** 2 - 1j * total * d + big_c)
     return complex(chi) if np.isscalar(Delta) else chi
 
@@ -163,7 +171,9 @@ def poles(params: SystemParams) -> PolePair:
 
     Delta_{1,2} = [-i(gamma_e+gamma_f+kappa) +- sqrt(4 eta^2 - eta_T^2)] / 2,
     with the principal square root (negative discriminant gives +i sqrt|.|).
-    PreconditionError if eta^2 or eta_T^2 overflows.
+    For a negative discriminant the + root cancels, so Delta_1 is taken from
+    Vieta's product Delta_1 Delta_2 = -C instead. PreconditionError if eta^2
+    or eta_T^2 overflows.
     """
     params = validate_params(params)
     if params.delta != 0.0:
@@ -173,12 +183,16 @@ def poles(params: SystemParams) -> PolePair:
     eta_t = abs(gamma_f + params.kappa - gamma_e)
     disc = 4.0 * _square(params.eta, "eta") - _square(eta_t, "eta_T")
     root = np.sqrt(complex(disc))
-    return PolePair(
-        delta_1=complex(-1j * total + root) / 2.0,
-        delta_2=complex(-1j * total - root) / 2.0,
-        eta_T=eta_t,
-        discriminant=disc,
-    )
+    delta_1 = complex(-1j * total + root) / 2.0
+    delta_2 = complex(-1j * total - root) / 2.0
+    if disc < 0.0:
+        # delta_1 = i(sqrt|disc| - total)/2 cancels as eta_T outgrows eta, so
+        # it comes from delta_2, the larger, by delta_1 delta_2 = -C with
+        # C = eta^2 + gamma_e (gamma_f + kappa), each term divided first so
+        # that C itself never overflows
+        delta_1 = -(params.eta * (params.eta / delta_2)
+                    + gamma_e * ((gamma_f + params.kappa) / delta_2))
+    return PolePair(delta_1=delta_1, delta_2=delta_2, eta_T=eta_t, discriminant=disc)
 
 
 def decompose_resonances(params: SystemParams) -> tuple[ResonanceComponent, ResonanceComponent]:

@@ -7,9 +7,12 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
   at beta = 1 so that it is chi/beta with nothing to divide out.
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
-  (_readout_system), dense on its m <= 2(n_max+1) kept positions after one
-  check on L0's factors (_readout_block). Its source is -i P_m, from the
-  populations P_m of |g,m> in rho0 alone. The block is banded and meets
+  (_readout_system), dense on its m <= 2(n_max+1) positions after one
+  check on L0's factors (_readout_block); in the lab frame only those
+  that the source reaches through the block are kept (_reached): x
+  vanishes identically off them, so the vacuum keeps 2. Its source is
+  -i P_m, from
+  the populations P_m of |g,m> in rho0 alone. The block is banded and meets
   Delta only as +i Delta, so the grid is one block-diagonal band and one
   banded LU with partial pivoting (LAPACK gbsv), O(m) per point; the probe
   amplitude is eliminated analytically. Any pump.
@@ -29,24 +32,27 @@ independent oracle. In vec order the full L0 has no narrow band, so it
 never takes the band path below.
 
 The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
-state of the (n_max+1)^2 |g,m><g,n| block of L0. Only that block is
-assembled, from L0's D x D Hilbert-space factors
-(liouvillian.LindbladFactors), and its invariance is checked on those
-factors. For a thermal pump or the vacuum the block is a thermally damped
-oscillator whose truncation keeps detailed balance, so rho_cav is the
-truncated Bose state in closed form, unique for kappa > 0; no LU runs.
-Under a coherent pump the spectrum's read-out needs no lab-frame state: in
-the frame displaced by the cavity amplitude alpha the drive cancels, the
-probe-free state is exactly |g,0><g,0|, so P_m = e_0, and its photon
-statistics are Poisson in |alpha|^2 (_displaced_probe_free_state). That
-state is gated by its residual in the displaced L0, computed from column 0
-of the factors, and its truncation is reported as the Poisson tail; no
-cavity block is assembled, no LU runs and no density matrix is built.
+state of the (n_max+1)^2 |g,m><g,n| block of L0, whose invariance is
+checked on L0's D x D Hilbert-space factors (liouvillian.LindbladFactors).
+A linear-response spectrum reads only the populations P_m of rho0, and
+builds no density matrix, cavity block or SteadyState for them; its
+probe-free state is gated by its residual in L0, computed on the factors'
+ground columns (_ground_residual, shared by both frames):
+- for a thermal pump or the vacuum (Omega = 0) the block is a thermally
+  damped oscillator whose truncation keeps detailed balance, so P_m are
+  the truncated Bose weights in closed form, unique for kappa > 0, and the
+  tail is theirs (_bose_probe_free_state);
+- under a coherent pump, in the frame displaced by the cavity amplitude
+  alpha the drive cancels, the probe-free state is exactly |g,0><g,0|, so
+  P_m = e_0, and its photon statistics are Poisson in |alpha|^2, whose
+  tail is reported (_displaced_probe_free_state).
 populations, check_truncation_convergence and finite_epsilon keep the
-lab-frame probe_free_state, whose coherent rho_cav takes a solve: the
-normalized truncated coherent state is not the truncated model's steady
-state (at Omega = 1.5, n_max = 20 it leaves a residual of 2.2e-6, above
-the 4e-8 tolerance, with a tail of only 2.5e-9).
+lab-frame probe_free_state: it assembles the cavity block and gates
+rho_cav's residual there, writes the Bose state down for Omega = 0, and
+solves the block under a coherent pump, since the normalized truncated
+coherent state is not the truncated model's steady state (at Omega = 1.5,
+n_max = 20 it leaves a residual of 2.2e-6, above the 4e-8 tolerance, with
+a tail of only 2.5e-9).
 With the entries |m><n| ordered by diagonal offset n - m, then by
 min(m, n), the trace-completed block is banded with (kl, ku) = (k, k),
 k = n_max + 1: the drive, decay and detuning move |m><n| by one photon at
@@ -401,13 +407,19 @@ def _check_excited_sector_decays(factors: LindbladFactors) -> None:
     _require_nonsingular(probe, lu.solve(probe), tol, what)
 
 
-def _bose_state(n_th: float, n_max: int) -> np.ndarray:
-    """Truncated Bose state diag(q^m) / sum q^m, q = n_th/(n_th + 1), m <= n_max
-    (|0><0| for n_th = 0). Its populations satisfy detailed balance,
-    P_m+1 / P_m = n_th/(n_th + 1), across every link m <-> m+1 of the
-    truncated thermal damping, so it is that generator's exact steady state."""
+def _bose_weights(n_th: float, n_max: int) -> np.ndarray:
+    """Truncated Bose populations q^m / sum q^m, q = n_th/(n_th + 1), m <= n_max
+    (e_0 for n_th = 0). They satisfy detailed balance, P_m+1 / P_m =
+    n_th/(n_th + 1), across every link m <-> m+1 of the truncated thermal
+    damping, so diag(P) is that generator's exact steady state."""
     weights = (n_th / (n_th + 1.0)) ** np.arange(n_max + 1)
-    return np.diag(weights / weights.sum()).astype(complex)
+    return weights / weights.sum()
+
+
+def _bose_state(n_th: float, n_max: int) -> np.ndarray:
+    """The truncated Bose state diag(_bose_weights) as a cavity density
+    matrix."""
+    return np.diag(_bose_weights(n_th, n_max)).astype(complex)
 
 
 def _probe_free_factors(params: SystemParams, n_max: int) -> LindbladFactors:
@@ -464,8 +476,9 @@ def probe_free_state(params: SystemParams, n_max: int):
     and the tolerance, not NonUniqueSteadyState.
     So under a coherent pump the populations P_n come from the truncated
     master equation in the lab frame, while a linear-response spectrum
-    never calls this function: it reads out in the displaced frame, from
-    the displaced vacuum (_displaced_probe_free_state). The largest
+    never calls this function, under any pump: it reads out from the
+    displaced vacuum (_displaced_probe_free_state) or from the Bose weights
+    (_bose_probe_free_state). The largest
     relative gap between P_0..P_3 and the normalized truncated coherent
     state (eta 80, kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig.
     8a's sweep (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and
@@ -539,25 +552,70 @@ def _displaced_generator(params: SystemParams,
     return replace(factors, m=factors.m + (0 - 1j) * shift, n=factors.n + 1j * shift)
 
 
-def _displaced_vacuum_residual(factors: LindbladFactors) -> float:
-    """||L vec(|g,0><g,0|)|| of the generator with these factors, from their
-    column 0 alone: L |0><0| = M[:, 0] <0| + |0> N[0, :] + sum_c c[:, 0]
-    c[:, 0]^dag."""
-    column = factors.jumps[:, :, 0]
-    residual = (column.T @ column.conj()).astype(complex)  # the jumps may be real
-    residual[:, 0] += factors.m[:, 0]
-    residual[0, :] += factors.n[0, :]
+def _ground_residual(factors: LindbladFactors, weights: np.ndarray) -> float:
+    """||L vec(rho)|| for rho = sum_m P_m |g,m><g,m|, P = weights, from the
+    factors' columns on the support G of P alone: L rho = M[:, G] P <G| +
+    |G> P N[G, :] + sum_c c[:, G] P c[:, G]^dag."""
+    ground = 3 * np.flatnonzero(weights)
+    p = weights[ground // 3]
+    columns = factors.jumps[:, :, ground].transpose(1, 0, 2)  # c[:, G], jump by jump
+    dim = factors.spec.dim
+    residual = ((columns * p).reshape(dim, -1)
+                @ columns.conj().reshape(dim, -1).T).astype(complex)  # the jumps may be real
+    residual[:, ground] += factors.m[:, ground] * p
+    residual[ground, :] += p[:, None] * factors.n[ground, :]
     return float(np.linalg.norm(residual))
 
 
-def _poisson_tail(log_mean: float, n_max: int) -> float:
-    """The weight above photon number n_max - 5 of the Poisson distribution
-    of mean exp(log_mean), truncated at n_max and normalized there. The
-    weights are formed as logarithms, so no mean under- or overflows."""
-    n = np.arange(n_max + 1)
-    log_weights = n * log_mean - np.cumsum(np.log(np.maximum(n, 1)))
-    weights = np.exp(log_weights - log_weights.max())
-    return float(weights[max(0, n_max - 5) + 1:].sum() / weights.sum())
+def _require_ground_steady(factors: LindbladFactors, weights: np.ndarray, tol: float,
+                           frame: str) -> None:
+    """SolverFailure unless L (by its factors) keeps the |g><g| block
+    invariant (_require_invariant) and rho = sum_m P_m |g,m><g,m| leaves a
+    residual within tol (_ground_residual): no block is assembled."""
+    ground = 3 * np.arange(factors.spec.n_max + 1)
+    _require_invariant(factors, ground, ground, "the |g><g| block")
+    residual = _ground_residual(factors, weights)
+    if not residual <= tol:  # also catches a non-finite value
+        raise SolverFailure(f"{frame} probe-free state leaves residual "
+                            f"{residual:.3e} in the {frame} L0, above {tol:.3e}")
+
+
+def _tail_report(weights: np.ndarray) -> TruncationReport:
+    """The share of the photon-number weights (normalized here) above n_max - 5,
+    n_max = weights.size - 1; converged iff < 1e-8."""
+    n_max = weights.size - 1
+    tail = float(weights[max(0, n_max - 5) + 1:].sum() / weights.sum())
+    return TruncationReport(n_max=n_max, tail_mass=tail, converged=tail < _TAIL_TOL)
+
+
+def _bose_probe_free_state(params: SystemParams, n_max: int):
+    """(lab-frame LindbladFactors of L0, ground populations, TruncationReport)
+    of L0 without the probe under a thermal pump or none (Omega = 0).
+
+    The populations P_m of |g,m> are probe_free_state's, bit for bit: the
+    truncated Bose weights (_bose_weights). No D x D array, cavity block,
+    solve or SteadyState is made. The uniqueness checks are probe_free_state's
+    (_probe_free_factors). On the factors, the |g><g| block must be
+    invariant and diag(P) must leave a residual ||L vec(rho0)||
+    (_ground_residual) within 1e-9 max(1, max|diag L_GG|), or SolverFailure.
+    That tolerance is never looser than probe_free_state's _residual_tol of
+    the block L_GG, whose diagonal entries are among its entries. The
+    truncation report is the share of P above n_max - 5 (_tail_report), the
+    tail of probe_free_state's report to rounding. Warns
+    (TruncationNotConverged) unless it converged.
+    """
+    params = validate_params(params)
+    factors = _probe_free_factors(params, n_max)
+    weights = _bose_weights(params.n_th, n_max)
+    ground = 3 * np.arange(n_max + 1)
+    jumps = factors.jumps[:, ground, ground]  # c[G, G]'s diagonal, jump by jump
+    diagonal = (factors.m[ground, ground][:, None] + factors.n[ground, ground]
+                + jumps.T @ jumps.conj())  # of L_GG, at |g,m><g,n|
+    _require_ground_steady(factors, weights,
+                           1e-9 * max(1.0, float(np.abs(diagonal).max())), "lab-frame")
+    report = _tail_report(weights)
+    _warn_unless_converged(report)
+    return factors, weights, report
 
 
 def _displaced_probe_free_state(params: SystemParams, n_max: int):
@@ -572,32 +630,36 @@ def _displaced_probe_free_state(params: SystemParams, n_max: int):
     the lab factors): kappa > 0 then makes |0><0| the unique steady state of
     the undriven, damped cavity, as for the thermal closed form, since the
     truncated a generates the whole matrix algebra. On the displaced
-    factors, _require_invariant checks that the |g><g| block is invariant,
-    and rho0' must leave a residual ||L' vec(rho0')||
-    (_displaced_vacuum_residual) within 1e-9 max(1, _l0_scale) or
-    SolverFailure; the exact state leaves zero up to rounding, so a wrong
-    alpha fails here. The truncation report is the tail of the lab-frame
-    state |alpha><alpha|: the normalized truncated Poisson weights of
-    |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5 (_poisson_tail).
-    Warns (TruncationNotConverged) unless it converged.
+    factors, the |g><g| block must be invariant and rho0' must leave a
+    residual ||L' vec(rho0')|| (_ground_residual, from column 0 alone)
+    within 1e-9 max(1, _l0_scale), or SolverFailure (_require_ground_steady,
+    shared with the lab frame). The exact state leaves zero up to rounding,
+    so an uncancelled drive fails here: an Omega in the shift that is not
+    the pump's. |alpha| is not gated: it enters the displaced factors only
+    as eta alpha on the f-e coupling, which column 0 never reads. The
+    tests that pin it are test_displaced_generator_matches_kron_reference,
+    test_linear_response_block_matches_finite_epsilon_when_pumped
+    [coherent-detuned] and test_readout_block_matches_lab_frame_reference
+    [coherent-detuned, full-gamma-map-coherent] with its _randomized twin.
+    The truncation report is the tail of the lab-frame state
+    |alpha><alpha|: the normalized truncated Poisson weights of
+    |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5 (_tail_report),
+    formed as logarithms, so that no mean under- or overflows. Warns
+    (TruncationNotConverged) unless it converged.
     """
     params = validate_params(params)
     factors = _displaced_generator(params, _probe_free_factors(params, n_max))
-    ground = 3 * np.arange(n_max + 1)
-    _require_invariant(factors, ground, ground, "the |g><g| block")
-    residual = _displaced_vacuum_residual(factors)
-    tol = 1e-9 * max(1.0, _l0_scale(factors))
-    if not residual <= tol:  # also catches a non-finite value
-        raise SolverFailure(f"displaced probe-free state leaves residual "
-                            f"{residual:.3e} in the displaced L0, above {tol:.3e}")
-    # |alpha|^2 = Omega^2/(kappa^2 + dd^2), by its logarithm
-    tail = _poisson_tail(
-        2.0 * (math.log(params.Omega) - math.log(math.hypot(params.kappa,
-                                                            params.pump_detuning))),
-        n_max)
-    report = TruncationReport(n_max=n_max, tail_mass=tail, converged=tail < _TAIL_TOL)
+    weights = np.eye(1, n_max + 1)[0]
+    _require_ground_steady(factors, weights, 1e-9 * max(1.0, _l0_scale(factors)),
+                           "displaced")
+    # log |alpha|^2 = 2 log(Omega / hypot(kappa, dd))
+    log_mean = 2.0 * (math.log(params.Omega)
+                      - math.log(math.hypot(params.kappa, params.pump_detuning)))
+    n = np.arange(n_max + 1)
+    log_poisson = n * log_mean - np.cumsum(np.log(np.maximum(n, 1)))
+    report = _tail_report(np.exp(log_poisson - log_poisson.max()))
     _warn_unless_converged(report)
-    return factors, np.eye(1, n_max + 1)[0], report
+    return factors, weights, report
 
 
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
@@ -621,6 +683,25 @@ def _readout_block(factors: LindbladFactors, rows: np.ndarray,
     return np.add(np.add((cc.conj() * cr).sum(0), m, out=m), n, out=m)
 
 
+def _reached(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The sorted closure of supp(rhs) in the nonzero graph of a, which has
+    an edge j -> i wherever a[i, j] != 0: every solution x of
+    (a + i Delta I) x = rhs vanishes off it, since a maps it into itself.
+    A depth-first search over the edges, each followed once."""
+    sources, targets = np.nonzero(a.T)  # grouped by source
+    starts = np.searchsorted(sources, np.arange(rhs.size + 1)).tolist()
+    targets = targets.tolist()
+    stack = np.flatnonzero(rhs).tolist()
+    kept = set(stack)
+    while stack:
+        j = stack.pop()
+        for i in targets[starts[j]:starts[j + 1]]:
+            if i not in kept:
+                kept.add(i)
+                stack.append(i)
+    return np.array(sorted(kept), dtype=int)
+
+
 def _readout_system(params: SystemParams, factors: LindbladFactors, weights: np.ndarray):
     """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
     invariant block of |g,m><x,n| coherences (x in {f, e}) holding the
@@ -633,7 +714,14 @@ def _readout_system(params: SystemParams, factors: LindbladFactors, weights: np.
     Thermal pump or vacuum, lab frame: |g,m><e,m| and |g,m><f,m+1| in vec
     order. Coherent pump, the displaced frame of _displaced_probe_free_state:
     weights = e_0, the block is |g,0><{f, e}|, and chi is its |g,0><e,0|
-    element (b = -i): the displacement keeps the trace."""
+    element (b = -i): the displacement keeps the trace.
+    In the lab frame, after _readout_block's leak check, only the positions
+    that b reaches through A are kept (_reached), since x vanishes
+    identically off them: in the vacuum (b = -i e_0) that is |g,0><e,0| and
+    |g,0><f,1| (|g,0><e,0| alone at eta = 0), while a thermal pump
+    (n_th > 0) keeps every position when eta > 0. The displaced block is
+    kept whole: it is the chain f_0 - e_0 - f_1 - e_1 - ..., linked by
+    eta alpha and eta sqrt(n+1), so b reaches all of it when eta > 0."""
     m = np.arange(factors.spec.n_max + 1)
     if params.Omega > 0.0:
         rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
@@ -643,7 +731,13 @@ def _readout_system(params: SystemParams, factors: LindbladFactors, weights: np.
         out = 2 * m
     rhs = np.zeros(rows.size, dtype=complex)
     rhs[out] = -1j * weights[rows[out] // 3]
-    return _readout_block(factors, rows, cols), rhs, out
+    a = _readout_block(factors, rows, cols)
+    if params.Omega > 0.0:
+        return a, rhs, out
+    kept = _reached(a, rhs)
+    read = np.zeros(rhs.size, dtype=bool)
+    read[out] = True
+    return a[np.ix_(kept, kept)], rhs[kept], np.flatnonzero(read[kept])
 
 
 def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
@@ -652,7 +746,7 @@ def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
 
     The grid is one block-diagonal system, block k being A + i Delta_k I, in
     one band from the dense A's nonzeros that one zgbsv call factors and
-    solves; its bandwidths are A's: (2, 2) thermal, (1, 2) vacuum, (1, 1)
+    solves; its bandwidths are A's: (2, 2) thermal, (1, 1) vacuum and
     coherent. Pivoting never leaves a block, so no point's bits depend on the
     others. A singular point (the first zero pivot's block), or a residual
     ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| + |Delta|)
@@ -723,13 +817,16 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     cutoff. workers is accepted and ignored: every solve runs in this
     process. analytic evaluates the closed forms at beta = 1 and raises
     PreconditionError at the first Delta where chi, Im R_1 or Im R_2 is not
-    finite. linear_response reads out from the populations P_m of |g,m>: in
-    the lab frame from probe_free_state's rho0 for a thermal pump or the
-    vacuum, and under a coherent pump in the displaced frame from the
-    displaced vacuum (_displaced_probe_free_state, P_m = e_0), whose tail is
-    the Poisson tail of |alpha|^2; no lab-frame cavity solve runs there.
-    finite_epsilon checks uniqueness and the tail on probe_free_state, in
-    the lab frame, and builds L at each Delta (_finite_epsilon_chunk).
+    finite. linear_response reads out from the populations P_m of |g,m>,
+    gated on L0's factors, with no density matrix, cavity block or LU: in
+    the lab frame from the closed-form Bose weights for a thermal pump or
+    the vacuum (_bose_probe_free_state), whose tail is theirs, and under a
+    coherent pump in the displaced frame from the displaced vacuum
+    (_displaced_probe_free_state, P_m = e_0), whose tail is the Poisson
+    tail of |alpha|^2. The read-out then keeps only the unknowns its source
+    reaches: 2 in the vacuum. finite_epsilon checks uniqueness and the tail
+    on probe_free_state, in the lab frame, and builds L at each Delta
+    (_finite_epsilon_chunk).
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -758,11 +855,12 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    if method == "linear_response" and params.Omega > 0.0:
+    if method == "finite_epsilon":  # its uniqueness checks and tail report
+        report = probe_free_state(params, n_max)[2]
+    elif params.Omega > 0.0:
         factors, weights, report = _displaced_probe_free_state(params, n_max)
     else:
-        factors, state, report = probe_free_state(params, n_max)
-        weights = np.diag(state.rho)[::3].real  # P_m on |g,m>
+        factors, weights, report = _bose_probe_free_state(params, n_max)
     if not report.converged:
         notes.append(f"TruncationNotConverged: {report.message}")
 

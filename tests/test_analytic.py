@@ -152,6 +152,66 @@ def test_poles_square_overflow_is_a_precondition_error():
         poles(p)
 
 
+@pytest.mark.parametrize("system, product", [
+    (dict(gamma_e=1e200, gamma_f=1e200, eta=1.0, kappa=0.0), "gamma_e*gamma_f"),
+    (dict(gamma_e=1e200, gamma_f=1.0, eta=1.0, kappa=1e200), "gamma_e*kappa"),
+    (dict(gamma_e=1e200, gamma_f=1.0, eta=1.0, kappa=0.0, delta=1e150),
+     "(delta/2)(gamma_f + kappa - gamma_e)"),
+    (dict(gamma_e=1e154, gamma_f=1e154, eta=1.3e154, kappa=0.0), "their sum"),
+])
+def test_chi_constant_overflow_is_a_precondition_error(system, product):
+    # C = inf would leave chi = 0 at every Delta, finite and wrong
+    gamma_e, gamma_f = system.pop("gamma_e"), system.pop("gamma_f")
+    p = SystemParams.from_effective(gamma_e, gamma_f, **system)
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"C of chi overflows a float: {product} is not")):
+        chi_vacuum(np.linspace(-1.0, 1.0, 5), p)
+
+
+def _chi_reference(Delta, p):
+    """chi_vacuum's closed form as one expression, its sum in C's order."""
+    gamma_e, gamma_f = p.gamma[("e", "g")] / 2, p.gamma[("f", "g")] / 2
+    g, total = gamma_f + p.kappa, gamma_e + gamma_f + p.kappa
+    big_c = (p.eta ** 2 + gamma_e * gamma_f + gamma_e * p.kappa + p.delta ** 2 / 4.0
+             + 0.5j * p.delta * (-gamma_e + g))
+    return p.beta * (Delta + p.delta / 2.0 + 1j * g) / (-Delta ** 2 - 1j * total * Delta
+                                                        + big_c)
+
+
+def test_chi_finite_constant_keeps_its_bits():
+    rng = np.random.default_rng(47)
+    grid = np.linspace(-30.0, 30.0, 61)
+    for _ in range(200):
+        delta = rng.uniform(-6, 6) if rng.uniform() < 0.6 else 0.0
+        p = _draw_params(rng, delta=delta)
+        if p.eta == 0.0 and p.gamma[("f", "g")] + p.kappa == 0.0:
+            continue  # the cancelled form
+        assert np.array_equal(chi_vacuum(grid, p), _chi_reference(grid, p))
+
+
+@pytest.mark.parametrize("gamma_e", [1e4, 1e8, 1e12])
+def test_poles_below_the_discriminant_zero_match_vieta(gamma_e):
+    # disc < 0: the narrow pole i(sqrt|disc| - total)/2 cancelled (off by
+    # 1.3e-9 at gamma_e 1e8); from Vieta's product it keeps full precision
+    p = SystemParams.from_effective(gamma_e, 1.0, eta=1.0, kappa=1.0)
+    pair = poles(p)
+    assert pair.discriminant < 0
+    total, product = gamma_e + 2.0, -(1.0 + gamma_e * 2.0)
+    assert abs(pair.delta_1 * pair.delta_2 - product) <= 1e-15 * abs(product)
+    assert abs(pair.delta_1 + pair.delta_2 + 1j * total) <= 1e-15 * total
+    assert pair.delta_1.real == 0.0 and pair.delta_2.real == 0.0
+
+
+def test_poles_keep_the_narrow_pole_at_huge_damping():
+    # gamma_e 1e154: the + root used to cancel to exactly 0, a pole on the
+    # real axis; the narrow pole is -i(gamma_f + kappa) to 1e-154
+    p = SystemParams.from_effective(1e154, 1.0, eta=1.0, kappa=1.0)
+    pair = poles(p)
+    assert pair.delta_1 == pytest.approx(-2.0j, rel=1e-15)
+    assert pair.delta_2 == pytest.approx(-1e154j, rel=1e-15)
+    assert all(np.isfinite(r.evaluate(0.0)) for r in decompose_resonances(p))
+
+
 def test_first_order_recombination_matches_chi():
     rng = np.random.default_rng(31)
     for _ in range(100):

@@ -282,6 +282,35 @@ def test_analytic_square_overflow_exits_3(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_analytic_constant_overflow_exits_3(tmp_path, capsys):
+    # gamma_e gamma_f overflows C: chi would be 0 at every Delta, exit 0
+    out = tmp_path / "s.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 1e200, "gamma_f": 1e200, "kappa": 0.0, "eta": 1.0,
+        "method": "analytic", "delta_min": -1.0, "delta_max": 1.0, "delta_points": 5,
+        "output": str(out)})
+    assert cli.main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: the constant C of chi overflows a float: "
+                                "gamma_e*gamma_f is not finite"]
+    assert not out.exists()
+
+
+def test_analytic_spectrum_at_huge_damping_exits_0(tmp_path, capsys):
+    # gamma_e 1e154: the narrow pole used to cancel onto the real axis, and
+    # the spectrum refused its Delta = 0 row with exit 3
+    out = tmp_path / "s.csv"
+    cfg = _write_config(tmp_path, "c.json", {
+        "gamma_e": 1e154, "gamma_f": 1.0, "kappa": 1.0, "eta": 1.0,
+        "method": "analytic", "delta_min": -1.0, "delta_max": 1.0, "delta_points": 5,
+        "output": str(out)})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    capsys.readouterr()
+    header, rows = _read_csv(out)
+    assert header == ["delta", "im_chi", "re_chi", "im_R1", "im_R2"]
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
 def test_spectrum_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "s.csv"
     cfg = _write_config(tmp_path, "c.json", {

@@ -10,6 +10,7 @@ read-out block solve against a lab-frame solve with one sparse LU per point.
 
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -639,30 +640,35 @@ def test_readout_block_matches_lab_frame_reference_randomized(
 
 def _readout_frame(params, n_max):
     """(factors, P_m on |g,m>) of the probe-free L0 in the frame the read-out
-    block lives in: the lab frame (probe_free_state) for a thermal pump or
-    the vacuum, the displaced one (_displaced_probe_free_state) for a
+    block lives in: the lab frame (_bose_probe_free_state) for a thermal pump
+    or the vacuum, the displaced one (_displaced_probe_free_state) for a
     coherent pump."""
     if params.Omega > 0.0:
         return solver._displaced_probe_free_state(params, n_max)[:2]
-    factors, state, _ = solver.probe_free_state(params, n_max)
-    return factors, np.diag(state.rho)[::3].real
+    return solver._bose_probe_free_state(params, n_max)[:2]
 
 
 def _assert_readout_band_is_narrow(params, n_max=10):
-    """The read-out block's (kl, ku), read from its nonzeros, is exactly
-    (2, 2) for a thermal pump, (1, 2) for the vacuum and (1, 1) for the
-    displaced coherent block: the eta coupling (and, displaced, the
-    sigma_ef shift) gives the offsets +-1, which vanish at eta = 0, and a
-    and a^dag of the lab-frame block give +2 and -2. A wider band would make
-    each grid point cost more."""
-    rows, cols = np.nonzero(solver._readout_system(params,
-                                                   *_readout_frame(params, n_max))[0])
+    """The read-out block's (kl, ku), read from its nonzeros on the kept
+    positions, is exactly (2, 2) for a thermal pump, (1, 1) for the vacuum
+    and for the displaced coherent block: the eta coupling (and, displaced,
+    the sigma_ef shift) gives the offsets +-1, and a and a^dag of the
+    thermal block give +2 and -2. In the vacuum only |g,0><e,0| and
+    |g,0><f,1| are kept; at eta = 0 the f positions drop out of a thermal
+    block, whose e positions a and a^dag then link at +-1, the vacuum keeps
+    |g,0><e,0| alone, and the displaced block, kept whole, is diagonal. A
+    wider band would make each grid point cost more."""
+    a = solver._readout_system(params, *_readout_frame(params, n_max))[0]
+    rows, cols = np.nonzero(a)
     bands = (int((rows - cols).max()), int((cols - rows).max()))
-    coupled = int(params.eta > 0.0)
-    if params.Omega > 0.0:
-        assert bands == (coupled, coupled)
+    coupled = params.eta > 0.0
+    if params.Omega == 0.0 and params.n_th > 0.0:
+        assert bands == ((2, 2) if coupled else (1, 1))
+        assert a.shape[0] == (2 * n_max + 1 if coupled else n_max + 1)
     else:
-        assert bands == (2 if params.n_th > 0.0 else coupled, 2)
+        assert bands == ((1, 1) if coupled else (0, 0))
+        if params.Omega == 0.0:
+            assert a.shape[0] == (2 if coupled else 1)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -905,7 +911,8 @@ def test_readout_block_check_pairs_nonzeros_of_one_jump():
 
 def _readout_slice_of_l0(params, spec):
     """The read-out block sliced out of the full probe-free L0 (the displaced
-    one for a coherent pump), by vec index."""
+    one for a coherent pump), by vec index, on its kept positions: in the
+    vacuum (eta > 0) |g,0><e,0| and |g,0><f,1| alone."""
     dim, m = spec.dim, np.arange(spec.n_max + 1)
     if params.Omega > 0.0:
         l0 = solver._displaced_generator(
@@ -913,8 +920,11 @@ def _readout_slice_of_l0(params, spec):
         block = dim * (3 * m[:, None] + np.array([1, 2])).ravel()
     else:
         l0 = liouvillian_at(params, 0.0, spec, epsilon=0.0).matrix
-        block = np.sort(np.concatenate([3 * m + dim * (3 * m + 2),
-                                        3 * m[:-1] + dim * (3 * m[1:] + 1)]))
+        if params.n_th > 0.0:
+            block = np.sort(np.concatenate([3 * m + dim * (3 * m + 2),
+                                            3 * m[:-1] + dim * (3 * m[1:] + 1)]))
+        else:
+            block = np.array([dim * 2, dim * 4])
     return l0[block][:, block].toarray()
 
 
@@ -932,7 +942,8 @@ def test_readout_block_is_an_exact_slice_of_l0(params):
     SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
     SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=1.3,
                                 pump=CoherentPump(Omega=0.7, pump_detuning=0.9)),
-], ids=["thermal", "coherent"])
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=0.6),
+], ids=["thermal", "coherent", "vacuum"])
 def test_readout_points_independent_of_batching(params):
     # 37 points span three batches; each point alone must give the same bits
     grid = np.linspace(-12, 12, 37)
@@ -944,18 +955,19 @@ def test_readout_points_independent_of_batching(params):
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-@pytest.mark.parametrize("params", [
-    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
-    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
-], ids=["thermal", "coherent"])
-def test_one_lu_per_linear_response_spectrum(monkeypatch, params):
-    # no cavity LU: a thermal pump takes the closed form, a coherent one the
-    # displaced vacuum; the whole grid takes one band LU of 101 read-out
-    # blocks (14 dims displaced, 13 thermal)
+@pytest.mark.parametrize("params, size", [
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)), 13),
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)), 14),
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1), 2),
+], ids=["thermal", "coherent", "vacuum"])
+def test_one_lu_per_linear_response_spectrum(monkeypatch, params, size):
+    # no cavity LU: a thermal pump or the vacuum takes the closed form, a
+    # coherent one the displaced vacuum; the whole grid takes one band LU of
+    # 101 read-out blocks (14 dims displaced, 13 thermal, 2 in the vacuum)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     assert calls["splu"] == {}
-    assert calls["band_lu"] == ({1414: 1} if params.Omega > 0.0 else {1313: 1})
+    assert calls["band_lu"] == {101 * size: 1}
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
@@ -1012,16 +1024,160 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
 @pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=0.5)],
                          ids=["thermal", "coherent"])
 def test_linear_response_spectrum_assemblies(monkeypatch, pump):
-    # a thermal pump: the 7^2 cavity block for the residual gate, then the
-    # dense read-out block on its 13 kept positions; a coherent pump: only
-    # the displaced |g,0><{f,e}| (14), its probe-free state gated on the
-    # factors; never D^2 = 441. No sparse LU, and no cavity band LU
+    # a thermal pump: only the dense read-out block on its 13 positions; a
+    # coherent pump: only the displaced |g,0><{f,e}| (14); either way the
+    # probe-free state is gated on the factors, with no 7^2 cavity block,
+    # and never D^2 = 441 is built. No sparse LU, and no cavity band LU
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
-    assert calls["blocks"] == ([14] if params.Omega > 0.0 else [49, 13])
+    assert calls["blocks"] == ([14] if params.Omega > 0.0 else [13])
     assert calls["splu"] == {}
     assert calls["band_lu"][49] == 0
+
+
+_BOSE_SYSTEMS = [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, delta=0.6),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
+    SystemParams(gamma=_FULL_GAMMA, eta=4.0, kappa=1.0, delta=-0.4,
+                 pump=ThermalPump(n_th=0.4)),
+    SystemParams.from_effective(5, 1, eta=80, kappa=0.2, pump=ThermalPump(n_th=2.0)),
+]
+_BOSE_IDS = ["vacuum", "thermal", "full-gamma-map-thermal", "hot"]
+
+
+def _recorded_warnings(call):
+    """(call(), the messages of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("params", _BOSE_SYSTEMS, ids=_BOSE_IDS)
+def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch, params):
+    # the spectrum's populations are probe_free_state's, bit for bit, with
+    # the same tail (to rounding) and warning; its residual gate is never
+    # looser than probe_free_state's on the assembled cavity block
+    n_max = 6
+    tols, gate = [], solver._require_ground_steady
+
+    def recording(factors, weights, tol, frame):
+        tols.append(tol)
+        return gate(factors, weights, tol, frame)
+
+    monkeypatch.setattr(solver, "_require_ground_steady", recording)
+    (factors, weights, report), caught = _recorded_warnings(
+        lambda: solver._bose_probe_free_state(params, n_max))
+    (_, state, lab_report), lab_caught = _recorded_warnings(
+        lambda: solver.probe_free_state(params, n_max))
+    assert np.array_equal(weights, np.diag(state.rho)[::3].real)
+    assert report.tail_mass == pytest.approx(lab_report.tail_mass, rel=1e-14, abs=0)
+    assert (report.converged, report.message) == (lab_report.converged, lab_report.message)
+    assert caught == lab_caught
+    assert (len(caught) == 1) == (params.n_th > 0.1)  # the hot and thermal tails warn
+    ground = 3 * np.arange(n_max + 1)
+    assert len(tols) == 1
+    assert tols[0] <= solver._residual_tol(factors.block(ground, ground))
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("multiple, fails", [(2.0, True), (0.5, False)],
+                         ids=["2x-raises", "half-passes"])
+def test_bose_residual_gate_sits_at_the_tolerance(monkeypatch, multiple, fails):
+    # P + t (e_0 - e_1), scaled so that its residual on the factors is the
+    # given multiple of the gate's tolerance (P's own is ~1e-16, far below)
+    params, n_max = _BOSE_SYSTEMS[1], 6
+    tols, gate = [], solver._require_ground_steady
+    monkeypatch.setattr(solver, "_require_ground_steady",
+                        lambda *args: (tols.append(args[2]), gate(*args)))
+    solver._bose_probe_free_state(params, n_max)
+    bump = np.zeros(n_max + 1)
+    bump[:2] = 1.0, -1.0
+    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
+    scale = multiple * tols[0] / solver._ground_residual(factors, bump)
+    weights = solver._bose_weights
+    monkeypatch.setattr(solver, "_bose_weights",
+                        lambda n_th, n_max: weights(n_th, n_max) + scale * bump)
+    if fails:
+        with pytest.raises(SolverFailure, match="lab-frame probe-free state leaves residual"):
+            probe_spectrum(params, np.linspace(-5, 5, 5), n_max=n_max)
+    else:
+        probe_spectrum(params, np.linspace(-5, 5, 5), n_max=n_max)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_bose_residual_gate_trips_on_a_wrong_temperature(monkeypatch):
+    # Bose weights of n_th 1% too large break detailed balance
+    weights = solver._bose_weights
+    monkeypatch.setattr(solver, "_bose_weights",
+                        lambda n_th, n_max: weights(1.01 * n_th, n_max))
+    with pytest.raises(SolverFailure, match="residual"):
+        probe_spectrum(_BOSE_SYSTEMS[1], np.linspace(-5, 5, 5), n_max=6)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _BOSE_SYSTEMS, ids=_BOSE_IDS)
+def test_bose_spectrum_never_calls_probe_free_state(monkeypatch, params):
+    # a thermal or vacuum linear-response spectrum reads its populations
+    # from the closed form: no D x D state, cavity block or SteadyState
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe_free_state called")
+
+    monkeypatch.setattr(solver, "probe_free_state", refuse)
+    series = probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
+    assert np.all(np.isfinite(series.chi))
+
+
+# kappa starts at 0.01 and e and f always decay to g, so that every
+# position of the full block is damped and no grid point is singular
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({
+           ("e", "g"): st.floats(0.5, 10.0), ("e", "f"): _zero_or(0.2, 5.0),
+           ("e", "e"): _zero_or(0.2, 3.0), ("f", "g"): st.floats(0.2, 5.0),
+           ("f", "f"): _zero_or(0.2, 3.0)}),
+       pump=st.one_of(st.builds(ThermalPump, _zero_or(0.05, 1.0)),
+                      st.builds(CoherentPump, st.floats(0.05, 1.0),
+                                _zero_or_signed(0.2, 2.0))),
+       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.01, 5.0),
+       delta=_zero_or_signed(0.2, 3.0), n_max=st.integers(1, 8))
+def test_readout_keeps_what_its_source_reaches(gamma, pump, eta, kappa, delta, n_max):
+    # the kept read-out against the full block, by the same band solve: the
+    # positions b reaches are closed under A and hold b, x vanishes
+    # identically off them, and chi agrees; the lab frame keeps exactly
+    # those (the vacuum |g,0><e,0| and |g,0><f,1|), the displaced chain all
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
+    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
+    if params.Omega > 0.0:
+        factors = solver._displaced_generator(params, factors)
+        weights = np.eye(1, n_max + 1)[0]
+    else:
+        weights = solver._bose_weights(params.n_th, n_max)
+    kept_system = solver._readout_system(params, factors, weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_reached", lambda a, rhs: np.arange(rhs.size))
+        a, rhs, out = full_system = solver._readout_system(params, factors, weights)
+    kept = solver._reached(a, rhs)
+    off = np.setdiff1d(np.arange(rhs.size), kept)
+    assert not a[np.ix_(off, kept)].any() and not rhs[off].any()
+    if params.Omega > 0.0:
+        assert np.array_equal(kept_system[0], a)
+    else:
+        assert np.array_equal(kept_system[0], a[np.ix_(kept, kept)])
+    if params.Omega == 0.0 and params.n_th == 0.0:
+        assert kept.tolist() == ([0, 1] if eta > 0.0 else [0])
+    elif eta > 0.0:
+        assert kept.size == rhs.size
+    grid = np.linspace(-8, 8, 9)
+    np.testing.assert_allclose(solver._readout_response(*kept_system, grid)[0],
+                               solver._readout_response(*full_system, grid)[0],
+                               rtol=1e-14, atol=0)
+    kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
+    band = np.tile(block.T, (grid.size, 1)).T
+    band[kl + ku] += 1j * np.repeat(grid, rhs.size)
+    x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
+    assert not x[:, off].any()
 
 
 def _not_unique(call) -> bool:
@@ -1106,7 +1262,7 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
-    assert solver._displaced_vacuum_residual(factors) <= 1e-15
+    assert solver._ground_residual(factors, populations) <= 1e-15
     assert populations.tolist() == [1.0] + [0.0] * n_max
     with pytest.warns(TruncationNotConverged, match=f"tail mass {tail:.3e} above photon "
                                                      f"number {max(0, n_max - 5)} exceeds"):
@@ -1115,23 +1271,25 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
 
 
 def test_displaced_vacuum_residual_is_the_full_space_residual():
-    # the residual from column 0 of the factors against ||L vec(|0><0|)||
-    # on the full superoperator, for random dense H and jumps
+    # the residual from the ground columns of the factors against
+    # ||L vec(rho)|| on the full superoperator, for random dense H and jumps:
+    # rho = |g,0><g,0| (column 0 alone) and rho = sum_m P_m |g,m><g,m|
     rng = np.random.default_rng(11)
-    spec = HilbertSpec(1)
-    vacuum = np.zeros((spec.dim, spec.dim))
-    vacuum[0, 0] = 1.0
+    spec = HilbertSpec(2)
 
     def random_matrix():
         return rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
 
-    for _ in range(20):
+    for k in range(40):
         h = random_matrix()
         factors = lindblad_factors(h + h.conj().T,
                                    [random_matrix() for _ in range(rng.integers(1, 4))],
                                    spec)
-        full = np.linalg.norm(factors.superoperator().matrix @ vec(vacuum))
-        assert solver._displaced_vacuum_residual(factors) == pytest.approx(full, rel=1e-12)
+        weights = np.eye(1, spec.n_max + 1)[0] if k % 2 else rng.uniform(size=spec.n_max + 1)
+        rho = np.zeros((spec.dim, spec.dim))
+        rho[::3, ::3] = np.diag(weights)
+        full = np.linalg.norm(factors.superoperator().matrix @ vec(rho))
+        assert solver._ground_residual(factors, weights) == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -1377,9 +1535,10 @@ def test_analytic_spectrum_at_the_removable_singularity():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_analytic_spectrum_refuses_a_non_finite_value():
-    # gamma_e = 1e154 rounds R_1's pole onto the real axis, at Delta = 0
-    p = SystemParams.from_effective(1e154, 1.0, eta=1.0, kappa=1.0)
-    with pytest.raises(PreconditionError, match="not finite at Delta=0$"):
+    # a damping of 5e-324 alone halves to 0: both poles sit on the real
+    # axis, at Delta = -1 and 1, grid points where chi and R_1, R_2 blow up
+    p = SystemParams.from_effective(5e-324, 0.0, eta=1.0, kappa=0.0)
+    with pytest.raises(PreconditionError, match="not finite at Delta=-1$"):
         probe_spectrum(p, np.linspace(-1.0, 1.0, 5), method="analytic")
 
 
