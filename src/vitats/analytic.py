@@ -202,17 +202,25 @@ def decompose_resonances(params: SystemParams) -> tuple[ResonanceComponent, Reso
     w_2 = beta (-Delta_2 - i(gamma_f+kappa)) / (Delta_2 - Delta_1)
 
     so that R_1 + R_2 = chi identically (partial fractions of the pole form
-    of chi_vacuum).
+    of chi_vacuum). For a negative discriminant the poles are imaginary, and
+    Delta_k + i(gamma_f+kappa) cancels for the pole near -i(gamma_f+kappa)
+    (both weights are then tiny): since (Delta_k + i(gamma_f+kappa))
+    (Delta_k + i gamma_e) = eta^2 at delta = 0, the smaller factor of each
+    pole is taken as eta^2 over the larger.
     """
     params = validate_params(params)
     pair = poles(params)
     if pair.discriminant == 0.0:
         raise DegeneratePoles("eta = eta_T/2: double pole, no two-term split")
-    _, gamma_f = half_widths(params)
+    gamma_e, gamma_f = half_widths(params)
     g = gamma_f + params.kappa
+    shifted = [pair.delta_1 + 1j * g, pair.delta_2 + 1j * g]  # Delta_k + i g
+    for k, pole in enumerate((pair.delta_1, pair.delta_2)):
+        if pair.discriminant < 0.0 and abs(pole + 1j * gamma_e) > abs(shifted[k]):
+            shifted[k] = params.eta * (params.eta / (pole + 1j * gamma_e))
     span = pair.delta_2 - pair.delta_1
-    w_1 = params.beta * (pair.delta_1 + 1j * g) / span
-    w_2 = params.beta * (-pair.delta_2 - 1j * g) / span
+    w_1 = params.beta * shifted[0] / span
+    w_2 = -params.beta * shifted[1] / span
     return (ResonanceComponent(pole=pair.delta_1, weight=complex(w_1)),
             ResonanceComponent(pole=pair.delta_2, weight=complex(w_2)))
 

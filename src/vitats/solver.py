@@ -8,11 +8,10 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
   (_readout_system), dense on its m <= 2(n_max+1) positions after one
-  check on L0's factors (_readout_block); in the lab frame only those
-  that the source reaches through the block are kept (_reached): x
-  vanishes identically off them, so the vacuum keeps 2. Its source is
-  -i P_m, from
-  the populations P_m of |g,m> in rho0 alone. The block is banded and meets
+  check on L0's factors (_readout_block); only those that the source
+  reaches through the block are kept (_reached): x vanishes identically
+  off them, so the vacuum keeps 2. Its source is -i P_m, from the
+  populations P_m of |g,m> in rho0 alone. The block is banded and meets
   Delta only as +i Delta, so the grid is one block-diagonal band and one
   banded LU with partial pivoting (LAPACK gbsv), O(m) per point; the probe
   amplitude is eliminated analytically. Any pump.
@@ -35,17 +34,18 @@ The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
 state of the (n_max+1)^2 |g,m><g,n| block of L0, whose invariance is
 checked on L0's D x D Hilbert-space factors (liouvillian.LindbladFactors).
 A linear-response spectrum reads only the populations P_m of rho0, and
-builds no density matrix, cavity block or SteadyState for them; its
-probe-free state is gated by its residual in L0, computed on the factors'
-ground columns (_ground_residual, shared by both frames):
-- for a thermal pump or the vacuum (Omega = 0) the block is a thermally
-  damped oscillator whose truncation keeps detailed balance, so P_m are
-  the truncated Bose weights in closed form, unique for kappa > 0, and the
-  tail is theirs (_bose_probe_free_state);
-- under a coherent pump, in the frame displaced by the cavity amplitude
-  alpha the drive cancels, the probe-free state is exactly |g,0><g,0|, so
-  P_m = e_0, and its photon statistics are Poisson in |alpha|^2, whose
-  tail is reported (_displaced_probe_free_state).
+builds no density matrix, cavity block or SteadyState for them. They are
+the truncated Bose weights in one read-out frame for every pump
+(_readout_frame), whose one pump branch picks the factors, the tail and
+the read-out positions: for a thermal pump or the vacuum (Omega = 0) the
+lab frame, where the block is a thermally damped oscillator whose
+truncation keeps detailed balance, and the tail is P's; under a coherent
+pump the frame displaced by the cavity amplitude alpha, where the drive
+cancels, the probe-free state is exactly |g,0><g,0| (P = e_0, the Bose
+weights at n_th = 0), and the tail is the Poisson tail of |alpha|^2.
+Either way P is unique for kappa > 0 and gated once, by its residual in
+the frame's L0 computed on the factors' ground columns (_ground_residual),
+within 1e-9 max(1, max|diag L_GG|).
 populations, check_truncation_convergence and finite_epsilon keep the
 lab-frame probe_free_state: it assembles the cavity block and gates
 rho_cav's residual there, writes the Bose state down for Omega = 0, and
@@ -476,9 +476,9 @@ def probe_free_state(params: SystemParams, n_max: int):
     and the tolerance, not NonUniqueSteadyState.
     So under a coherent pump the populations P_n come from the truncated
     master equation in the lab frame, while a linear-response spectrum
-    never calls this function, under any pump: it reads out from the
-    displaced vacuum (_displaced_probe_free_state) or from the Bose weights
-    (_bose_probe_free_state). The largest
+    never calls this function, under any pump: it reads out from the Bose
+    weights in the lab frame or from the displaced vacuum (_readout_frame).
+    The largest
     relative gap between P_0..P_3 and the normalized truncated coherent
     state (eta 80, kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig.
     8a's sweep (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and
@@ -555,13 +555,16 @@ def _displaced_generator(params: SystemParams,
 def _ground_residual(factors: LindbladFactors, weights: np.ndarray) -> float:
     """||L vec(rho)|| for rho = sum_m P_m |g,m><g,m|, P = weights, from the
     factors' columns on the support G of P alone: L rho = M[:, G] P <G| +
-    |G> P N[G, :] + sum_c c[:, G] P c[:, G]^dag."""
-    ground = 3 * np.flatnonzero(weights)
-    p = weights[ground // 3]
-    columns = factors.jumps[:, :, ground].transpose(1, 0, 2)  # c[:, G], jump by jump
+    |G> P N[G, :] + sum_c c[:, G] P c[:, G]^dag, where only the jumps with a
+    nonzero in c[:, G] are multiplied (none for |g,0>)."""
+    support = np.flatnonzero(weights)
+    ground, p = 3 * support, weights[support]
+    columns = factors.jumps[:, :, ground]
+    columns = columns[columns.any(axis=(1, 2))].transpose(1, 0, 2)  # c[:, G], jump by jump
     dim = factors.spec.dim
-    residual = ((columns * p).reshape(dim, -1)
-                @ columns.conj().reshape(dim, -1).T).astype(complex)  # the jumps may be real
+    residual = np.zeros((dim, dim), dtype=complex)
+    if columns.size:
+        residual += (columns * p).reshape(dim, -1) @ columns.conj().reshape(dim, -1).T
     residual[:, ground] += factors.m[:, ground] * p
     residual[ground, :] += p[:, None] * factors.n[ground, :]
     return float(np.linalg.norm(residual))
@@ -588,78 +591,65 @@ def _tail_report(weights: np.ndarray) -> TruncationReport:
     return TruncationReport(n_max=n_max, tail_mass=tail, converged=tail < _TAIL_TOL)
 
 
-def _bose_probe_free_state(params: SystemParams, n_max: int):
-    """(lab-frame LindbladFactors of L0, ground populations, TruncationReport)
-    of L0 without the probe under a thermal pump or none (Omega = 0).
+def _readout_frame(params: SystemParams, n_max: int):
+    """(factors, P, TruncationReport, rows, cols): L0 without the probe in the
+    frame its read-out lives in, the populations P_m of |g,m> in its
+    probe-free state there, the tail report, and the read-out positions
+    |rows[k]><cols[k]| in vec order (_readout_system).
 
-    The populations P_m of |g,m> are probe_free_state's, bit for bit: the
-    truncated Bose weights (_bose_weights). No D x D array, cavity block,
-    solve or SteadyState is made. The uniqueness checks are probe_free_state's
-    (_probe_free_factors). On the factors, the |g><g| block must be
-    invariant and diag(P) must leave a residual ||L vec(rho0)||
-    (_ground_residual) within 1e-9 max(1, max|diag L_GG|), or SolverFailure.
-    That tolerance is never looser than probe_free_state's _residual_tol of
-    the block L_GG, whose diagonal entries are among its entries. The
-    truncation report is the share of P above n_max - 5 (_tail_report), the
-    tail of probe_free_state's report to rounding. Warns
-    (TruncationNotConverged) unless it converged.
+    P is the truncated Bose weights (_bose_weights): probe_free_state's
+    populations, bit for bit, for a thermal pump or the vacuum (Omega = 0),
+    and e_0 under a coherent pump (n_th = 0). The one pump branch:
+    - Omega = 0, the lab frame: the block is a thermally damped oscillator
+      whose truncation keeps detailed balance, so diag(P) is its steady
+      state; the tail is P's, and the positions are |g,m><e,m| and
+      |g,m><f,m+1|;
+    - Omega > 0, the frame displaced by alpha = -i Omega/(kappa + i dd)
+      (_displaced_generator): the drive cancels, so |g,0><g,0| is the
+      steady state; the tail is that of the lab-frame state |alpha><alpha|,
+      the normalized truncated Poisson weights of
+      |alpha|^2 = Omega^2/(kappa^2 + dd^2), formed as logarithms so that no
+      mean under- or overflows, and the positions are |g,0><{f, e}|.
+    No density matrix, cavity block, LU or SteadyState is made. The
+    uniqueness checks are probe_free_state's (_probe_free_factors, on the lab
+    factors): kappa > 0 then makes the state unique, since the truncated a
+    generates the whole matrix algebra. On the frame's factors, the |g><g|
+    block must be invariant and diag(P) must leave a residual
+    (_ground_residual) within 1e-9 max(1, max|diag L_GG|), or SolverFailure
+    (_require_ground_steady). That tolerance is never looser than
+    probe_free_state's _residual_tol of L_GG, whose diagonal entries are
+    among its entries, nor than 1e-9 max(1, _l0_scale). The displacement
+    leaves diag L_GG as it is, and e_0's displaced residual is exactly 0, so
+    an uncancelled drive fails (an Omega in the shift that is not the
+    pump's). |alpha| is not gated: it enters the displaced factors only as
+    eta alpha on the f-e coupling, which column 0 never reads; the
+    lab-frame reference tests pin it. Warns (TruncationNotConverged) unless
+    the tail converged.
     """
     params = validate_params(params)
     factors = _probe_free_factors(params, n_max)
     weights = _bose_weights(params.n_th, n_max)
-    ground = 3 * np.arange(n_max + 1)
+    m = np.arange(n_max + 1)
+    if params.Omega > 0.0:
+        factors, frame = _displaced_generator(params, factors), "displaced"
+        # log |alpha|^2 = 2 log(Omega / hypot(kappa, dd))
+        log_mean = 2.0 * (math.log(params.Omega)
+                          - math.log(math.hypot(params.kappa, params.pump_detuning)))
+        log_tail = m * log_mean - np.cumsum(np.log(np.maximum(m, 1)))
+        tail = np.exp(log_tail - log_tail.max())
+        rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
+    else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max
+        frame, tail = "lab-frame", weights
+        rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
+    ground = 3 * m
     jumps = factors.jumps[:, ground, ground]  # c[G, G]'s diagonal, jump by jump
     diagonal = (factors.m[ground, ground][:, None] + factors.n[ground, ground]
                 + jumps.T @ jumps.conj())  # of L_GG, at |g,m><g,n|
     _require_ground_steady(factors, weights,
-                           1e-9 * max(1.0, float(np.abs(diagonal).max())), "lab-frame")
-    report = _tail_report(weights)
+                           1e-9 * max(1.0, float(np.abs(diagonal).max())), frame)
+    report = _tail_report(tail)
     _warn_unless_converged(report)
-    return factors, weights, report
-
-
-def _displaced_probe_free_state(params: SystemParams, n_max: int):
-    """(displaced LindbladFactors, ground populations, TruncationReport) of a
-    coherently pumped L0 without the probe, in the frame displaced by
-    alpha = -i Omega/(kappa + i dd) (_displaced_generator), where the drive
-    cancels and the probe-free state is exactly rho0' = |g,0><g,0|, so its
-    populations P_m on |g,m> are e_0.
-
-    No cavity block is assembled, no LU runs and no density matrix is built.
-    The uniqueness checks are probe_free_state's (_probe_free_factors, on
-    the lab factors): kappa > 0 then makes |0><0| the unique steady state of
-    the undriven, damped cavity, as for the thermal closed form, since the
-    truncated a generates the whole matrix algebra. On the displaced
-    factors, the |g><g| block must be invariant and rho0' must leave a
-    residual ||L' vec(rho0')|| (_ground_residual, from column 0 alone)
-    within 1e-9 max(1, _l0_scale), or SolverFailure (_require_ground_steady,
-    shared with the lab frame). The exact state leaves zero up to rounding,
-    so an uncancelled drive fails here: an Omega in the shift that is not
-    the pump's. |alpha| is not gated: it enters the displaced factors only
-    as eta alpha on the f-e coupling, which column 0 never reads. The
-    tests that pin it are test_displaced_generator_matches_kron_reference,
-    test_linear_response_block_matches_finite_epsilon_when_pumped
-    [coherent-detuned] and test_readout_block_matches_lab_frame_reference
-    [coherent-detuned, full-gamma-map-coherent] with its _randomized twin.
-    The truncation report is the tail of the lab-frame state
-    |alpha><alpha|: the normalized truncated Poisson weights of
-    |alpha|^2 = Omega^2/(kappa^2 + dd^2) above n_max - 5 (_tail_report),
-    formed as logarithms, so that no mean under- or overflows. Warns
-    (TruncationNotConverged) unless it converged.
-    """
-    params = validate_params(params)
-    factors = _displaced_generator(params, _probe_free_factors(params, n_max))
-    weights = np.eye(1, n_max + 1)[0]
-    _require_ground_steady(factors, weights, 1e-9 * max(1.0, _l0_scale(factors)),
-                           "displaced")
-    # log |alpha|^2 = 2 log(Omega / hypot(kappa, dd))
-    log_mean = 2.0 * (math.log(params.Omega)
-                      - math.log(math.hypot(params.kappa, params.pump_detuning)))
-    n = np.arange(n_max + 1)
-    log_poisson = n * log_mean - np.cumsum(np.log(np.maximum(n, 1)))
-    report = _tail_report(np.exp(log_poisson - log_poisson.max()))
-    _warn_unless_converged(report)
-    return factors, weights, report
+    return factors, weights, report, rows, cols
 
 
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
@@ -702,42 +692,33 @@ def _reached(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(sorted(kept), dtype=int)
 
 
-def _readout_system(params: SystemParams, factors: LindbladFactors, weights: np.ndarray):
+def _readout_system(factors: LindbladFactors, weights: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray):
     """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
-    invariant block of |g,m><x,n| coherences (x in {f, e}) holding the
-    read-out (_readout_block), where dL/dDelta = +i; the source b = i[V, rho0]
-    on it, -i P_m on each read-out position |g,m><e,m|, with P_m = weights[m]
-    the probe-free population of |g,m>; the read-out positions. factors and
-    weights are L0's and its probe-free state's in the frame the block lives
-    in, taken as given: rho0 is |g><g| (x) rho_cav, and only the diagonal of
-    rho_cav reaches b.
-    Thermal pump or vacuum, lab frame: |g,m><e,m| and |g,m><f,m+1| in vec
-    order. Coherent pump, the displaced frame of _displaced_probe_free_state:
-    weights = e_0, the block is |g,0><{f, e}|, and chi is its |g,0><e,0|
-    element (b = -i): the displacement keeps the trace.
-    In the lab frame, after _readout_block's leak check, only the positions
+    invariant block of |g,m><x,n| coherences (x in {f, e}) that holds the
+    read-out, listed as |rows[k]><cols[k]| (_readout_block), where
+    dL/dDelta = +i; the source b = i[V, rho0] on it, -i P_m on each
+    read-out position |g,m><e,m| (cols = rows + 2), with P_m = weights[m]
+    the probe-free population of |g,m>; the kept read-out positions.
+    factors, weights and positions are those of one frame (_readout_frame),
+    taken as given: rho0 is |g><g| (x) rho_cav, only the diagonal of rho_cav
+    reaches b, and the displacement keeps the trace, so chi is the same sum
+    in either frame. After _readout_block's leak check, only the positions
     that b reaches through A are kept (_reached), since x vanishes
     identically off them: in the vacuum (b = -i e_0) that is |g,0><e,0| and
     |g,0><f,1| (|g,0><e,0| alone at eta = 0), while a thermal pump
-    (n_th > 0) keeps every position when eta > 0. The displaced block is
-    kept whole: it is the chain f_0 - e_0 - f_1 - e_1 - ..., linked by
-    eta alpha and eta sqrt(n+1), so b reaches all of it when eta > 0."""
-    m = np.arange(factors.spec.n_max + 1)
-    if params.Omega > 0.0:
-        rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
-        out = np.array([1])
-    else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max
-        rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
-        out = 2 * m
+    (n_th > 0) keeps every position when eta > 0, and so does the displaced
+    chain f_0 - e_0 - f_1 - e_1 - ..., linked by eta alpha and
+    eta sqrt(n+1) (|g,0><e,0| alone at eta = 0). A block kept whole is
+    returned as built."""
+    out = np.flatnonzero(cols == rows + 2)
     rhs = np.zeros(rows.size, dtype=complex)
     rhs[out] = -1j * weights[rows[out] // 3]
     a = _readout_block(factors, rows, cols)
-    if params.Omega > 0.0:
-        return a, rhs, out
     kept = _reached(a, rhs)
-    read = np.zeros(rhs.size, dtype=bool)
-    read[out] = True
-    return a[np.ix_(kept, kept)], rhs[kept], np.flatnonzero(read[kept])
+    if kept.size == rhs.size:
+        return a, rhs, out
+    return a[np.ix_(kept, kept)], rhs[kept], np.flatnonzero(cols[kept] == rows[kept] + 2)
 
 
 def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
@@ -818,11 +799,10 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     process. analytic evaluates the closed forms at beta = 1 and raises
     PreconditionError at the first Delta where chi, Im R_1 or Im R_2 is not
     finite. linear_response reads out from the populations P_m of |g,m>,
-    gated on L0's factors, with no density matrix, cavity block or LU: in
-    the lab frame from the closed-form Bose weights for a thermal pump or
-    the vacuum (_bose_probe_free_state), whose tail is theirs, and under a
-    coherent pump in the displaced frame from the displaced vacuum
-    (_displaced_probe_free_state, P_m = e_0), whose tail is the Poisson
+    the closed-form Bose weights gated on L0's factors, with no density
+    matrix, cavity block or LU, in the frame _readout_frame picks: the lab
+    frame for a thermal pump or the vacuum, whose tail is P's, and under a
+    coherent pump the displaced frame (P_m = e_0), whose tail is the Poisson
     tail of |alpha|^2. The read-out then keeps only the unknowns its source
     reaches: 2 in the vacuum. finite_epsilon checks uniqueness and the tail
     on probe_free_state, in the lab frame, and builds L at each Delta
@@ -855,19 +835,14 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    if method == "finite_epsilon":  # its uniqueness checks and tail report
+    if method == "linear_response":
+        factors, weights, report, *positions = _readout_frame(params, n_max)
+        chi, resid = _readout_response(*_readout_system(factors, weights, *positions), grid)
+    else:  # after probe_free_state's uniqueness checks and tail report
         report = probe_free_state(params, n_max)[2]
-    elif params.Omega > 0.0:
-        factors, weights, report = _displaced_probe_free_state(params, n_max)
-    else:
-        factors, weights, report = _bose_probe_free_state(params, n_max)
+        chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
     if not report.converged:
         notes.append(f"TruncationNotConverged: {report.message}")
-
-    if method == "linear_response":
-        chi, resid = _readout_response(*_readout_system(params, factors, weights), grid)
-    else:
-        chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
 
     if method == "finite_epsilon":
         # saturation check at the most absorbing point: halving epsilon must

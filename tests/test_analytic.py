@@ -319,6 +319,37 @@ def test_resonance_sum_identity():
         assert np.abs(total - chi).max() <= 1e-12
 
 
+def _resonances_60_digits(gamma_e, gamma_f, kappa, eta):
+    """(pole, weight) of R_1 and R_2 at delta = 0 from the textbook formulas
+    in 60-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma_f) + kappa
+        root = mpmath.sqrt(mpmath.mpc(4 * mpmath.mpf(eta) ** 2 - (g - gamma_e) ** 2))
+        delta_1 = (-1j * (gamma_e + g) + root) / 2
+        delta_2 = (-1j * (gamma_e + g) - root) / 2
+        return [(complex(pole), complex(weight)) for pole, weight in (
+            (delta_1, (delta_1 + 1j * g) / (delta_2 - delta_1)),
+            (delta_2, (-delta_2 - 1j * g) / (delta_2 - delta_1)))]
+
+
+@pytest.mark.parametrize("gamma_e, kappa", [(1e8, 1.0), (1.0, 1e8), (1e4, 1.0), (1.0, 1e4)],
+                         ids=["wide-e", "wide-cavity", "wide-e-1e4", "wide-cavity-1e4"])
+def test_resonance_weights_below_the_discriminant_zero_match_60_digits(gamma_e, kappa):
+    # disc < 0: Delta_k + i(gamma_f + kappa), taken directly, cancels for the
+    # pole near -i(gamma_f + kappa): w_1 2.6e-8 off at gamma_e 1e8, and with
+    # the wide cavity w_2 = -0 against 1e-16, so that Im R_2 reads 0
+    p = SystemParams.from_effective(gamma_e, 1.0, eta=1.0, kappa=kappa)
+    assert poles(p).discriminant < 0
+    for got, (pole, weight) in zip(decompose_resonances(p),
+                                   _resonances_60_digits(gamma_e, 1.0, kappa, 1.0)):
+        assert abs(got.pole - pole) <= 1e-14 * abs(pole)
+        assert abs(got.weight - weight) <= 1e-14 * abs(weight)
+        at_zero = weight / -pole
+        assert abs(got.evaluate(0.0) - at_zero) <= 1e-14 * abs(at_zero)
+
+
 def test_resonance_degenerate_poles_error():
     p = SystemParams.from_effective(5.0, 1.0, eta=1.5, kappa=1.0)
     with pytest.raises(DegeneratePoles):

@@ -638,14 +638,11 @@ def test_readout_block_matches_lab_frame_reference_randomized(
     _assert_matches_lab_frame(params, grid=np.linspace(-8, 8, 9))
 
 
-def _readout_frame(params, n_max):
-    """(factors, P_m on |g,m>) of the probe-free L0 in the frame the read-out
-    block lives in: the lab frame (_bose_probe_free_state) for a thermal pump
-    or the vacuum, the displaced one (_displaced_probe_free_state) for a
-    coherent pump."""
-    if params.Omega > 0.0:
-        return solver._displaced_probe_free_state(params, n_max)[:2]
-    return solver._bose_probe_free_state(params, n_max)[:2]
+def _readout_system_of(params, n_max):
+    """solver._readout_system on the factors, populations P_m of |g,m> and
+    read-out positions of the frame that solver._readout_frame picks."""
+    factors, weights, _, rows, cols = solver._readout_frame(params, n_max)
+    return solver._readout_system(factors, weights, rows, cols)
 
 
 def _assert_readout_band_is_narrow(params, n_max=10):
@@ -656,9 +653,10 @@ def _assert_readout_band_is_narrow(params, n_max=10):
     thermal block give +2 and -2. In the vacuum only |g,0><e,0| and
     |g,0><f,1| are kept; at eta = 0 the f positions drop out of a thermal
     block, whose e positions a and a^dag then link at +-1, the vacuum keeps
-    |g,0><e,0| alone, and the displaced block, kept whole, is diagonal. A
-    wider band would make each grid point cost more."""
-    a = solver._readout_system(params, *_readout_frame(params, n_max))[0]
+    |g,0><e,0| alone, and so does the displaced block (the whole chain
+    of 2(n_max+1) positions when eta > 0). A wider band would make each
+    grid point cost more."""
+    a = _readout_system_of(params, n_max)[0]
     rows, cols = np.nonzero(a)
     bands = (int((rows - cols).max()), int((cols - rows).max()))
     coupled = params.eta > 0.0
@@ -667,8 +665,10 @@ def _assert_readout_band_is_narrow(params, n_max=10):
         assert a.shape[0] == (2 * n_max + 1 if coupled else n_max + 1)
     else:
         assert bands == ((1, 1) if coupled else (0, 0))
-        if params.Omega == 0.0:
-            assert a.shape[0] == (2 if coupled else 1)
+        if not coupled:
+            assert a.shape[0] == 1
+        else:
+            assert a.shape[0] == (2 if params.Omega == 0.0 else 2 * n_max + 2)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -701,7 +701,7 @@ def _dense_batched_readout(a, rhs, out, grid):
                          ids=["vacuum", "thermal", "coherent", "coherent-detuned",
                               "full-gamma-map"])
 def test_band_readout_matches_dense_batched_solve(params):
-    system = solver._readout_system(params, *_readout_frame(params, 12))
+    system = _readout_system_of(params, 12)
     grid = np.linspace(-120, 120, 241)
     chi, _ = solver._readout_response(*system, grid)
     np.testing.assert_allclose(chi, _dense_batched_readout(*system, grid),
@@ -715,7 +715,7 @@ def test_band_readout_matches_dense_batched_solve(params):
 def test_readout_residual_is_that_of_the_dense_matrix(params):
     # each residual is ||(A + i Delta I) x - b|| of the same band solution,
     # with the dense A, to rounding, and within the gate's tolerance
-    a, rhs, out = solver._readout_system(params, *_readout_frame(params, 12))
+    a, rhs, out = _readout_system_of(params, 12)
     grid = np.linspace(-120, 120, 241)
     kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T
@@ -793,12 +793,11 @@ def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
 def test_readout_block_rejects_a_leaking_generator():
     spec = HilbertSpec(4)
     thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
-    _, state, _ = solver.probe_free_state(thermal, 4)
-    weights = np.diag(state.rho)[::3].real
+    _, weights, _, rows, cols = solver._readout_frame(thermal, 4)
     # a g-e coupling in H takes |g,m><x,n| to |e,m><x,n|, out of |g><{f,e}|
     probed = factors_at(thermal, 0.0, spec, epsilon=0.3)
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(thermal, probed, weights)
+        solver._readout_system(probed, weights, rows, cols)
     # an f-e drive takes |g,m><e,m| to |g,m><f,m|: inside |g><{f,e}|, but out
     # of the read-out block picked there
     f = 3 * np.arange(spec.n_max + 1) + 1
@@ -806,16 +805,16 @@ def test_readout_block_rejects_a_leaking_generator():
     hamiltonian[f + 1, f] = hamiltonian[f, f + 1] = 0.5
     driven = lindblad_factors(hamiltonian, liouvillian._dense_jumps(thermal, spec), spec)
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(thermal, driven, weights)
+        solver._readout_system(driven, weights, rows, cols)
 
     # the displaced frame: a g-e coupling in the factors it shifts
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
-    _, weights, _ = solver._displaced_probe_free_state(coherent, 4)
+    _, weights, _, rows, cols = solver._readout_frame(coherent, 4)
     probed = solver._displaced_generator(coherent,
                                          factors_at(coherent, 0.0, spec, epsilon=0.3))
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._readout_system(coherent, probed, weights)
+        solver._readout_system(probed, weights, rows, cols)
 
 
 def _thermal_factors(spec):
@@ -933,7 +932,7 @@ def _readout_slice_of_l0(params, spec):
                          ids=["vacuum", "thermal", "coherent", "coherent-detuned",
                               "full-gamma-map"])
 def test_readout_block_is_an_exact_slice_of_l0(params):
-    got = solver._readout_system(params, *_readout_frame(params, 8))[0]
+    got = _readout_system_of(params, 8)[0]
     assert np.array_equal(got, _readout_slice_of_l0(params, HilbertSpec(8)))
 
 
@@ -1067,8 +1066,8 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
         return gate(factors, weights, tol, frame)
 
     monkeypatch.setattr(solver, "_require_ground_steady", recording)
-    (factors, weights, report), caught = _recorded_warnings(
-        lambda: solver._bose_probe_free_state(params, n_max))
+    (factors, weights, report, _, _), caught = _recorded_warnings(
+        lambda: solver._readout_frame(params, n_max))
     (_, state, lab_report), lab_caught = _recorded_warnings(
         lambda: solver.probe_free_state(params, n_max))
     assert np.array_equal(weights, np.diag(state.rho)[::3].real)
@@ -1081,29 +1080,50 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
     assert tols[0] <= solver._residual_tol(factors.block(ground, ground))
 
 
-@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
-@pytest.mark.parametrize("multiple, fails", [(2.0, True), (0.5, False)],
-                         ids=["2x-raises", "half-passes"])
-def test_bose_residual_gate_sits_at_the_tolerance(monkeypatch, multiple, fails):
-    # P + t (e_0 - e_1), scaled so that its residual on the factors is the
-    # given multiple of the gate's tolerance (P's own is ~1e-16, far below)
-    params, n_max = _BOSE_SYSTEMS[1], 6
+def _assert_ground_gate_sits_at_the_tolerance(monkeypatch, params, multiple, fails,
+                                              frame):
+    """P + t (e_0 - e_1), scaled so that its residual on the frame's factors
+    is the given multiple of the gate's tolerance (P's own is ~1e-16 in the
+    lab frame and exactly 0 in the displaced one, far below), must raise
+    above the tolerance and pass below it."""
+    n_max = 6
     tols, gate = [], solver._require_ground_steady
     monkeypatch.setattr(solver, "_require_ground_steady",
                         lambda *args: (tols.append(args[2]), gate(*args)))
-    solver._bose_probe_free_state(params, n_max)
+    factors = solver._readout_frame(params, n_max)[0]
     bump = np.zeros(n_max + 1)
     bump[:2] = 1.0, -1.0
-    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
     scale = multiple * tols[0] / solver._ground_residual(factors, bump)
     weights = solver._bose_weights
     monkeypatch.setattr(solver, "_bose_weights",
                         lambda n_th, n_max: weights(n_th, n_max) + scale * bump)
     if fails:
-        with pytest.raises(SolverFailure, match="lab-frame probe-free state leaves residual"):
+        with pytest.raises(SolverFailure, match=f"{frame} probe-free state leaves residual"):
             probe_spectrum(params, np.linspace(-5, 5, 5), n_max=n_max)
     else:
         probe_spectrum(params, np.linspace(-5, 5, 5), n_max=n_max)
+    return factors, tols[0]
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("multiple, fails", [(2.0, True), (0.5, False)],
+                         ids=["2x-raises", "half-passes"])
+def test_bose_residual_gate_sits_at_the_tolerance(monkeypatch, multiple, fails):
+    _assert_ground_gate_sits_at_the_tolerance(monkeypatch, _BOSE_SYSTEMS[1], multiple,
+                                              fails, "lab-frame")
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("multiple, fails", [(2.0, True), (0.5, False)],
+                         ids=["2x-raises", "half-passes"])
+def test_displaced_residual_gate_sits_at_the_tolerance(monkeypatch, multiple, fails):
+    # the displaced gate takes the lab frame's tolerance rule, never looser
+    # than 1e-9 max(1, _l0_scale) on the displaced factors
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                         pump=CoherentPump(Omega=0.5, pump_detuning=0.3))
+    factors, tol = _assert_ground_gate_sits_at_the_tolerance(
+        monkeypatch, params, multiple, fails, "displaced")
+    assert tol <= 1e-9 * max(1.0, solver._l0_scale(factors))
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -1145,28 +1165,23 @@ def test_bose_spectrum_never_calls_probe_free_state(monkeypatch, params):
 def test_readout_keeps_what_its_source_reaches(gamma, pump, eta, kappa, delta, n_max):
     # the kept read-out against the full block, by the same band solve: the
     # positions b reaches are closed under A and hold b, x vanishes
-    # identically off them, and chi agrees; the lab frame keeps exactly
-    # those (the vacuum |g,0><e,0| and |g,0><f,1|), the displaced chain all
+    # identically off them, and chi agrees; both frames keep exactly those
+    # (the vacuum |g,0><e,0| and |g,0><f,1|, the displaced chain all of
+    # itself when eta > 0, and |g,0><e,0| alone at eta = 0)
     params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
-    factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
-    if params.Omega > 0.0:
-        factors = solver._displaced_generator(params, factors)
-        weights = np.eye(1, n_max + 1)[0]
-    else:
-        weights = solver._bose_weights(params.n_th, n_max)
-    kept_system = solver._readout_system(params, factors, weights)
+    factors, weights, _, rows, cols = solver._readout_frame(params, n_max)
+    kept_system = solver._readout_system(factors, weights, rows, cols)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_reached", lambda a, rhs: np.arange(rhs.size))
-        a, rhs, out = full_system = solver._readout_system(params, factors, weights)
+        a, rhs, out = full_system = solver._readout_system(factors, weights, rows, cols)
     kept = solver._reached(a, rhs)
     off = np.setdiff1d(np.arange(rhs.size), kept)
     assert not a[np.ix_(off, kept)].any() and not rhs[off].any()
-    if params.Omega > 0.0:
-        assert np.array_equal(kept_system[0], a)
-    else:
-        assert np.array_equal(kept_system[0], a[np.ix_(kept, kept)])
-    if params.Omega == 0.0 and params.n_th == 0.0:
-        assert kept.tolist() == ([0, 1] if eta > 0.0 else [0])
+    assert np.array_equal(kept_system[0], a[np.ix_(kept, kept)])
+    if eta == 0.0 and (params.Omega > 0.0 or params.n_th == 0.0):
+        assert kept.tolist() == [1 if params.Omega > 0.0 else 0]  # |g,0><e,0|
+    elif params.Omega == 0.0 and params.n_th == 0.0:
+        assert kept.tolist() == [0, 1]
     elif eta > 0.0:
         assert kept.size == rhs.size
     grid = np.linspace(-8, 8, 9)
@@ -1216,8 +1231,10 @@ def test_displaced_spectrum_matches_the_lab_factors_readout(gamma, eta, kappa, d
     lab, _, _ = solver.probe_free_state(params, n_max)
     vacuum = np.zeros(n_max + 1)
     vacuum[0] = 1.0
+    m = np.arange(n_max + 1)  # |g,0><f,m| and |g,0><e,m|, in vec order
+    rows, cols = np.zeros(2 * m.size, dtype=int), np.stack([3 * m + 1, 3 * m + 2], 1).ravel()
     want, _ = solver._readout_response(*solver._readout_system(
-        params, solver._displaced_generator(params, lab), vacuum), grid)
+        solver._displaced_generator(params, lab), vacuum, rows, cols), grid)
     assert np.array_equal(probe_spectrum(params, grid, n_max=n_max).chi, want)
 
 
@@ -1258,7 +1275,7 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     params = SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(0.8))
     weights = [0.64 ** n / math.factorial(n) for n in range(n_max + 1)]
     with pytest.warns(TruncationNotConverged):
-        factors, populations, report = solver._displaced_probe_free_state(params, n_max)
+        factors, populations, report, _, _ = solver._readout_frame(params, n_max)
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
