@@ -7,14 +7,14 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
   at beta = 1 so that it is chi/beta with nothing to divide out.
 - linear_response: probe-free steady state rho0, then the first-order
   coherence correction on the small invariant block that holds the read-out
-  (_readout_system), dense on its m <= 2(n_max+1) positions after one
-  check on L0's factors (_readout_block); only those that the source
-  reaches through the block are kept (_reached): x vanishes identically
-  off them, so the vacuum keeps 2. Its source is -i P_m, from the
-  populations P_m of |g,m> in rho0 alone. The block is banded and meets
-  Delta only as +i Delta, so the grid is one block-diagonal band and one
-  banded LU with partial pivoting (LAPACK gbsv), O(m) per point; the probe
-  amplitude is eliminated analytically. Any pump.
+  (_readout_system), dense on the m <= 2(n_max+1) positions that the
+  read-out frame lists (_readout_frame; 2 in the vacuum), after one check
+  on L0's factors that they are closed under it (_readout_block). Its
+  source is -i P_m, from the populations P_m of |g,m> in rho0 alone. The
+  block is banded and meets Delta only as +i Delta, so the grid is one
+  block-diagonal band and one banded LU with partial pivoting (LAPACK
+  gbsv), O(m) per point; the probe amplitude is eliminated analytically.
+  Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon, with L built at each Delta
   (liouvillian_at); carries an automatic linearity check.
@@ -523,7 +523,10 @@ def probe_free_state(params: SystemParams, n_max: int):
 
 def check_truncation_convergence(params: SystemParams, n_max: int) -> TruncationReport:
     """Steady-state tail mass near the Fock cutoff; converged iff < 1e-8.
-    NonUniqueSteadyState if the probe-free state is not unique."""
+    Raises as probe_free_state does: NonUniqueSteadyState if the probe-free
+    state is not unique; SolverFailure if L0 leaks out of the |g><g| block,
+    if the state leaves a residual above its tolerance, or if the cavity
+    block is ill-conditioned at a large drive."""
     return probe_free_state(params, n_max)[2]
 
 
@@ -602,14 +605,20 @@ def _readout_frame(params: SystemParams, n_max: int):
     and e_0 under a coherent pump (n_th = 0). The one pump branch:
     - Omega = 0, the lab frame: the block is a thermally damped oscillator
       whose truncation keeps detailed balance, so diag(P) is its steady
-      state; the tail is P's, and the positions are |g,m><e,m| and
-      |g,m><f,m+1|;
+      state; the tail is P's, and the positions are |g,k><e,k| and
+      |g,k><f,k+1| inside the space: for every k under a thermal pump
+      (2 n_max + 1), for k = 0 in the vacuum (|g,0><e,0| and |g,0><f,1|,
+      all that its source -i e_0 reaches);
     - Omega > 0, the frame displaced by alpha = -i Omega/(kappa + i dd)
       (_displaced_generator): the drive cancels, so |g,0><g,0| is the
       steady state; the tail is that of the lab-frame state |alpha><alpha|,
       the normalized truncated Poisson weights of
       |alpha|^2 = Omega^2/(kappa^2 + dd^2), formed as logarithms so that no
-      mean under- or overflows, and the positions are |g,0><{f, e}|.
+      mean under- or overflows, and the positions are |g,0><{f, e},n|
+      (2(n_max + 1)).
+    These positions are final: _readout_block's leak check requires them
+    to be closed under L0, which they are at any eta (at eta = 0 the f
+    positions decouple, and x vanishes on them).
     No density matrix, cavity block, LU or SteadyState is made. The
     uniqueness checks are probe_free_state's (_probe_free_factors, on the lab
     factors): kappa > 0 then makes the state unique, since the truncated a
@@ -638,9 +647,12 @@ def _readout_frame(params: SystemParams, n_max: int):
         log_tail = m * log_mean - np.cumsum(np.log(np.maximum(m, 1)))
         tail = np.exp(log_tail - log_tail.max())
         rows, cols = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
-    else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max
+    else:  # by column: e_0, f_1, e_1, f_2, ..., e_n_max; e_0, f_1 in the vacuum
         frame, tail = "lab-frame", weights
-        rows, cols = np.repeat(3 * m, 2)[:-1], (3 * m[:, None] + [2, 4]).ravel()[:-1]
+        k = m if params.n_th > 0.0 else m[:1]
+        rows, cols = np.repeat(3 * k, 2), (3 * k[:, None] + [2, 4]).ravel()
+        inside = cols < 3 * m.size
+        rows, cols = rows[inside], cols[inside]
     ground = 3 * m
     jumps = factors.jumps[:, ground, ground]  # c[G, G]'s diagonal, jump by jump
     diagonal = (factors.m[ground, ground][:, None] + factors.n[ground, ground]
@@ -658,7 +670,7 @@ def _readout_block(factors: LindbladFactors, rows: np.ndarray,
     A[k, l] = M[r_k, r_l] d(c_k, c_l) + N[c_l, c_k] d(r_k, r_l) + sum_c
     c[r_k, r_l] conj(c[c_k, c_l]), summed as LindbladFactors.entries sums L.
     SolverFailure unless one pass on the factors finds every target of each
-    term from each kept |r_l><c_l| kept: the rows of M[:, r_l], the columns
+    term from each listed |r_l><c_l| listed: the rows of M[:, r_l], the columns
     of N[c_l, :] and the same-jump nonzero pairs of c[:, r_l] and c[:, c_l]."""
     jumps = factors.jumps[(factors.jumps[:, :, np.unique(rows)] != 0).any(axis=(1, 2))]
     per_col = (jumps != 0).sum(1)  # the nonzeros in each column of each jump
@@ -673,52 +685,23 @@ def _readout_block(factors: LindbladFactors, rows: np.ndarray,
     return np.add(np.add((cc.conj() * cr).sum(0), m, out=m), n, out=m)
 
 
-def _reached(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The sorted closure of supp(rhs) in the nonzero graph of a, which has
-    an edge j -> i wherever a[i, j] != 0: every solution x of
-    (a + i Delta I) x = rhs vanishes off it, since a maps it into itself.
-    A depth-first search over the edges, each followed once."""
-    sources, targets = np.nonzero(a.T)  # grouped by source
-    starts = np.searchsorted(sources, np.arange(rhs.size + 1)).tolist()
-    targets = targets.tolist()
-    stack = np.flatnonzero(rhs).tolist()
-    kept = set(stack)
-    while stack:
-        j = stack.pop()
-        for i in targets[starts[j]:starts[j + 1]]:
-            if i not in kept:
-                kept.add(i)
-                stack.append(i)
-    return np.array(sorted(kept), dtype=int)
-
-
 def _readout_system(factors: LindbladFactors, weights: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray):
-    """(A, b, out): L0 at Delta = 0, dense on the kept positions of the
-    invariant block of |g,m><x,n| coherences (x in {f, e}) that holds the
-    read-out, listed as |rows[k]><cols[k]| (_readout_block), where
-    dL/dDelta = +i; the source b = i[V, rho0] on it, -i P_m on each
-    read-out position |g,m><e,m| (cols = rows + 2), with P_m = weights[m]
-    the probe-free population of |g,m>; the kept read-out positions.
-    factors, weights and positions are those of one frame (_readout_frame),
-    taken as given: rho0 is |g><g| (x) rho_cav, only the diagonal of rho_cav
-    reaches b, and the displacement keeps the trace, so chi is the same sum
-    in either frame. After _readout_block's leak check, only the positions
-    that b reaches through A are kept (_reached), since x vanishes
-    identically off them: in the vacuum (b = -i e_0) that is |g,0><e,0| and
-    |g,0><f,1| (|g,0><e,0| alone at eta = 0), while a thermal pump
-    (n_th > 0) keeps every position when eta > 0, and so does the displaced
-    chain f_0 - e_0 - f_1 - e_1 - ..., linked by eta alpha and
-    eta sqrt(n+1) (|g,0><e,0| alone at eta = 0). A block kept whole is
-    returned as built."""
+    """(A, b, out): L0 at Delta = 0, dense on the positions |rows[k]><cols[k]|
+    of the invariant block of |g,m><x,n| coherences (x in {f, e}) that holds
+    the read-out (_readout_block), where dL/dDelta = +i; the source
+    b = i[V, rho0] on it, -i P_m on each read-out position |g,m><e,m|
+    (cols = rows + 2), with P_m = weights[m] the probe-free population of
+    |g,m>; the read-out positions. factors, weights and positions are those
+    of one frame (_readout_frame), taken as given: rho0 is |g><g| (x) rho_cav,
+    only the diagonal of rho_cav reaches b, and the displacement keeps the
+    trace, so chi is the same sum in either frame. _readout_block's leak
+    check certifies that the positions are closed under L0, so a table too
+    small for the frame raises SolverFailure."""
     out = np.flatnonzero(cols == rows + 2)
     rhs = np.zeros(rows.size, dtype=complex)
     rhs[out] = -1j * weights[rows[out] // 3]
-    a = _readout_block(factors, rows, cols)
-    kept = _reached(a, rhs)
-    if kept.size == rhs.size:
-        return a, rhs, out
-    return a[np.ix_(kept, kept)], rhs[kept], np.flatnonzero(cols[kept] == rows[kept] + 2)
+    return _readout_block(factors, rows, cols), rhs, out
 
 
 def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
@@ -764,14 +747,20 @@ def _finite_epsilon_chunk(params: SystemParams, n_max: int, deltas: np.ndarray,
                           epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """chi/beta and residual norm at each Delta from the full steady state of
     L with the probe at amplitude epsilon, built at that Delta
-    (liouvillian_at); uniqueness is checked at the first point only."""
+    (liouvillian_at); uniqueness is checked at the first point only.
+    SolverFailure, naming Delta, the residual and the tolerance, at the first
+    point whose steady state is not converged."""
     spec = HilbertSpec(n_max)
     out_idx = _ge_vec_indices(spec)
     chi = np.empty(len(deltas), dtype=complex)
     resid = np.empty(len(deltas))
     for k, delta_p in enumerate(deltas):
-        state = steady_state(liouvillian_at(params, float(delta_p), spec, epsilon=epsilon),
-                             check_uniqueness=(k == 0))
+        sop = liouvillian_at(params, float(delta_p), spec, epsilon=epsilon)
+        state = steady_state(sop, check_uniqueness=(k == 0))
+        if not state.converged:
+            raise SolverFailure(
+                f"finite-epsilon steady state at Delta={delta_p:g} leaves residual "
+                f"{state.residual_norm:.3e}, above {_residual_tol(sop.matrix):.3e}")
         chi[k] = vec(state.rho)[out_idx].sum() / epsilon
         resid[k] = state.residual_norm
     return chi, resid
@@ -803,10 +792,11 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     matrix, cavity block or LU, in the frame _readout_frame picks: the lab
     frame for a thermal pump or the vacuum, whose tail is P's, and under a
     coherent pump the displaced frame (P_m = e_0), whose tail is the Poisson
-    tail of |alpha|^2. The read-out then keeps only the unknowns its source
-    reaches: 2 in the vacuum. finite_epsilon checks uniqueness and the tail
-    on probe_free_state, in the lab frame, and builds L at each Delta
-    (_finite_epsilon_chunk).
+    tail of |alpha|^2. The frame also lists the read-out positions: 2 in
+    the vacuum. finite_epsilon checks uniqueness and the tail on
+    probe_free_state, in the lab frame, and builds L at each Delta
+    (_finite_epsilon_chunk); a point whose steady state is not converged
+    raises SolverFailure.
     """
     params = validate_params(params)
     grid = _validate_grid(grid)
@@ -923,7 +913,8 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
     starting from the probe-free steady state, until the extracted probe
     Fourier component of rho_ge is stationary. Validates the rotating-frame
     construction end to end; small systems only (n_max <= 5), zero
-    temperature.
+    temperature. SolverFailure, naming the residual and the tolerance, if
+    the starting state is not converged.
     """
     from scipy.integrate import solve_ivp  # imported here: slow, and the CLI never needs it
 
@@ -951,8 +942,13 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
             + np.exp(-1j * w_probe * t) * (k_minus @ v)
         return l_static @ v + eps * drive
 
-    state = vec(steady_state(liouvillian_at(params, 0.0, spec, epsilon=0.0),
-                             check_uniqueness=False).rho).astype(complex)
+    l_zero = liouvillian_at(params, 0.0, spec, epsilon=0.0)
+    start = steady_state(l_zero, check_uniqueness=False)
+    if not start.converged:
+        raise SolverFailure(
+            f"time-domain starting state leaves residual {start.residual_norm:.3e}, "
+            f"above {_residual_tol(l_zero.matrix):.3e}")
+    state = vec(start.rho).astype(complex)
     out_idx = _ge_vec_indices(spec)
 
     period = 2.0 * math.pi / abs(w_probe) if w_probe != 0.0 else 5.0 / rate

@@ -68,9 +68,7 @@ def _trace_distance(rho, sigma):
     return 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
 
 
-def _joint_cavity_times_g(cavity_rho, n_max):
-    dim = 3 * (n_max + 1)
-    out = np.zeros((dim, dim), dtype=complex)
+def _joint_cavity_times_g(cavity_rho):
     g = np.zeros((3, 3))
     g[0, 0] = 1.0
     return np.kron(cavity_rho, g)
@@ -111,7 +109,7 @@ def test_thermal_steady_state_is_geometric():
     q = n_th / (1 + n_th)
     weights = q ** np.arange(31)
     cavity = np.diag(weights / weights.sum()).astype(complex)
-    assert _trace_distance(state.rho, _joint_cavity_times_g(cavity, 30)) < 1e-8
+    assert _trace_distance(state.rho, _joint_cavity_times_g(cavity)) < 1e-8
 
 
 def test_thermal_populations_halve_at_nth_one():
@@ -132,7 +130,7 @@ def test_coherent_steady_state_is_displaced_vacuum():
     state = _probe_free_state(p, 30)
     amps = _coherent_vector(-0.4j, 30)
     cavity = np.outer(amps, amps.conj())
-    assert _trace_distance(state.rho, _joint_cavity_times_g(cavity, 30)) < 1e-6
+    assert _trace_distance(state.rho, _joint_cavity_times_g(cavity)) < 1e-6
     table = populations(state)
     assert table.p_n[0] == pytest.approx(math.exp(-0.16), abs=1e-8)
     assert table.p_n[1] == pytest.approx(0.16 * math.exp(-0.16), abs=1e-8)
@@ -646,29 +644,24 @@ def _readout_system_of(params, n_max):
 
 
 def _assert_readout_band_is_narrow(params, n_max=10):
-    """The read-out block's (kl, ku), read from its nonzeros on the kept
-    positions, is exactly (2, 2) for a thermal pump, (1, 1) for the vacuum
-    and for the displaced coherent block: the eta coupling (and, displaced,
-    the sigma_ef shift) gives the offsets +-1, and a and a^dag of the
-    thermal block give +2 and -2. In the vacuum only |g,0><e,0| and
-    |g,0><f,1| are kept; at eta = 0 the f positions drop out of a thermal
-    block, whose e positions a and a^dag then link at +-1, the vacuum keeps
-    |g,0><e,0| alone, and so does the displaced block (the whole chain
-    of 2(n_max+1) positions when eta > 0). A wider band would make each
-    grid point cost more."""
+    """The read-out block's (kl, ku), read from its nonzeros, is exactly
+    (2, 2) for a thermal pump, (1, 1) for the vacuum and for the displaced
+    coherent block: the eta coupling (and, displaced, the sigma_ef shift)
+    gives the offsets +-1, and a and a^dag of the thermal block give +2 and
+    -2. The vacuum block is |g,0><e,0| and |g,0><f,1|, the thermal one
+    2n_max + 1 positions and the displaced one 2(n_max + 1), at any eta; at
+    eta = 0 the f positions decouple, which leaves the thermal band (2, 2)
+    and makes the vacuum and displaced ones (0, 0). A wider band would make
+    each grid point cost more."""
     a = _readout_system_of(params, n_max)[0]
     rows, cols = np.nonzero(a)
     bands = (int((rows - cols).max()), int((cols - rows).max()))
-    coupled = params.eta > 0.0
     if params.Omega == 0.0 and params.n_th > 0.0:
-        assert bands == ((2, 2) if coupled else (1, 1))
-        assert a.shape[0] == (2 * n_max + 1 if coupled else n_max + 1)
+        assert bands == (2, 2)
+        assert a.shape[0] == 2 * n_max + 1
     else:
-        assert bands == ((1, 1) if coupled else (0, 0))
-        if not coupled:
-            assert a.shape[0] == 1
-        else:
-            assert a.shape[0] == (2 if params.Omega == 0.0 else 2 * n_max + 2)
+        assert bands == ((1, 1) if params.eta > 0.0 else (0, 0))
+        assert a.shape[0] == (2 if params.Omega == 0.0 else 2 * n_max + 2)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -1162,37 +1155,48 @@ def test_bose_spectrum_never_calls_probe_free_state(monkeypatch, params):
                                 _zero_or_signed(0.2, 2.0))),
        eta=_zero_or(0.5, 5.0), kappa=st.floats(0.01, 5.0),
        delta=_zero_or_signed(0.2, 3.0), n_max=st.integers(1, 8))
-def test_readout_keeps_what_its_source_reaches(gamma, pump, eta, kappa, delta, n_max):
-    # the kept read-out against the full block, by the same band solve: the
-    # positions b reaches are closed under A and hold b, x vanishes
-    # identically off them, and chi agrees; both frames keep exactly those
-    # (the vacuum |g,0><e,0| and |g,0><f,1|, the displaced chain all of
-    # itself when eta > 0, and |g,0><e,0| alone at eta = 0)
+def test_readout_frame_picks_the_closed_positions(gamma, pump, eta, kappa, delta, n_max):
+    # each frame's table at any eta: the vacuum |g,0><e,0| and |g,0><f,1|, a
+    # thermal pump |g,m><e,m| and |g,m><f,m+1| (2n_max + 1), the displaced
+    # frame |g,0><{f, e},n| (2(n_max + 1)); on the thermal table the vacuum's
+    # x vanishes identically off its two positions, and chi agrees
     params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
     factors, weights, _, rows, cols = solver._readout_frame(params, n_max)
-    kept_system = solver._readout_system(factors, weights, rows, cols)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_reached", lambda a, rhs: np.arange(rhs.size))
-        a, rhs, out = full_system = solver._readout_system(factors, weights, rows, cols)
-    kept = solver._reached(a, rhs)
-    off = np.setdiff1d(np.arange(rhs.size), kept)
-    assert not a[np.ix_(off, kept)].any() and not rhs[off].any()
-    assert np.array_equal(kept_system[0], a[np.ix_(kept, kept)])
-    if eta == 0.0 and (params.Omega > 0.0 or params.n_th == 0.0):
-        assert kept.tolist() == [1 if params.Omega > 0.0 else 0]  # |g,0><e,0|
-    elif params.Omega == 0.0 and params.n_th == 0.0:
-        assert kept.tolist() == [0, 1]
-    elif eta > 0.0:
-        assert kept.size == rhs.size
+    m = np.arange(n_max + 1)
+    thermal = _thermal_readout_positions(HilbertSpec(n_max))
+    if params.Omega > 0.0:
+        want = np.zeros(2 * m.size, dtype=int), (3 * m[:, None] + [1, 2]).ravel()
+    else:
+        want = thermal if params.n_th > 0.0 else (np.array([0, 0]), np.array([2, 4]))
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    if params.Omega > 0.0 or params.n_th > 0.0:
+        return
+    a, rhs, _ = wide = solver._readout_system(factors, weights, *thermal)
     grid = np.linspace(-8, 8, 9)
-    np.testing.assert_allclose(solver._readout_response(*kept_system, grid)[0],
-                               solver._readout_response(*full_system, grid)[0],
-                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        solver._readout_response(*solver._readout_system(factors, weights, rows, cols),
+                                 grid)[0],
+        solver._readout_response(*wide, grid)[0], rtol=1e-14, atol=0)
     kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
     band = np.tile(block.T, (grid.size, 1)).T
     band[kl + ku] += 1j * np.repeat(grid, rhs.size)
     x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
-    assert not x[:, off].any()
+    assert not x[:, 2:].any()  # off e_0 and f_1, the first two by column
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params, keep", [
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1), slice(0, 1)),
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3)),
+     slice(0, -1)),
+], ids=["vacuum-without-f1", "thermal-without-last-e"])
+def test_readout_refuses_a_table_too_small_for_its_frame(params, keep):
+    # the leak check certifies the frame's table: eta takes the vacuum's
+    # |g,0><e,0| to |g,0><f,1|, and the last f of a thermal table to the
+    # last e
+    factors, weights, _, rows, cols = solver._readout_frame(params, 4)
+    with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
+        solver._readout_system(factors, weights, rows[keep], cols[keep])
 
 
 def _not_unique(call) -> bool:
@@ -1594,3 +1598,35 @@ def test_time_domain_preconditions():
             5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.1)), 0.0)
     with pytest.raises(IntegrationFailure):
         time_domain_crosscheck(SystemParams(gamma={}, eta=2.0, kappa=0.0), 0.0)
+
+
+def _unconverged_steady_states(monkeypatch):
+    """Wrap solver.steady_state so that every state it returns reads as not
+    converged, its bits and residual unchanged."""
+    solve = solver.steady_state
+    monkeypatch.setattr(solver, "steady_state",
+                        lambda *args, **kwargs: replace(solve(*args, **kwargs),
+                                                        converged=False))
+
+
+def test_finite_epsilon_refuses_an_unconverged_steady_state(monkeypatch, tmp_path, capsys):
+    _unconverged_steady_states(monkeypatch)
+    with pytest.raises(SolverFailure,
+                       match=r"at Delta=-2 leaves residual \S+, above \S+$"):
+        probe_spectrum(FIG5B, np.linspace(-2, 2, 5), method="finite_epsilon", n_max=2)
+    out = tmp_path / "s.csv"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "gamma_e": 10.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 3.9, "n_max": 2,
+        "delta_min": -2.0, "delta_max": 2.0, "delta_points": 5,
+        "output": str(out)}), encoding="utf-8")
+    assert cli.main(["spectrum", "--config", str(cfg), "--method", "finite_epsilon"]) == 4
+    assert "finite-epsilon steady state at Delta=-2 leaves residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_time_domain_refuses_an_unconverged_starting_state(monkeypatch):
+    _unconverged_steady_states(monkeypatch)
+    with pytest.raises(SolverFailure,
+                       match=r"^time-domain starting state leaves residual \S+, above \S+$"):
+        time_domain_crosscheck(FIG5B, 0.0, n_max=2)
