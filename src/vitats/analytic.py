@@ -35,7 +35,7 @@ from .errors import (
     NonzeroDetuning,
     PreconditionError,
 )
-from .model import SystemParams, effective_rates, half_widths, validate_params
+from .model import SystemParams, effective_rates, half_widths
 
 _BOUNDARY_TOL = 1e-12
 
@@ -116,7 +116,6 @@ def chi_vacuum(Delta, params: SystemParams):
     PreconditionError if eta^2 or delta^2 overflows, or any product in C
     does (or their sum): chi would then be 0 at every Delta.
     """
-    params = validate_params(params)
     gamma_e, gamma_f = half_widths(params)
     kappa, delta, eta = params.kappa, params.delta, params.eta
     total = gamma_e + gamma_f + kappa
@@ -146,7 +145,6 @@ def first_order_coherences(Delta, params: SystemParams):
     recombined as cos(theta_0) rho_Gu + sin(theta_0) rho_Gv they reproduce
     chi_vacuum/beta. Vectorized over Delta.
     """
-    params = validate_params(params)
     gamma_e, gamma_f = half_widths(params)
     if gamma_e + gamma_f + params.kappa == 0.0:
         raise DegenerateDamping("gamma_e + gamma_f + kappa = 0")
@@ -175,7 +173,6 @@ def poles(params: SystemParams) -> PolePair:
     Vieta's product Delta_1 Delta_2 = -C instead. PreconditionError if eta^2
     or eta_T^2 overflows.
     """
-    params = validate_params(params)
     if params.delta != 0.0:
         raise NonzeroDetuning("pole decomposition is defined only at delta = 0")
     gamma_e, gamma_f = half_widths(params)
@@ -208,7 +205,6 @@ def decompose_resonances(params: SystemParams) -> tuple[ResonanceComponent, Reso
     (Delta_k + i gamma_e) = eta^2 at delta = 0, the smaller factor of each
     pole is taken as eta^2 over the larger.
     """
-    params = validate_params(params)
     pair = poles(params)
     if pair.discriminant == 0.0:
         raise DegeneratePoles("eta = eta_T/2: double pole, no two-term split")
@@ -233,7 +229,6 @@ def dip_threshold(params: SystemParams) -> float:
     equivalently the second derivative of Im chi at Delta = 0 changes sign
     there.
     """
-    params = validate_params(params)
     if params.delta != 0.0:
         raise NonzeroDetuning("dip threshold is defined only at delta = 0")
     gamma_e, gamma_f = half_widths(params)
@@ -253,7 +248,6 @@ def classify_regime(params: SystemParams) -> RegimeReport:
     within 1e-12 classify as the stronger-coupling regime and set the
     boundary_degenerate flag.
     """
-    params = validate_params(params)
     if params.delta != 0.0:
         raise NonzeroDetuning("regime classification is defined only at delta = 0")
     rates = effective_rates(params)  # DivisionDegenerate unless gamma_R, eta_R finite

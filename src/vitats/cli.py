@@ -43,12 +43,12 @@ from .errors import (
     UnknownFigure,
     VitatsError,
 )
-from .model import PARAM_KEYS, SystemParams, params_from_config, params_to_config
+from .model import (PARAM_KEYS, PUMP_KEYS, SystemParams, params_from_config,
+                    params_to_config)
 from .solver import populations as _populations, probe_free_state, probe_spectrum
 
 _RUN_KEYS = ("n_max", "delta_min", "delta_max", "delta_points", "method",
              "output", "format", "sweep_key", "sweep_values")
-_PUMP_CONFIG_KEYS = ("n_th", "temperature_mK", "Omega")
 # the largest Fock cutoff and grid a run accepts, checked before anything is
 # allocated (README "Config keys" gives the memory each implies)
 _N_MAX_LIMIT = 200
@@ -179,13 +179,11 @@ def _within_limit(key: str, value: int, limit: int) -> int:
 
 
 def _n_max(args, run: dict) -> int:
-    """--n-max if given, else the config's n_max (a JSON integer >= 1), else
-    60; at most _N_MAX_LIMIT either way."""
-    value = args.n_max
-    if value is None:
-        value = run.get("n_max", 60)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParameterError(f"n_max must be an integer >= 1, got {value!r}")
+    """--n-max if given, else the config's n_max, else 60: an integer >= 1
+    and at most _N_MAX_LIMIT either way."""
+    value = run.get("n_max", 60) if args.n_max is None else args.n_max
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"n_max must be an integer >= 1, got {value!r}")
     return _within_limit("n_max", value, _N_MAX_LIMIT)
 
 
@@ -218,7 +216,7 @@ def _sweep_from_run(run: dict) -> tuple[str, list[float]] | None:
 
 
 def _sweep(system: dict, key: str, values) -> list[tuple[float, SystemParams]]:
-    """(value, validated params) for each value of one swept config key, in
+    """(value, params) for each value of one swept config key, in
     order; a sweep's sidecar echoes the params of the first value."""
     return [(float(v), params_from_config({**system, key: float(v)}))
             for v in values]
@@ -328,9 +326,9 @@ def _cmd_populations(args) -> int:
     output = Path(_resolve(args, run, "output", f"populations.{fmt}"))
     sweep = _sweep_from_run(run)
 
-    pump_given = any(k in system for k in _PUMP_CONFIG_KEYS)
+    pump_given = any(k in system for k in PUMP_KEYS)
     if sweep is not None:
-        pump_given = pump_given or sweep[0] in _PUMP_CONFIG_KEYS
+        pump_given = pump_given or sweep[0] in PUMP_KEYS
     if not pump_given:
         raise ParameterError(
             "populations requires a pump key (n_th, temperature_mK, or Omega); "

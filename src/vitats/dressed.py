@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FullyDegenerate, ParameterError
-from .model import SystemParams, half_widths, validate_params
+from .model import SystemParams, half_widths
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def mixing_angle(n: int, eta: float, delta: float) -> float:
 
 
 def manifold(n: int, params: SystemParams) -> DressedManifold:
-    """Dressed pair of the n-photon manifold for validated params."""
-    params = validate_params(params)
+    """Dressed pair of the n-photon manifold."""
     theta = mixing_angle(n, params.eta, params.delta)
     s_n = math.hypot(params.delta, 2.0 * params.eta * math.sqrt(n + 1.0))
     c, s = math.cos(theta), math.sin(theta)

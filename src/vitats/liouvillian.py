@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, ParameterError
-from .model import LEVELS, SystemParams, validate_params
+from .model import LEVELS, SystemParams
 
 _LEVEL_INDEX = {level: i for i, level in enumerate(LEVELS)}
 
@@ -116,8 +116,7 @@ def build_operators(spec: HilbertSpec) -> Operators:
 
 def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
                        epsilon: float | None) -> np.ndarray:
-    """Static rotating-frame Hamiltonian at probe detuning Delta for
-    validated params.
+    """Static rotating-frame Hamiltonian at probe detuning Delta.
 
     epsilon overrides params.epsilon (0 gives the probe-free generator used
     by the linear-response solver). Hermiticity is asserted at build time.
@@ -142,7 +141,7 @@ def _dense_hamiltonian(params: SystemParams, Delta: float, spec: HilbertSpec,
 
 
 def _dense_jumps(params: SystemParams, spec: HilbertSpec) -> list[np.ndarray]:
-    """Dense jump operators for validated params (zero-rate channels elided).
+    """Dense jump operators (zero-rate channels elided).
 
     Cavity: sqrt(2*kappa*(n_th+1))*a and sqrt(2*kappa*n_th)*a_dag.
     Atom: sqrt(gamma_ij)*sigma_ji for each pair with gamma_ij > 0 (diagonal
@@ -283,7 +282,6 @@ def assemble_liouvillian(hamiltonian, collapses: list,
 def factors_at(params: SystemParams, Delta: float, spec: HilbertSpec, *,
                epsilon: float | None = None) -> LindbladFactors:
     """LindbladFactors of the system at probe detuning Delta."""
-    params = validate_params(params)
     return lindblad_factors(_dense_hamiltonian(params, Delta, spec, epsilon),
                             _dense_jumps(params, spec), spec)
 

@@ -19,7 +19,8 @@ Rate conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import (
@@ -50,8 +51,8 @@ class ThermalPump:
 
 @dataclass(frozen=True)
 class TemperaturePump:
-    """Thermal pump given as (T, omega_c); normalized to ThermalPump by
-    validate_params.
+    """Thermal pump given as (T, omega_c); SystemParams replaces it by the
+    equivalent ThermalPump.
 
     temperature is in kelvin, omega_c is the angular cavity frequency in
     rad/s. These are the only absolute-unit quantities in the package.
@@ -85,6 +86,12 @@ class SystemParams:
     cavity amplitude decay, and cavity-transition detuning
     delta = omega_c - (omega_e - omega_f). beta scales the susceptibility;
     epsilon is the probe amplitude used only by the finite-epsilon method.
+
+    Construction checks every field (so does dataclasses.replace): every
+    rate, detuning, amplitude and pump setting must be finite, and an
+    instance that exists is valid. The stored gamma is a read-only map
+    completed over DECAY_PAIRS with gamma[(g,g)] forced to 0, and a
+    TemperaturePump is stored as the equivalent ThermalPump.
     """
 
     gamma: Mapping[tuple[str, str], float] = field(default_factory=dict)
@@ -94,6 +101,46 @@ class SystemParams:
     pump: Pump | None = None
     beta: float = 1.0
     epsilon: float = 1e-3
+
+    def __post_init__(self) -> None:
+        settings = {f"gamma[{pair}]": value for pair, value in self.gamma.items()}
+        settings.update(eta=self.eta, kappa=self.kappa, delta=self.delta,
+                        beta=self.beta, epsilon=self.epsilon)
+        if self.pump is not None:
+            settings.update(vars(self.pump))
+        for name, value in settings.items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} = {value} must be finite")
+
+        gamma = dict.fromkeys(DECAY_PAIRS, 0.0)
+        for pair, value in self.gamma.items():
+            if pair not in gamma:
+                raise ParameterError(f"unknown decay pair {pair!r}; allowed: {DECAY_PAIRS}")
+            if value < 0:
+                raise NegativeRate(f"gamma[{pair}] = {value} < 0")
+            gamma[pair] = float(value)
+        gamma[("g", "g")] = 0.0
+
+        if self.eta < 0:
+            raise NegativeRate(f"eta = {self.eta} < 0")
+        if self.kappa < 0:
+            raise NegativeRate(f"kappa = {self.kappa} < 0")
+        if self.beta <= 0:
+            raise NonpositiveBeta(f"beta = {self.beta} must be > 0")
+        if self.epsilon <= 0:
+            raise ParameterError(f"epsilon = {self.epsilon} must be > 0")
+
+        pump = self.pump
+        if isinstance(pump, TemperaturePump):
+            pump = ThermalPump(thermal_occupation(pump.omega_c, pump.temperature))
+        if isinstance(pump, ThermalPump) and pump.n_th < 0:
+            raise ParameterError(f"n_th = {pump.n_th} < 0")
+        if isinstance(pump, CoherentPump) and pump.Omega < 0:
+            raise NegativeRate(f"Omega = {pump.Omega} < 0")
+
+        # the instance is frozen: its own fields are written past the guard
+        object.__setattr__(self, "gamma", MappingProxyType(gamma))
+        object.__setattr__(self, "pump", pump)
 
     @classmethod
     def from_effective(cls, gamma_e: float, gamma_f: float, *, eta: float,
@@ -113,11 +160,7 @@ class SystemParams:
     @property
     def n_th(self) -> float:
         """Thermal occupation of the cavity bath (0 unless thermally pumped)."""
-        if isinstance(self.pump, ThermalPump):
-            return self.pump.n_th
-        if isinstance(self.pump, TemperaturePump):
-            return thermal_occupation(self.pump.omega_c, self.pump.temperature)
-        return 0.0
+        return self.pump.n_th if isinstance(self.pump, ThermalPump) else 0.0
 
     @property
     def Omega(self) -> float:
@@ -144,61 +187,22 @@ class EffectiveRates:
 
 
 def validate_params(p: SystemParams) -> SystemParams:
-    """Check and normalize parameters.
-
-    Every rate, detuning, amplitude and pump setting must be finite. Returns
-    a new SystemParams with the gamma map completed over all pairs,
-    gamma[(g,g)] forced to 0, and a TemperaturePump converted to the
-    equivalent ThermalPump.
-    """
-    settings = {f"gamma[{pair}]": value for pair, value in p.gamma.items()}
-    settings.update(eta=p.eta, kappa=p.kappa, delta=p.delta, beta=p.beta,
-                    epsilon=p.epsilon)
-    if p.pump is not None:
-        settings.update(vars(p.pump))
-    for name, value in settings.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} = {value} must be finite")
-
-    gamma = dict.fromkeys(DECAY_PAIRS, 0.0)
-    for pair, value in p.gamma.items():
-        if pair not in gamma:
-            raise ParameterError(f"unknown decay pair {pair!r}; allowed: {DECAY_PAIRS}")
-        if value < 0:
-            raise NegativeRate(f"gamma[{pair}] = {value} < 0")
-        gamma[pair] = float(value)
-    gamma[("g", "g")] = 0.0
-
-    if p.eta < 0:
-        raise NegativeRate(f"eta = {p.eta} < 0")
-    if p.kappa < 0:
-        raise NegativeRate(f"kappa = {p.kappa} < 0")
-    if p.beta <= 0:
-        raise NonpositiveBeta(f"beta = {p.beta} must be > 0")
-    if p.epsilon <= 0:
-        raise ParameterError(f"epsilon = {p.epsilon} must be > 0")
-
-    pump = p.pump
-    if isinstance(pump, TemperaturePump):
-        pump = ThermalPump(thermal_occupation(pump.omega_c, pump.temperature))
-    if isinstance(pump, ThermalPump) and pump.n_th < 0:
-        raise ParameterError(f"n_th = {pump.n_th} < 0")
-    if isinstance(pump, CoherentPump) and pump.Omega < 0:
-        raise NegativeRate(f"Omega = {pump.Omega} < 0")
-
-    return replace(p, gamma=gamma, pump=pump)
+    """p itself: SystemParams checks and normalizes its fields when it is
+    built, so nothing is left to do. Kept only because perfbench/layers.py
+    times it."""
+    return p
 
 
 def half_widths(p: SystemParams) -> tuple[float, float]:
     """(gamma_e, gamma_f) coherence half-widths; always defined."""
-    g = validate_params(p).gamma
+    g = p.gamma
     gamma_e = (g[("e", "g")] + g[("e", "f")] + g[("e", "e")]) / 2.0
     gamma_f = (g[("f", "g")] + g[("f", "f")]) / 2.0
     return gamma_e, gamma_f
 
 
 def effective_rates(p: SystemParams) -> EffectiveRates:
-    """Effective half-widths and regime ratios for validated params.
+    """Effective half-widths and regime ratios.
     DivisionDegenerate when gamma_f + kappa = 0, or is so small that gamma_R
     or eta_R overflows."""
     gamma_e, gamma_f = half_widths(p)
@@ -249,7 +253,7 @@ def thermal_occupation(omega_c: float, temperature: float) -> float:
 
 _EFFECTIVE_KEYS = ("gamma_e", "gamma_f")
 _FULL_KEYS = ("gamma_eg", "gamma_ef", "gamma_ee", "gamma_fg", "gamma_ff")
-_PUMP_KEYS = ("n_th", "temperature_mK", "Omega")
+PUMP_KEYS = ("n_th", "temperature_mK", "Omega")
 
 PARAM_KEYS = _EFFECTIVE_KEYS + _FULL_KEYS + (
     "eta", "kappa", "delta", "n_th", "temperature_mK", "omega_c_GHz",
@@ -258,7 +262,7 @@ PARAM_KEYS = _EFFECTIVE_KEYS + _FULL_KEYS + (
 
 
 def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
-    """Build validated SystemParams from a flat key-value mapping.
+    """Build SystemParams from a flat key-value mapping.
 
     Either the effective pair (gamma_e, gamma_f) or the full gamma map keys
     may be present, not both. At most one pump among n_th / temperature_mK /
@@ -296,9 +300,9 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
             upper, lower = key[-2], key[-1]
             gamma[(upper, lower)] = num(key)
 
-    pumps_given = [k for k in _PUMP_KEYS if k in cfg]
+    pumps_given = [k for k in PUMP_KEYS if k in cfg]
     if len(pumps_given) > 1:
-        raise ParameterError(f"at most one pump among {_PUMP_KEYS}, got {pumps_given}")
+        raise ParameterError(f"at most one pump among {PUMP_KEYS}, got {pumps_given}")
     pump: Pump | None = None
     if "n_th" in cfg:
         pump = ThermalPump(num("n_th"))
@@ -318,7 +322,7 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
     elif "pump_detuning" in cfg:
         raise ParameterError("pump_detuning given without Omega")
 
-    params = SystemParams(
+    return SystemParams(
         gamma=gamma,
         eta=num("eta", 0.0),
         kappa=num("kappa", 0.0),
@@ -327,12 +331,10 @@ def params_from_config(cfg: Mapping[str, object]) -> SystemParams:
         beta=num("beta", 1.0),
         epsilon=num("epsilon", 1e-3),
     )
-    return validate_params(params)
 
 
 def params_to_config(p: SystemParams) -> dict[str, float]:
-    """Flat canonical echo of validated params (used for output metadata)."""
-    p = validate_params(p)
+    """Flat canonical echo of the params (used for output metadata)."""
     cfg: dict[str, float] = {}
     for (upper, lower), value in sorted(p.gamma.items()):
         if value != 0.0 or (upper, lower) in (("e", "g"), ("f", "g")):

@@ -109,7 +109,7 @@ from .liouvillian import (
     unvec,
     vec,
 )
-from .model import LEVELS, SystemParams, half_widths, validate_params
+from .model import LEVELS, SystemParams, half_widths
 
 _TAIL_TOL = 1e-8
 
@@ -490,7 +490,6 @@ def probe_free_state(params: SystemParams, n_max: int):
     obtained. Warns (TruncationNotConverged) unless the tail mass
     converged.
     """
-    params = validate_params(params)
     factors = _probe_free_factors(params, n_max)
     ground = 3 * np.arange(n_max + 1)
     _require_invariant(factors, ground, ground, "the |g><g| block")
@@ -635,7 +634,6 @@ def _readout_frame(params: SystemParams, n_max: int):
     lab-frame reference tests pin it. Warns (TruncationNotConverged) unless
     the tail converged.
     """
-    params = validate_params(params)
     factors = _probe_free_factors(params, n_max)
     weights = _bose_weights(params.n_th, n_max)
     m = np.arange(n_max + 1)
@@ -798,7 +796,6 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     (_finite_epsilon_chunk); a point whose steady state is not converged
     raises SolverFailure.
     """
-    params = validate_params(params)
     grid = _validate_grid(grid)
     notes: list[str] = []
 
@@ -918,7 +915,6 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
     """
     from scipy.integrate import solve_ivp  # imported here: slow, and the CLI never needs it
 
-    params = validate_params(params)
     if n_max > 5:
         raise ParameterError("time-domain cross-check is limited to n_max <= 5")
     if params.n_th > 0.0:

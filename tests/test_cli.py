@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import vitats
-from vitats import SolverFailure, cli
+from vitats import ParameterError, SolverFailure, cli
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
@@ -453,6 +453,21 @@ def test_n_max_flag_above_its_limit_exits_2(tmp_path, capsys, command, value):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, value", [(["spectrum", "--method", "analytic"], -7),
+                                            (["reproduce", "4cd"], 0)],
+                         ids=["spectrum-analytic", "reproduce-4cd"])
+def test_n_max_flag_below_one_exits_2(tmp_path, capsys, command, value):
+    # the flag follows the config key's rule, also where no Fock space is built
+    out = tmp_path / "out"
+    config = [] if command[0] == "reproduce" else ["--config", _write_config(
+        tmp_path, "c.json", {"gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 4.0,
+                             "delta_min": -5.0, "delta_max": 5.0, "delta_points": 5})]
+    assert cli.main([*command, *config, "--output", str(out), "--n-max", str(value)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: n_max must be an integer >= 1, got {value}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.usefixtures("low_limits")
 def test_sizes_at_their_limits_run(tmp_path, capsys):
     cfg = _sizes_config(tmp_path)
@@ -776,19 +791,23 @@ def test_reproduce_n_max_zero_exits_2(tmp_path, capsys):
     outdir = tmp_path / "fig8a"
     assert cli.main(["reproduce", "8a", "--output", str(outdir),
                      "--n-max", "0"]) == 2
-    assert "n_max = 0" in capsys.readouterr().err
+    assert "n_max must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not (outdir / "populations_vs_Omega.csv").exists()
 
 
 
-def test_reproduce_failure_leaves_no_bundle_directory(tmp_path, capsys):
+def test_reproduce_failure_leaves_no_bundle_directory(tmp_path, capsys, monkeypatch):
+    def refuses(*args, **kwargs):
+        raise ParameterError("injected failure")
+
+    monkeypatch.setattr(cli, "probe_free_state", refuses)
     outdir = tmp_path / "f8"
     assert cli.main(["reproduce", "8a", "--output", str(outdir),
-                     "--n-max", "0"]) == 2
+                     "--n-max", "3"]) == 2
     assert not outdir.exists()
     nested = tmp_path / "runs" / "f8"
     assert cli.main(["reproduce", "8a", "--output", str(nested),
-                     "--n-max", "0"]) == 2
+                     "--n-max", "3"]) == 2
     assert not (tmp_path / "runs").exists()
     capsys.readouterr()
 

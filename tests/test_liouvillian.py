@@ -34,19 +34,10 @@ from vitats.liouvillian import (
     factors_at,
     trace_indices,
 )
-from vitats.model import validate_params
 
 
 def _dense(op):
     return np.asarray(op.todense())
-
-
-def _hamiltonian(params, Delta, spec, epsilon=None):
-    return _dense_hamiltonian(validate_params(params), Delta, spec, epsilon)
-
-
-def _jumps(params, spec):
-    return _dense_jumps(validate_params(params), spec)
 
 
 def test_hilbert_spec_indexing():
@@ -104,7 +95,7 @@ def test_hamiltonian_matrix_elements():
     p = SystemParams.from_effective(5.0, 1.0, eta=3.0, kappa=0.2, delta=1.4,
                                     pump=CoherentPump(Omega=0.7), epsilon=0.05)
     spec = HilbertSpec(n_max=5)
-    h = _hamiltonian(p, 2.0, spec)
+    h = _dense_hamiltonian(p, 2.0, spec, None)
     idx = spec.index
     for n in range(spec.n_max):
         assert h[idx(n + 1, "f"), idx(n, "e")] == pytest.approx(
@@ -128,7 +119,7 @@ def test_hamiltonian_hermitian_random():
             pump=CoherentPump(Omega=rng.uniform(0, 2),
                               pump_detuning=rng.uniform(-3, 3)),
             epsilon=rng.uniform(0, 0.5))
-        h = _hamiltonian(p, float(rng.uniform(-30, 30)), HilbertSpec(n_max=3))
+        h = _dense_hamiltonian(p, float(rng.uniform(-30, 30)), HilbertSpec(n_max=3), None)
         assert np.abs(h - h.conj().T).max() < 1e-12
 
 
@@ -138,7 +129,7 @@ def test_hamiltonian_eigenvalues_match_dressed_manifolds():
     p = SystemParams.from_effective(5.0, 1.0, eta=2.3, kappa=0.5)
     n_max = 6
     spec = HilbertSpec(n_max=n_max)
-    h = _hamiltonian(p, 0.0, spec, epsilon=0.0)
+    h = _dense_hamiltonian(p, 0.0, spec, epsilon=0.0)
     got = np.sort(np.linalg.eigvalsh(h))
     expected = [0.0] * (n_max + 3)
     for n in range(n_max):
@@ -154,7 +145,7 @@ def test_hamiltonian_eigenvalues_match_dressed_manifolds_detuned():
     spec = HilbertSpec(n_max=n_max)
     # Delta = delta/2 zeroes the e level; each doublet then sits at
     # delta/2 + omega_-+ relative to |n,g>
-    h = _hamiltonian(p, 3.1 / 2, spec, epsilon=0.0)
+    h = _dense_hamiltonian(p, 3.1 / 2, spec, epsilon=0.0)
     idx = spec.index
     for n in range(n_max):
         block = np.array([[h[idx(n, "e"), idx(n, "e")],
@@ -172,7 +163,7 @@ def test_collapse_set_contents():
                      eta=2.0, kappa=0.8)
     spec = HilbertSpec(n_max=2)
     ops = build_operators(spec)
-    cs = _jumps(p, spec)
+    cs = _dense_jumps(p, spec)
     # n_th = 0: no raising jump; order is cavity, then sorted gamma pairs
     assert len(cs) == 4
     assert np.array_equal(cs[0], _dense(math.sqrt(1.6) * ops.a))
@@ -182,14 +173,14 @@ def test_collapse_set_contents():
 
     thermal = SystemParams(gamma={("e", "g"): 4.0}, kappa=0.8,
                            pump=ThermalPump(n_th=0.25))
-    cs = _jumps(thermal, spec)
+    cs = _dense_jumps(thermal, spec)
     assert len(cs) == 3
     assert np.array_equal(cs[0], _dense(math.sqrt(2 * 0.8 * 1.25) * ops.a))
     assert np.array_equal(cs[1], _dense(math.sqrt(2 * 0.8 * 0.25) * ops.a_dag))
 
     # kappa = 0 with no thermal pump contributes no cavity jump at all
     lossless = SystemParams(gamma={("e", "g"): 4.0}, kappa=0.0)
-    assert len(_jumps(lossless, spec)) == 1
+    assert len(_dense_jumps(lossless, spec)) == 1
 
 
 def test_vec_convention_and_trace_indices():
@@ -418,8 +409,8 @@ _PUMPS = st.one_of(st.builds(ThermalPump, _zero_or(0.01, 2.0)),
          pump=CoherentPump(0.5, -0.6), epsilon=0.05, Delta=-7.0)
 def test_liouvillian_matches_kron_reference(n_max, gamma, eta, kappa, delta, pump,
                                             epsilon, Delta):
-    params = validate_params(SystemParams(gamma=gamma, eta=eta, kappa=kappa,
-                                          delta=delta, pump=pump, epsilon=epsilon))
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump,
+                          epsilon=epsilon)
     spec = HilbertSpec(n_max)
     ops = build_operators(spec)
     want = _kron_reference(_operator_hamiltonian(params, Delta, ops),
@@ -434,9 +425,8 @@ def test_liouvillian_matches_kron_reference(n_max, gamma, eta, kappa, delta, pum
 def test_displaced_generator_matches_kron_reference(n_max, gamma, eta, kappa, delta,
                                                     Omega, pump_detuning):
     # lab-frame L0 plus the commutator of the displacement's Hamiltonian shift
-    params = validate_params(SystemParams(
-        gamma=gamma, eta=eta, kappa=kappa, delta=delta,
-        pump=CoherentPump(Omega, pump_detuning)))
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta,
+                          pump=CoherentPump(Omega, pump_detuning))
     spec = HilbertSpec(n_max)
     ops = build_operators(spec)
     alpha = -1j * Omega / (kappa + 1j * pump_detuning)
@@ -478,8 +468,7 @@ def test_product_blocks_are_exact_slices_of_the_liouvillian(n_max, gamma, eta, k
                                                             delta, pump, Delta):
     # the |g><g|, |g><{f,e}| and |{f,e}><{f,e}| blocks of the probe-free L0,
     # and |g,0><{f,e}| of the displaced one, bit for bit
-    params = validate_params(SystemParams(gamma=gamma, eta=eta, kappa=kappa,
-                                          delta=delta, pump=pump))
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
     spec = HilbertSpec(n_max)
     photons = np.arange(n_max + 1)
     ground = 3 * photons

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,34 +23,21 @@ from vitats import (
     thermal_occupation,
     validate_params,
 )
+from vitats.model import DECAY_PAIRS
 
 
 def test_validate_identity_for_clean_params():
     p = SystemParams(gamma={("e", "g"): 10.0, ("f", "g"): 2.0}, eta=4.0,
                      kappa=1.0, delta=0.0)
-    q = validate_params(p)
-    assert q.gamma[("e", "g")] == 10.0
-    assert q.gamma[("f", "g")] == 2.0
-    assert q.gamma[("g", "g")] == 0.0
-    assert q.eta == 4.0 and q.kappa == 1.0 and q.pump is None
-
-
-def test_negative_rate_rejected():
-    with pytest.raises(NegativeRate):
-        validate_params(SystemParams(gamma={("e", "g"): -1.0}))
-    with pytest.raises(NegativeRate):
-        validate_params(SystemParams(gamma={}, eta=-0.5))
-    with pytest.raises(NegativeRate):
-        validate_params(SystemParams(gamma={}, kappa=-0.1))
-
-
-def test_nonpositive_beta_rejected():
-    with pytest.raises(NonpositiveBeta):
-        validate_params(SystemParams(gamma={}, beta=0.0))
+    assert validate_params(p) is p  # construction already checked p
+    assert p.gamma[("e", "g")] == 10.0
+    assert p.gamma[("f", "g")] == 2.0
+    assert p.gamma[("g", "g")] == 0.0
+    assert p.eta == 4.0 and p.kappa == 1.0 and p.pump is None
 
 
 def test_gamma_gg_forced_to_zero():
-    p = validate_params(SystemParams(gamma={("g", "g"): 3.0, ("e", "g"): 1.0}))
+    p = SystemParams(gamma={("g", "g"): 3.0, ("e", "g"): 1.0})
     assert p.gamma[("g", "g")] == 0.0
 
 
@@ -58,16 +46,60 @@ def test_temperature_pump_converts_to_thermal():
     omega_c = 2 * math.pi * 5e9
     p = SystemParams(gamma={("e", "g"): 1.0},
                      pump=TemperaturePump(temperature=0.080, omega_c=omega_c))
-    q = validate_params(p)
-    assert isinstance(q.pump, ThermalPump)
-    assert q.n_th == pytest.approx(0.0524, abs=5e-4)
-    assert q.n_th == pytest.approx(0.0524217894, rel=1e-8)
+    assert isinstance(p.pump, ThermalPump)
+    assert p.n_th == pytest.approx(0.0524, abs=5e-4)
+    assert p.n_th == pytest.approx(0.0524217894, rel=1e-8)
 
 
-def test_temperature_pump_requires_omega_c():
-    with pytest.raises(MissingCavityFrequency):
-        validate_params(SystemParams(
-            gamma={}, pump=TemperaturePump(temperature=0.08, omega_c=0.0)))
+_VALID = {"gamma": {("e", "g"): 10.0, ("f", "g"): 2.0}, "eta": 4.0, "kappa": 1.0}
+_OMEGA_C = 2 * math.pi * 5e9  # rad/s
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"eta": math.nan}, ParameterError, "eta = nan must be finite"),
+    ({"gamma": {("e", "g"): math.inf}}, ParameterError,
+     "gamma[('e', 'g')] = inf must be finite"),
+    ({"pump": CoherentPump(0.4, pump_detuning=-math.inf)}, ParameterError,
+     "pump_detuning = -inf must be finite"),
+    ({"pump": TemperaturePump(temperature=math.nan, omega_c=_OMEGA_C)}, ParameterError,
+     "temperature = nan must be finite"),
+    ({"gamma": {("e", "g"): -1.0}}, NegativeRate, "gamma[('e', 'g')] = -1.0 < 0"),
+    ({"gamma": {("e", "f"): -1.0}}, NegativeRate, "gamma[('e', 'f')] = -1.0 < 0"),
+    ({"eta": -0.5}, NegativeRate, "eta = -0.5 < 0"),
+    ({"kappa": -0.1}, NegativeRate, "kappa = -0.1 < 0"),
+    ({"gamma": {("g", "e"): 1.0}}, ParameterError,
+     "unknown decay pair ('g', 'e'); allowed: " + str(DECAY_PAIRS)),
+    ({"beta": 0.0}, NonpositiveBeta, "beta = 0.0 must be > 0"),
+    ({"beta": -2.0}, NonpositiveBeta, "beta = -2.0 must be > 0"),
+    ({"epsilon": 0.0}, ParameterError, "epsilon = 0.0 must be > 0"),
+    ({"pump": ThermalPump(-0.1)}, ParameterError, "n_th = -0.1 < 0"),
+    ({"pump": CoherentPump(-0.4)}, NegativeRate, "Omega = -0.4 < 0"),
+    ({"pump": TemperaturePump(temperature=0.0, omega_c=_OMEGA_C)},
+     NonpositiveTemperature, "temperature = 0.0 K must be > 0"),
+    ({"pump": TemperaturePump(temperature=0.08, omega_c=0.0)},
+     MissingCavityFrequency, "omega_c = 0.0 rad/s must be > 0"),
+    ({"pump": TemperaturePump(temperature=0.08, omega_c=-1.0)},
+     MissingCavityFrequency, "omega_c = -1.0 rad/s must be > 0"),
+])
+def test_construction_refuses_each_invalid_field(fields, error, message):
+    for build in (lambda: SystemParams(**{**_VALID, **fields}),
+                  lambda: replace(SystemParams(**_VALID), **fields)):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pump", [None, ThermalPump(0.1), CoherentPump(0.4, 0.2),
+                                  TemperaturePump(temperature=0.08, omega_c=_OMEGA_C)])
+def test_constructed_params_are_complete_and_read_only(pump):
+    p = SystemParams(gamma={("g", "g"): 3.0, ("e", "f"): 1}, pump=pump)
+    assert dict(p.gamma) == {**dict.fromkeys(DECAY_PAIRS, 0.0), ("e", "f"): 1.0}
+    assert all(type(rate) is float for rate in p.gamma.values())
+    with pytest.raises(TypeError):
+        p.gamma[("e", "g")] = 2.0
+    assert not isinstance(p.pump, TemperaturePump)
+    assert not isinstance(replace(p, eta=1.0).pump, TemperaturePump)
 
 
 def test_thermal_occupation_ln2_gives_one():
@@ -127,7 +159,7 @@ def test_effective_rates_published_regime_point():
     # gamma map in 2pi*MHz; kappa and eta stay as quoted in the regime example
     p = SystemParams(gamma={("e", "g"): 15.0, ("f", "g"): 6.5},
                      eta=36.0, kappa=0.63)
-    r = effective_rates(validate_params(p))
+    r = effective_rates(p)
     assert r.gamma_e == pytest.approx(7.5)
     assert r.gamma_f == pytest.approx(3.25)
     assert r.gamma_R == pytest.approx(1.93, abs=5e-3)
@@ -141,7 +173,7 @@ def test_effective_rates_eta_T():
 
 def test_effective_rates_degenerate():
     with pytest.raises(DivisionDegenerate) as info:
-        effective_rates(validate_params(SystemParams(gamma={}, eta=1.0)))
+        effective_rates(SystemParams(gamma={}, eta=1.0))
     assert info.value.gamma_e == 0.0
     assert info.value.gamma_f == 0.0
 
@@ -258,7 +290,7 @@ def test_config_round_trip_randomized(rates, pump, rest):
 
 
 def test_pump_defaults_zero():
-    p = validate_params(SystemParams(gamma={("e", "g"): 1.0}))
+    p = SystemParams(gamma={("e", "g"): 1.0})
     assert p.n_th == 0.0 and p.Omega == 0.0 and p.pump_detuning == 0.0
 
 

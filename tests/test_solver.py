@@ -148,6 +148,16 @@ def test_uniqueness_check_can_be_skipped():
     assert state.converged
 
 
+def test_probe_free_factors_take_params_as_built():
+    # construction completes the gamma map: a private helper reads
+    # gamma[(e, f)] without anything validating the params first
+    p = SystemParams.from_effective(5, 1, eta=4, kappa=1)
+    factors = solver._probe_free_factors(p, 4)
+    want = factors_at(p, 0.0, HilbertSpec(4), epsilon=0.0)
+    for name in ("m", "n", "jumps"):
+        assert np.array_equal(getattr(factors, name), getattr(want, name))
+
+
 _ORACLE_SYSTEMS = [
     SystemParams.from_effective(5, 1, eta=4, kappa=1),
     SystemParams.from_effective(5, 1, eta=2, kappa=0.2, pump=ThermalPump(n_th=0.3)),
