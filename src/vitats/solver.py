@@ -12,9 +12,11 @@ rates are multiples of gamma_ref). Three routes to the same quantity:
   on L0's factors that they are closed under it (_readout_block). Its
   source is -i P_m, from the populations P_m of |g,m> in rho0 alone. The
   block is banded and meets Delta only as +i Delta, so the grid is one
-  block-diagonal band and one banded LU with partial pivoting (LAPACK
-  gbsv), O(m) per point; the probe amplitude is eliminated analytically.
-  Any pump.
+  block-diagonal band and one LU with partial pivoting, O(m) per point
+  (_readout_response): LAPACK gtsv when the block is tridiagonal (the
+  vacuum's pair and the displaced chain), which calls no BLAS, and the
+  band LU gbsv otherwise (the thermal ladder, bandwidths (2, 2)); the
+  probe amplitude is eliminated analytically. Any pump.
 - finite_epsilon: full steady state including the probe term at amplitude
   epsilon, chi = rho_ge/epsilon, with L built at each Delta
   (liouvillian_at); carries an automatic linearity check.
@@ -81,7 +83,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zgbsv
+from scipy.linalg.lapack import zgbsv, zgtsv
 from scipy.sparse.csgraph import structural_rank
 
 from . import analytic
@@ -188,7 +190,11 @@ def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
     """Sparse LU of matrix. A structurally singular matrix (no perfect
     matching of rows to stored entries) is singular for every value of its
     entries; it is refused before SuperLU sees it, which would otherwise
-    report it from C."""
+    report it from C. Supernodes are not relaxed and panels are one column
+    wide (relax=1, panel_size=1): on the full L0 at n_max = 20 (eta 80)
+    that keeps the fill and factors in 29.3 ms instead of 34.6 ms under a
+    coherent pump and in 2.1 ms instead of 2.7 ms under a thermal one,
+    against SuperLU's defaults (one core of an x86-64 VM)."""
     matrix = matrix.tocsc()
     rank = structural_rank(matrix)
     if rank < matrix.shape[0]:
@@ -196,7 +202,7 @@ def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
             f"steady state not unique: {what} is structurally singular "
             f"(structural rank {rank} of {matrix.shape[0]})")
     try:
-        return spla.splu(matrix)
+        return spla.splu(matrix, relax=1, panel_size=1)
     except RuntimeError as exc:  # SuperLU: singular factor
         raise SolverFailure(f"sparse LU solve failed: {exc}") from exc
 
@@ -669,18 +675,26 @@ def _readout_block(factors: LindbladFactors, rows: np.ndarray,
     c[r_k, r_l] conj(c[c_k, c_l]), summed as LindbladFactors.entries sums L.
     SolverFailure unless one pass on the factors finds every target of each
     term from each listed |r_l><c_l| listed: the rows of M[:, r_l], the columns
-    of N[c_l, :] and the same-jump nonzero pairs of c[:, r_l] and c[:, c_l]."""
+    of N[c_l, :] and the same-jump nonzero pairs of c[:, r_l] and c[:, c_l].
+    Only the jumps with a nonzero in some column r_l enter; when there are
+    none (no jump acts on |g,0>, the displaced frame's one row), the jump
+    term and its check are skipped."""
     jumps = factors.jumps[(factors.jumps[:, :, np.unique(rows)] != 0).any(axis=(1, 2))]
-    per_col = (jumps != 0).sum(1)  # the nonzeros in each column of each jump
-    cr, cc = jumps[:, rows[:, None], rows], jumps[:, cols[:, None], cols]
-    m = np.where(cols[:, None] == cols, factors.m[np.ix_(rows, rows)], 0)
-    n = factors.n[np.ix_(cols, cols)].T
+    m = np.where(cols[:, None] == cols, factors.m[rows[:, None], rows], 0)
+    n = factors.n[cols, cols[:, None]]  # N[c_l, c_k] at [k, l]
     n[rows[:, None] != rows] = 0  # in place: one K^2 copy fewer at the peak
-    if ((m != 0).sum(0) < (factors.m != 0).sum(0)[rows]).any() \
-            or ((n != 0).sum(0) < (factors.n != 0).sum(1)[cols]).any() \
-            or (((cr != 0) & (cc != 0)).sum(1) < per_col[:, rows] * per_col[:, cols]).any():
+    nonzeros = np.count_nonzero
+    leaks = (nonzeros(m, axis=0) < nonzeros(factors.m, axis=0)[rows]).any() \
+        or (nonzeros(n, axis=0) < nonzeros(factors.n, axis=1)[cols]).any()
+    if jumps.size:
+        per_col = nonzeros(jumps, axis=1)  # the nonzeros in each column of each jump
+        cr, cc = jumps[:, rows[:, None], rows], jumps[:, cols[:, None], cols]
+        leaks = leaks or (((cr != 0) & (cc != 0)).sum(1)
+                          < per_col[:, rows] * per_col[:, cols]).any()
+        m = np.add((cc.conj() * cr).sum(0), m, out=m)
+    if leaks:
         raise SolverFailure("probe-free Liouvillian leaks out of the read-out block")
-    return np.add(np.add((cc.conj() * cr).sum(0), m, out=m), n, out=m)
+    return np.add(m, n, out=m)
 
 
 def _readout_system(factors: LindbladFactors, weights: np.ndarray, rows: np.ndarray,
@@ -706,27 +720,43 @@ def _readout_response(a: np.ndarray, rhs: np.ndarray, out: np.ndarray,
                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi/beta and residual norm at each Delta from (A + i Delta I) x = b.
 
-    The grid is one block-diagonal system, block k being A + i Delta_k I, in
-    one band from the dense A's nonzeros that one zgbsv call factors and
-    solves; its bandwidths are A's: (2, 2) thermal, (1, 1) vacuum and
-    coherent. Pivoting never leaves a block, so no point's bits depend on the
-    others. A singular point (the first zero pivot's block), or a residual
+    The grid is one block-diagonal system, block k being A + i Delta_k I,
+    that one LAPACK call factors (LU with partial pivoting) and solves. The
+    routine is read from A itself: a tridiagonal A (the vacuum's 2 x 2 block
+    and the displaced chain f_0 - e_0 - f_1 - ... - e_n_max, at any eta)
+    takes zgtsv on its three diagonals, which makes no BLAS call; any other
+    A (the thermal ladder, bandwidths (2, 2)) takes zgbsv on one band built
+    from its nonzeros. The links between blocks are zero, so neither
+    routine's pivoting or elimination leaves a block, and no point's bits
+    depend on the others. A singular point (the first zero pivot's block;
+    both routines report it the same way), or a residual
     ||A x + i Delta x - b|| above 1e-9 |b| max(1, max|A_ij| + |Delta|)
     raises SolverFailure. A x is summed diagonal by diagonal, elementwise, so
     each point's residual is independent of the grid as well."""
-    kl, ku, block = _band_storage(*np.nonzero(a != 0), a[a != 0], rhs.size)
-    band = np.tile(block.T, (grid.size, 1)).T  # A's band per point, Fortran order
-    band[kl + ku] += 1j * np.repeat(grid, rhs.size)  # the diagonal's row
-    _, _, x, info = zgbsv(kl, ku, band, np.tile(rhs, grid.size), overwrite_ab=1)
+    size = rhs.size
+    diagonals = {offset: np.diagonal(a, offset) for offset in (-1, 0, 1)}
+    if np.count_nonzero(a) == sum(map(np.count_nonzero, diagonals.values())):
+        links = np.zeros((2, grid.size, size), dtype=complex)  # zero between blocks
+        links[0, :, :-1], links[1, :, :-1] = diagonals[-1], diagonals[1]
+        sub, sup = links.reshape(2, -1)[:, :-1]
+        main = (diagonals[0] + 1j * grid[:, None]).ravel()
+        *_, x, info = zgtsv(sub, main, sup, np.tile(rhs, grid.size), overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    else:
+        kl, ku, block = _band_storage(*np.nonzero(a), a[a != 0], size)
+        band = np.tile(block.T, (grid.size, 1)).T  # A's band per point, Fortran order
+        band[kl + ku] += 1j * np.repeat(grid, size)  # the diagonal's row
+        _, _, x, info = zgbsv(kl, ku, band, np.tile(rhs, grid.size), overwrite_ab=1)
+        del band  # the factored band, freed before the residual's arrays
+        diagonals = {offset: np.diagonal(a, offset) for offset in range(-kl, ku + 1)}
     if info > 0:
         raise SolverFailure("read-out matrix is singular at "
-                            f"Delta={grid[(info - 1) // rhs.size]:g}")
-    del band  # the factored band, freed before the residual's arrays
-    x = x.reshape(grid.size, rhs.size)
+                            f"Delta={grid[(info - 1) // size]:g}")
+    x = x.reshape(grid.size, size)
     ax = np.zeros_like(x)  # A x, a row per point, diagonal by diagonal
-    for offset in range(-kl, ku + 1):
-        lo, hi = max(0, -offset), min(rhs.size, rhs.size - offset)
-        ax[:, lo:hi] += np.diagonal(a, offset) * x[:, lo + offset:hi + offset]
+    for offset, diagonal in diagonals.items():
+        lo, hi = max(0, -offset), min(size, size - offset)
+        ax[:, lo:hi] += diagonal * x[:, lo + offset:hi + offset]
     resid = np.linalg.norm(ax + 1j * grid[:, None] * x - rhs, axis=1)
     # take keeps the rows C-contiguous, so each point is summed alone (numpy's
     # pairwise sum, as row.sum() would); x[:, out] comes out Fortran-ordered

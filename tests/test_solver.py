@@ -446,6 +446,7 @@ def test_one_lu_per_steady_state(monkeypatch):
     solver.probe_free_state(replace(params, pump=CoherentPump(Omega=0.5)), 4)
     # a coherent pump: one band LU of the 25-dim cavity block, no SuperLU
     assert calls["splu"] == {} and calls["band_lu"] == {25: 1}
+    assert calls["tridiagonal_lu"] == {}  # the cavity block is no chain
 
 
 def test_full_space_steady_state_keeps_one_sparse_lu(monkeypatch):
@@ -456,7 +457,7 @@ def test_full_space_steady_state_keeps_one_sparse_lu(monkeypatch):
     sop = liouvillian_at(params, 0.0, HilbertSpec(20), epsilon=0.0)
     calls = _count_assemblies_and_lus(monkeypatch)
     steady_state(sop)
-    assert calls == {"blocks": [], "splu": {3969: 1}, "band_lu": {}}
+    assert calls == {"blocks": [], "splu": {3969: 1}, "band_lu": {}, "tridiagonal_lu": {}}
 
 
 def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
@@ -688,6 +689,17 @@ def test_readout_block_is_banded_randomized(gamma, eta, kappa, delta, pump):
         SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump))
 
 
+def _band_lu_solution(a, rhs, grid):
+    """(x, info): the grid's block-diagonal system (A + i Delta_k I) x_k = b
+    solved by one LAPACK band LU (zgbsv) on A's band, as the read-out solved
+    every frame before the tridiagonal path; x has a row per point."""
+    kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
+    band = np.tile(block.T, (grid.size, 1)).T
+    band[kl + ku] += 1j * np.repeat(grid, rhs.size)
+    *_, x, info = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))
+    return x.reshape(grid.size, -1), info
+
+
 def _dense_batched_readout(a, rhs, out, grid):
     """chi/beta from the former read-out solve: the grid solved on the dense
     A with batched np.linalg.solve, 16 points per batch."""
@@ -720,10 +732,7 @@ def test_readout_residual_is_that_of_the_dense_matrix(params):
     # with the dense A, to rounding, and within the gate's tolerance
     a, rhs, out = _readout_system_of(params, 12)
     grid = np.linspace(-120, 120, 241)
-    kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
-    band = np.tile(block.T, (grid.size, 1)).T
-    band[kl + ku] += 1j * np.repeat(grid, rhs.size)
-    x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
+    x = _band_lu_solution(a, rhs, grid)[0]
     want = np.array([np.linalg.norm((a + 1j * delta * np.eye(rhs.size)) @ xk - rhs)
                      for delta, xk in zip(grid, x)])
     scale = np.maximum(1.0, np.abs(a).max() + np.abs(grid))
@@ -964,23 +973,28 @@ def test_readout_points_independent_of_batching(params):
 ], ids=["thermal", "coherent", "vacuum"])
 def test_one_lu_per_linear_response_spectrum(monkeypatch, params, size):
     # no cavity LU: a thermal pump or the vacuum takes the closed form, a
-    # coherent one the displaced vacuum; the whole grid takes one band LU of
-    # 101 read-out blocks (14 dims displaced, 13 thermal, 2 in the vacuum)
+    # coherent one the displaced vacuum; the whole grid takes one LU of 101
+    # read-out blocks: a band LU of the thermal ladder (13 dims), a
+    # tridiagonal LU of the displaced chain (14) or of the vacuum's pair (2)
     calls = _count_assemblies_and_lus(monkeypatch)
     probe_spectrum(params, np.linspace(-10, 10, 101), n_max=6)
     assert calls["splu"] == {}
-    assert calls["band_lu"] == {101 * size: 1}
+    chain = params.n_th == 0.0
+    assert calls["tridiagonal_lu" if chain else "band_lu"] == {101 * size: 1}
+    assert calls["band_lu" if chain else "tridiagonal_lu"] == {}
 
 
 def _count_assemblies_and_lus(monkeypatch) -> dict:
     """Record the number of positions of every Liouvillian block assembled
     (the full space included: every product block goes through
     LindbladFactors.entries, the read-out block through
-    solver._readout_block) and count the sparse LUs and the LAPACK band LUs
-    by matrix size, by wrapping them; no wall clock involved."""
-    calls = {"blocks": [], "splu": Counter(), "band_lu": Counter()}
+    solver._readout_block) and count the sparse LUs, the LAPACK band LUs and
+    the LAPACK tridiagonal LUs by matrix size, by wrapping them; no wall
+    clock involved."""
+    calls = {"blocks": [], "splu": Counter(), "band_lu": Counter(),
+             "tridiagonal_lu": Counter()}
     entries, readout_block = liouvillian.LindbladFactors.entries, solver._readout_block
-    splu, zgbsv = solver.spla.splu, solver.zgbsv
+    splu, zgbsv, zgtsv = solver.spla.splu, solver.zgbsv, solver.zgtsv
 
     def counting_entries(self, rows, cols):
         calls["blocks"].append(rows.size * cols.size)
@@ -998,10 +1012,15 @@ def _count_assemblies_and_lus(monkeypatch) -> dict:
         calls["band_lu"][ab.shape[1]] += 1
         return zgbsv(kl, ku, ab, *args, **kwargs)
 
+    def counting_zgtsv(dl, d, *args, **kwargs):
+        calls["tridiagonal_lu"][d.size] += 1
+        return zgtsv(dl, d, *args, **kwargs)
+
     monkeypatch.setattr(liouvillian.LindbladFactors, "entries", counting_entries)
     monkeypatch.setattr(solver, "_readout_block", counting_readout_block)
     monkeypatch.setattr(solver.spla, "splu", counting_splu)
     monkeypatch.setattr(solver, "zgbsv", counting_zgbsv)
+    monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
     return calls
 
 
@@ -1019,7 +1038,8 @@ def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
     calls = _count_assemblies_and_lus(monkeypatch)
     assert cli.main(["populations", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert calls == {"blocks": [81] * len(values), "splu": {}, "band_lu": {}}
+    assert calls == {"blocks": [81] * len(values), "splu": {}, "band_lu": {},
+                     "tridiagonal_lu": {}}
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -1187,10 +1207,7 @@ def test_readout_frame_picks_the_closed_positions(gamma, pump, eta, kappa, delta
         solver._readout_response(*solver._readout_system(factors, weights, rows, cols),
                                  grid)[0],
         solver._readout_response(*wide, grid)[0], rtol=1e-14, atol=0)
-    kl, ku, block = solver._band_storage(*np.nonzero(a), a[np.nonzero(a)], rhs.size)
-    band = np.tile(block.T, (grid.size, 1)).T
-    band[kl + ku] += 1j * np.repeat(grid, rhs.size)
-    x = solver.zgbsv(kl, ku, band, np.tile(rhs, grid.size))[2].reshape(grid.size, -1)
+    x = _band_lu_solution(a, rhs, grid)[0]
     assert not x[:, 2:].any()  # off e_0 and f_1, the first two by column
 
 
@@ -1199,11 +1216,13 @@ def test_readout_frame_picks_the_closed_positions(gamma, pump, eta, kappa, delta
     (SystemParams.from_effective(5, 1, eta=4, kappa=1), slice(0, 1)),
     (SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3)),
      slice(0, -1)),
-], ids=["vacuum-without-f1", "thermal-without-last-e"])
+    (SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5)),
+     slice(0, -1)),
+], ids=["vacuum-without-f1", "thermal-without-last-e", "displaced-without-last-e"])
 def test_readout_refuses_a_table_too_small_for_its_frame(params, keep):
     # the leak check certifies the frame's table: eta takes the vacuum's
-    # |g,0><e,0| to |g,0><f,1|, and the last f of a thermal table to the
-    # last e
+    # |g,0><e,0| to |g,0><f,1|, and the last f of a thermal table or of the
+    # displaced chain (whose one row |g,0> no jump acts on) to the last e
     factors, weights, _, rows, cols = solver._readout_frame(params, 4)
     with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
         solver._readout_system(factors, weights, rows[keep], cols[keep])
@@ -1333,7 +1352,8 @@ def test_excited_sector_check_assembles_only_the_fe_block(monkeypatch):
                           pump=ThermalPump(0.3))
     calls = _count_assemblies_and_lus(monkeypatch)
     solver.probe_free_state(params, 4)
-    assert calls == {"blocks": [100, 25], "splu": {100: 1}, "band_lu": {}}
+    assert calls == {"blocks": [100, 25], "splu": {100: 1}, "band_lu": {},
+                     "tridiagonal_lu": {}}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1386,6 +1406,65 @@ def test_readout_residual_above_tolerance_raises(monkeypatch):
     params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3))
     with pytest.raises(SolverFailure, match="residual"):
         probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+def test_chain_readout_residual_above_tolerance_raises(monkeypatch):
+    # the tridiagonal path keeps the residual gate: a coherent pump's chain
+    zgtsv = solver.zgtsv
+
+    def perturbed(*args, **kwargs):
+        *factored, x, info = zgtsv(*args, **kwargs)
+        return (*factored, x * (1.0 + 1e-6), info)
+
+    monkeypatch.setattr(solver, "zgtsv", perturbed)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5))
+    with pytest.raises(SolverFailure, match="residual"):
+        probe_spectrum(params, np.linspace(-5, 5, 5), n_max=6)
+
+
+# gamma_f = 0 makes the f_0 pivot of the displaced chain vanish at the
+# transparency point Delta = pump_detuning - delta/2, which the grid holds
+# (exactly when both are 0), so the solve must pivot there; eta = 0
+# decouples the chain into its diagonal. With gamma_f = 0 and no pump or no
+# eta, |f,0> is dark, and the frame refuses the state as not unique
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gamma_e=st.floats(0.1, 10.0), gamma_f=_zero_or(0.01, 5.0),
+       eta=_zero_or(0.1, 100.0), kappa=st.floats(0.05, 5.0),
+       delta=_zero_or_signed(0.1, 5.0), omega=_zero_or(0.05, 2.0),
+       pump_detuning=_zero_or_signed(0.1, 3.0), n_max=st.integers(1, 12))
+def test_chain_readout_matches_the_band_lu(gamma_e, gamma_f, eta, kappa, delta, omega,
+                                           pump_detuning, n_max):
+    # the vacuum and displaced frames are tridiagonal and take zgtsv; the
+    # band LU they took before (zgbsv) is the oracle: the same chi to 1e-13
+    # of the spectrum's scale, residuals that agree to 1e-13 of the gate's
+    # scale, and the same singular point
+    pump = CoherentPump(omega, pump_detuning) if omega > 0.0 else None
+    params = SystemParams.from_effective(gamma_e, gamma_f, eta=eta, kappa=kappa,
+                                         delta=delta, pump=pump)
+    try:
+        a, rhs, out = _readout_system_of(params, n_max)
+    except NonUniqueSteadyState:
+        assert gamma_f == 0.0 and (eta == 0.0 or omega == 0.0)
+        return
+    assert not (np.triu(a, 2).any() or np.tril(a, -2).any())
+    half = np.linspace(0.0, 2.0 * (eta + gamma_e + gamma_f + kappa + abs(delta)), 21)
+    grid = np.union1d(np.concatenate([-half[:0:-1], half]), [pump_detuning - delta / 2])
+    x, info = _band_lu_solution(a, rhs, grid)
+    if info > 0:
+        with pytest.raises(SolverFailure,
+                           match=rf"singular at Delta={grid[(info - 1) // rhs.size]:g}$"):
+            solver._readout_response(a, rhs, out, grid)
+        return
+    chi, resid = solver._readout_response(a, rhs, out, grid)
+    want = x.take(out, axis=1).sum(axis=1)
+    assert np.abs(chi - want).max() <= 1e-13 * np.abs(want).max()
+    want_resid = np.linalg.norm(
+        (a + 1j * grid[:, None, None] * np.eye(rhs.size)) @ x[:, :, None] - rhs[:, None],
+        axis=(1, 2))
+    scale = np.linalg.norm(rhs) * np.maximum(1.0, np.abs(a).max() + np.abs(grid))
+    assert np.all(np.abs(resid - want_resid) <= 1e-13 * scale)
 
 
 def test_structurally_singular_generator_is_not_unique(capfd):
