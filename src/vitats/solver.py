@@ -27,10 +27,11 @@ M x = e_0 with one LU. M is nonsingular iff the kernel of L is
 one-dimensional, so uniqueness is checked on the same factor: one more
 solve M y = b with a seeded random b bounds the smallest singular value
 of M by |b|/|y|. steady_state solves the full D^2 space with a sparse LU
-(SuperLU), refusing a structurally singular M before it is factored;
-finite_epsilon, the time-domain cross-check and the tests use it as the
-independent oracle. In vec order the full L0 has no narrow band, so it
-never takes the band path below.
+(SuperLU in its symmetric mode, a minimum-degree ordering of M^T + M with
+weak diagonal pivoting: _factor), refusing a structurally singular M
+before it is factored; finite_epsilon, the time-domain cross-check and the
+tests use it as the independent oracle. In vec order the full L0 has no
+narrow band, so it never takes the band path below.
 
 The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
 state of the (n_max+1)^2 |g,m><g,n| block of L0, whose invariance is
@@ -48,11 +49,12 @@ weights at n_th = 0), and the tail is the Poisson tail of |alpha|^2.
 Either way P is unique for kappa > 0 and gated once, by its residual in
 the frame's L0 computed on the factors' ground columns (_ground_residual),
 within 1e-9 max(1, max|diag L_GG|).
-populations, check_truncation_convergence and finite_epsilon keep the
-lab-frame probe_free_state: it assembles the cavity block and gates
-rho_cav's residual there, writes the Bose state down for Omega = 0, and
-solves the block under a coherent pump, since the normalized truncated
-coherent state is not the truncated model's steady state (at Omega = 1.5,
+populations, check_truncation_convergence and finite_epsilon take the
+lab-frame probe_free_state. For Omega = 0 it is the read-out frame's lab
+frame: the same P, gate and tail, rho_cav = diag(P), and no cavity block
+or LU. Under a coherent pump it assembles the cavity block, solves it and
+gates rho_cav's residual there, since the normalized truncated coherent
+state is not the truncated model's steady state (at Omega = 1.5,
 n_max = 20 it leaves a residual of 2.2e-6, above the 4e-8 tolerance, with
 a tail of only 2.5e-9).
 With the entries |m><n| ordered by diagonal offset n - m, then by
@@ -61,10 +63,10 @@ k = n_max + 1: the drive, decay and detuning move |m><n| by one photon at
 most, and the diagonal entries of the trace row are contiguous. It takes
 one LAPACK band LU (zgbsv), with the uniqueness probe as a second
 right-hand side. The band holds (3k + 1) k^2 complex numbers (0.45 MB at
-n_max = 20, 11 MB at 60, 50 MB at 100) and costs O(k^4) time: 2-3x faster
-than SuperLU on this block at n_max = 20, on par near 60, and from 1.2x
-faster to 1.25x slower at 100, depending on the host. Either way,
-||L_GG vec(rho_cav)|| is rho0's full-L0 residual and must pass the same
+n_max = 20, 11 MB at 60, 50 MB at 100) and costs O(k^4) time: about 2x
+faster than SuperLU (_factor) on this block at n_max = 20, but 1.2-1.3x
+slower at 60 and 1.6-2x slower at 100 (one core of an x86-64 VM).
+||L_GG vec(rho_cav)|| is rho0's full-L0 residual and must pass the block's
 tolerance. kappa = 0 is refused up front in either frame: the block is
 then Hamiltonian and has no unique steady state.
 Unless f and e both drain to g, L0's {f, e} block is assembled from the
@@ -76,6 +78,7 @@ outside the oracles the full D^2 x D^2 L0 is never built.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -114,6 +117,9 @@ from .liouvillian import (
 from .model import LEVELS, SystemParams, half_widths
 
 _TAIL_TOL = 1e-8
+# _factor's SuperLU ordering and pivot threshold (the symmetric mode)
+_PERMC_SPEC = "MMD_AT_PLUS_A"
+_DIAG_PIVOT_THRESH = 0.01
 
 
 @dataclass(frozen=True)
@@ -190,11 +196,26 @@ def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
     """Sparse LU of matrix. A structurally singular matrix (no perfect
     matching of rows to stored entries) is singular for every value of its
     entries; it is refused before SuperLU sees it, which would otherwise
-    report it from C. Supernodes are not relaxed and panels are one column
-    wide (relax=1, panel_size=1): on the full L0 at n_max = 20 (eta 80)
-    that keeps the fill and factors in 29.3 ms instead of 34.6 ms under a
-    coherent pump and in 2.1 ms instead of 2.7 ms under a thermal one,
-    against SuperLU's defaults (one core of an x86-64 VM)."""
+    report it from C.
+
+    The factorization takes SuperLU's symmetric mode: a minimum-degree
+    ordering of A^T + A (_PERMC_SPEC), whose diagonal pivots are kept unless
+    they fall below _DIAG_PIVOT_THRESH of their column's largest entry.
+    A trace-completed Liouvillian has no zero on its diagonal, and most of
+    its pattern is symmetric: the Hamiltonian couplings run both ways, and
+    only the jumps and the trace row run one way (9086 of the 28668 entries
+    of the coherent L0 below have no transposed partner). So the diagonal
+    pivots hold and keep the ordering's fill, where COLAMD's unsymmetric
+    ordering with partial pivoting fills more. On the
+    full L0 at n_max = 20 (eta 80, Omega 0.4) the fill nnz(L) + nnz(U) falls
+    from 394234 to 273105, and on the probed L of finite_epsilon there from
+    1235550 to 771468; the thresholds 0.02, 0.001 and 0 keep that fill, 0.05
+    brings back row swaps (323780 and 960320), and 0.1 and 1 (partial
+    pivoting) reach 1.7-8.5 million. Supernodes are not relaxed and panels
+    are one column wide (relax=1, panel_size=1). The LU residuals stay at
+    1e-16 to 5e-16, and that L0 factors in 21 ms instead of 29 ms, the
+    probed L in 79 ms instead of 148 ms (best of 7, interleaved, one core of
+    an x86-64 VM)."""
     matrix = matrix.tocsc()
     rank = structural_rank(matrix)
     if rank < matrix.shape[0]:
@@ -202,7 +223,8 @@ def _factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
             f"steady state not unique: {what} is structurally singular "
             f"(structural rank {rank} of {matrix.shape[0]})")
     try:
-        return spla.splu(matrix, relax=1, panel_size=1)
+        return spla.splu(matrix, permc_spec=_PERMC_SPEC,
+                         diag_pivot_thresh=_DIAG_PIVOT_THRESH, relax=1, panel_size=1)
     except RuntimeError as exc:  # SuperLU: singular factor
         raise SolverFailure(f"sparse LU solve failed: {exc}") from exc
 
@@ -422,12 +444,6 @@ def _bose_weights(n_th: float, n_max: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _bose_state(n_th: float, n_max: int) -> np.ndarray:
-    """The truncated Bose state diag(_bose_weights) as a cavity density
-    matrix."""
-    return np.diag(_bose_weights(n_th, n_max)).astype(complex)
-
-
 def _probe_free_factors(params: SystemParams, n_max: int) -> LindbladFactors:
     """The lab-frame LindbladFactors of L0 after the uniqueness checks that
     both frames of the probe-free state share.
@@ -452,9 +468,13 @@ def _probe_free_factors(params: SystemParams, n_max: int) -> LindbladFactors:
 
 def _warn_unless_converged(report: TruncationReport) -> None:
     """TruncationNotConverged unless the report's tail converged, attributed
-    to the caller of the public function that made the report."""
+    to the first caller outside this module, however deep in it the report
+    was made."""
     if not report.converged:
-        warnings.warn(report.message, TruncationNotConverged, stacklevel=4)
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(report.message, TruncationNotConverged, stacklevel=level)
 
 
 def probe_free_state(params: SystemParams, n_max: int):
@@ -462,64 +482,67 @@ def probe_free_state(params: SystemParams, n_max: int):
     probe, in the lab frame.
 
     Without the probe nothing leaves |g>, so rho0 = |g><g| (x) rho_cav with
-    rho_cav the steady state of L0 on its invariant |g,m><g,n| block, which
-    is assembled on its own from L0's Hilbert-space factors (the full
-    D^2 x D^2 L0 is never built). _probe_free_factors refuses kappa = 0 and
-    any steady state that keeps the atom in {f, e}, so rho0 is unique iff
-    rho_cav is.
-    For a thermal pump or the vacuum (Omega = 0), rho_cav is the truncated
-    Bose state (_bose_state), unique for kappa > 0 because the truncated a
-    generates the whole matrix algebra; no LU runs. A coherent pump solves
-    the block with one LAPACK band LU (_banded_cavity_solve, with its
-    uniqueness check), in the order of diagonal offset n - m, then
-    min(m, n), where (kl, ku) = (n_max + 1, n_max + 1): the normalized
-    truncated coherent state is not the truncated model's steady state
-    (residual 2.2e-6 at Omega = 1.5, n_max = 20, above the 4e-8 tolerance,
-    with a tail of only 2.5e-9). That rho_cav is unique for kappa > 0 by the
-    same argument, so a failed sigma_min bound or a zero pivot of the band
-    LU means the block is ill-conditioned at this drive (the tolerance
-    grows with max|L_GG|, so with Omega): SolverFailure, naming the bound
-    and the tolerance, not NonUniqueSteadyState.
+    rho_cav the steady state of L0 on its invariant |g,m><g,n| block (the
+    full D^2 x D^2 L0 is never built). _probe_free_factors refuses kappa = 0
+    and any steady state that keeps the atom in {f, e}, so rho0 is unique
+    iff rho_cav is.
+    For a thermal pump or the vacuum (Omega = 0) everything comes from the
+    read-out frame's lab frame (_readout_frame), as a spectrum takes it:
+    rho_cav is diag(P), P the truncated Bose weights, unique for kappa > 0
+    because the truncated a generates the whole matrix algebra; the |g><g|
+    block's invariance is checked and diag(P)'s residual gated on the lab
+    factors, within 1e-9 max(1, max|diag L_GG|), and the tail is P's. No
+    cavity block is assembled and no LU runs.
+    A coherent pump assembles the block and solves it with one LAPACK band
+    LU (_banded_cavity_solve, with its uniqueness check), in the order of
+    diagonal offset n - m, then min(m, n), where (kl, ku) =
+    (n_max + 1, n_max + 1): the normalized truncated coherent state is not
+    the truncated model's steady state (residual 2.2e-6 at Omega = 1.5,
+    n_max = 20, above the 4e-8 tolerance, with a tail of only 2.5e-9). That
+    rho_cav is unique for kappa > 0 by the same argument, so a failed
+    sigma_min bound or a zero pivot of the band LU means the block is
+    ill-conditioned at this drive (the tolerance grows with max|L_GG|, so
+    with Omega): SolverFailure, naming the bound and the tolerance, not
+    NonUniqueSteadyState. Its residual ||L_GG vec(rho_cav)|| must be within
+    steady_state's tolerance for the block, or SolverFailure.
     So under a coherent pump the populations P_n come from the truncated
     master equation in the lab frame, while a linear-response spectrum
-    never calls this function, under any pump: it reads out from the Bose
-    weights in the lab frame or from the displaced vacuum (_readout_frame).
-    The largest
+    reads out from the displaced vacuum (_readout_frame). The largest
     relative gap between P_0..P_3 and the normalized truncated coherent
     state (eta 80, kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig.
     8a's sweep (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and
     3.3e-8 at Omega = 1.5, n_max = 16, where the tail of 4.5e-6 already
     warns.
-    rho0 vanishes outside the invariant block, so its full-L0 residual is
-    the block's ||L_GG vec(rho_cav)||; SolverFailure unless that is within
-    steady_state's tolerance for the block, whichever way rho_cav was
-    obtained. Warns (TruncationNotConverged) unless the tail mass
-    converged.
+    rho0 vanishes outside the invariant block, so under either pump its
+    residual_norm, the gated residual, is rho0's full-L0 residual. Warns
+    (TruncationNotConverged) unless the tail mass converged.
     """
+    atom = np.zeros((3, 3))
+    atom[0, 0] = 1.0  # |g><g|
+    if params.Omega == 0.0:
+        factors, weights, report, residual, _, _ = _readout_frame(params, n_max)
+        return factors, SteadyState(rho=np.kron(np.diag(weights.astype(complex)), atom),
+                                    residual_norm=residual, n_max=n_max,
+                                    converged=True), report
     factors = _probe_free_factors(params, n_max)
     ground = 3 * np.arange(n_max + 1)
     _require_invariant(factors, ground, ground, "the |g><g| block")
     cavity = factors.block(ground, ground)
-    if params.Omega > 0.0:
-        try:
-            rho_cav = _banded_cavity_solve(cavity, n_max + 1)
-        except NonUniqueSteadyState as exc:
-            # kappa > 0 makes rho_cav unique (see above), so a failed bound or
-            # a zero pivot means the block is ill-conditioned at this drive
-            reason = str(exc).removeprefix("steady state not unique: ")
-            raise SolverFailure(
-                f"lab-frame steady state ill-conditioned at this drive: {reason} "
-                f"(tolerance {_residual_tol(cavity):.3e}; kappa > 0 makes the "
-                f"state unique)") from None
-    else:
-        rho_cav = _bose_state(params.n_th, n_max)
+    try:
+        rho_cav = _banded_cavity_solve(cavity, n_max + 1)
+    except NonUniqueSteadyState as exc:
+        # kappa > 0 makes rho_cav unique (see above), so a failed bound or a
+        # zero pivot means the block is ill-conditioned at this drive
+        reason = str(exc).removeprefix("steady state not unique: ")
+        raise SolverFailure(
+            f"lab-frame steady state ill-conditioned at this drive: {reason} "
+            f"(tolerance {_residual_tol(cavity):.3e}; kappa > 0 makes the "
+            f"state unique)") from None
     residual = float(np.linalg.norm(cavity @ vec(rho_cav)))
     if not residual <= _residual_tol(cavity):  # also catches a non-finite value
         raise SolverFailure(f"factorized probe-free state leaves residual "
                             f"{residual:.3e} in the full L0")
-    ground_atom = np.zeros((3, 3))
-    ground_atom[0, 0] = 1.0
-    state = SteadyState(rho=np.kron(rho_cav, ground_atom), residual_norm=residual,
+    state = SteadyState(rho=np.kron(rho_cav, atom), residual_norm=residual,
                         n_max=n_max, converged=True)
     report = truncation_report(state)
     _warn_unless_converged(report)
@@ -579,16 +602,18 @@ def _ground_residual(factors: LindbladFactors, weights: np.ndarray) -> float:
 
 
 def _require_ground_steady(factors: LindbladFactors, weights: np.ndarray, tol: float,
-                           frame: str) -> None:
+                           frame: str) -> float:
     """SolverFailure unless L (by its factors) keeps the |g><g| block
     invariant (_require_invariant) and rho = sum_m P_m |g,m><g,m| leaves a
-    residual within tol (_ground_residual): no block is assembled."""
+    residual within tol (_ground_residual), which is returned: no block is
+    assembled."""
     ground = 3 * np.arange(factors.spec.n_max + 1)
     _require_invariant(factors, ground, ground, "the |g><g| block")
     residual = _ground_residual(factors, weights)
     if not residual <= tol:  # also catches a non-finite value
         raise SolverFailure(f"{frame} probe-free state leaves residual "
                             f"{residual:.3e} in the {frame} L0, above {tol:.3e}")
+    return residual
 
 
 def _tail_report(weights: np.ndarray) -> TruncationReport:
@@ -600,14 +625,16 @@ def _tail_report(weights: np.ndarray) -> TruncationReport:
 
 
 def _readout_frame(params: SystemParams, n_max: int):
-    """(factors, P, TruncationReport, rows, cols): L0 without the probe in the
-    frame its read-out lives in, the populations P_m of |g,m> in its
-    probe-free state there, the tail report, and the read-out positions
-    |rows[k]><cols[k]| in vec order (_readout_system).
+    """(factors, P, TruncationReport, residual, rows, cols): L0 without the
+    probe in the frame its read-out lives in, the populations P_m of |g,m>
+    in its probe-free state there, the tail report, diag(P)'s residual in
+    the frame's L0, and the read-out positions |rows[k]><cols[k]| in vec
+    order (_readout_system).
 
-    P is the truncated Bose weights (_bose_weights): probe_free_state's
-    populations, bit for bit, for a thermal pump or the vacuum (Omega = 0),
-    and e_0 under a coherent pump (n_th = 0). The one pump branch:
+    P is the truncated Bose weights (_bose_weights): for a thermal pump or
+    the vacuum (Omega = 0) probe_free_state takes P, the tail and the
+    residual from here as well, and under a coherent pump P is e_0
+    (n_th = 0). The one pump branch:
     - Omega = 0, the lab frame: the block is a thermally damped oscillator
       whose truncation keeps detailed balance, so diag(P) is its steady
       state; the tail is P's, and the positions are |g,k><e,k| and
@@ -630,9 +657,9 @@ def _readout_frame(params: SystemParams, n_max: int):
     generates the whole matrix algebra. On the frame's factors, the |g><g|
     block must be invariant and diag(P) must leave a residual
     (_ground_residual) within 1e-9 max(1, max|diag L_GG|), or SolverFailure
-    (_require_ground_steady). That tolerance is never looser than
-    probe_free_state's _residual_tol of L_GG, whose diagonal entries are
-    among its entries, nor than 1e-9 max(1, _l0_scale). The displacement
+    (_require_ground_steady). That tolerance is never looser than the
+    _residual_tol of the assembled L_GG, whose diagonal entries are among
+    its entries, nor than 1e-9 max(1, _l0_scale). The displacement
     leaves diag L_GG as it is, and e_0's displaced residual is exactly 0, so
     an uncancelled drive fails (an Omega in the shift that is not the
     pump's). |alpha| is not gated: it enters the displaced factors only as
@@ -661,11 +688,11 @@ def _readout_frame(params: SystemParams, n_max: int):
     jumps = factors.jumps[:, ground, ground]  # c[G, G]'s diagonal, jump by jump
     diagonal = (factors.m[ground, ground][:, None] + factors.n[ground, ground]
                 + jumps.T @ jumps.conj())  # of L_GG, at |g,m><g,n|
-    _require_ground_steady(factors, weights,
-                           1e-9 * max(1.0, float(np.abs(diagonal).max())), frame)
+    residual = _require_ground_steady(
+        factors, weights, 1e-9 * max(1.0, float(np.abs(diagonal).max())), frame)
     report = _tail_report(tail)
     _warn_unless_converged(report)
-    return factors, weights, report, rows, cols
+    return factors, weights, report, residual, rows, cols
 
 
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
@@ -853,7 +880,7 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
         raise ParameterError(f"unknown method {method!r}")
 
     if method == "linear_response":
-        factors, weights, report, *positions = _readout_frame(params, n_max)
+        factors, weights, report, _, *positions = _readout_frame(params, n_max)
         chi, resid = _readout_response(*_readout_system(factors, weights, *positions), grid)
     else:  # after probe_free_state's uniqueness checks and tail report
         report = probe_free_state(params, n_max)[2]

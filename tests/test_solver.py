@@ -260,6 +260,35 @@ def test_closed_form_cavity_state_matches_full_space(n_th, kappa, delta, pump_de
     assert _trace_distance(state.rho, full.rho) <= 1e-12
 
 
+# kappa starts at 0.01 for the reason given above; e and f drain to g (the
+# {f, e} sector check has its own tests), with e -> f and dephasing on or off
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gamma=st.fixed_dictionaries({
+           ("e", "g"): st.floats(0.5, 10.0), ("e", "f"): _zero_or(0.2, 5.0),
+           ("e", "e"): _zero_or(0.2, 3.0), ("f", "g"): st.floats(0.2, 5.0),
+           ("f", "f"): _zero_or(0.2, 3.0)}),
+       pump=st.one_of(st.builds(ThermalPump, _zero_or(0.05, 3.0)),
+                      st.builds(CoherentPump, st.just(0.0), _zero_or_signed(0.2, 3.0))),
+       eta=_zero_or(0.5, 5.0), kappa=st.floats(0.01, 5.0),
+       delta=_zero_or_signed(0.2, 3.0), n_max=st.integers(1, 12))
+def test_probe_free_state_shares_the_readout_frame(gamma, pump, eta, kappa, delta,
+                                                   n_max):
+    # a thermal pump or the vacuum (Omega = 0): probe_free_state's P and
+    # joint populations are the read-out frame's weights, bit for bit, with
+    # its tail and residual, and the state still matches steady_state on
+    # the full D^2 x D^2 L0
+    params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
+    _, weights, report, residual, _, _ = solver._readout_frame(params, n_max)
+    _, state, lab_report = solver.probe_free_state(params, n_max)
+    table = populations(state)
+    assert np.array_equal(table.p_n, weights)
+    assert table.joint == {(n, level): float(weights[n]) if level == "g" else 0.0
+                           for n in range(n_max + 1) for level in ("g", "f", "e")}
+    assert lab_report == report and state.residual_norm == residual
+    assert _trace_distance(state.rho, _probe_free_state(params, n_max).rho) <= 1e-12
+
+
 # kappa starts at 0.01 for the reason given above
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -389,6 +418,27 @@ def test_factorized_state_rejects_dark_f_in_the_vacuum():
         solver.probe_free_state(params, 8)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: solver.probe_free_state(p, 4),
+    lambda p: check_truncation_convergence(p, 4),
+    lambda p: probe_spectrum(p, np.linspace(-1, 1, 3), n_max=4),
+    lambda p: probe_spectrum(p, np.linspace(-1, 1, 3), n_max=4, method="finite_epsilon"),
+], ids=["probe_free_state", "check_truncation_convergence", "linear_response",
+        "finite_epsilon"])
+@pytest.mark.parametrize("pump", [ThermalPump(n_th=0.3), CoherentPump(Omega=1.5)],
+                         ids=["thermal", "coherent"])
+def test_truncation_warning_names_the_caller(call, pump):
+    # however deep in the solver the tail report is made (the read-out
+    # frame, or the lab-frame band solve), its warning points at the line
+    # that called into the library
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(params)
+    tails = [w for w in caught if w.category is TruncationNotConverged]
+    assert len(tails) == 1 and tails[0].filename == __file__
+
+
 def test_truncation_check_refuses_a_non_unique_state():
     # the dark-f vacuum above: no tail mass is reported for a state that is
     # not unique
@@ -460,6 +510,26 @@ def test_full_space_steady_state_keeps_one_sparse_lu(monkeypatch):
     assert calls == {"blocks": [], "splu": {3969: 1}, "band_lu": {}, "tridiagonal_lu": {}}
 
 
+@pytest.mark.parametrize("delta_p, epsilon", [(0.0, 0.0), (3.0, 1e-3)],
+                         ids=["l0", "probed"])
+def test_sparse_lu_fills_less_than_colamd(delta_p, epsilon):
+    # _factor's minimum-degree ordering of A^T + A with weak diagonal
+    # pivoting, against SuperLU's default COLAMD with partial pivoting, on
+    # the same trace-completed full-space matrix: the coherent L0 at
+    # n_max = 20 and finite_epsilon's probed L at one detuning
+    params = SystemParams.from_effective(5, 1, eta=80, kappa=1,
+                                         pump=CoherentPump(Omega=0.4))
+    spec = HilbertSpec(20)
+    sop = liouvillian_at(params, delta_p, spec, epsilon=epsilon)
+    matrix = solver._trace_completed(sop.matrix, spec.dim).tocsc()
+    colamd = spla.splu(matrix)
+    lu = solver._factor(matrix, "L")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    rhs = np.zeros(matrix.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    assert np.linalg.norm(matrix @ lu.solve(rhs) - rhs) <= 1e-14
+
+
 def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
     solve = solver._banded_cavity_solve
 
@@ -475,11 +545,20 @@ def test_probe_free_state_raises_when_residual_not_converged(monkeypatch):
 
 
 _GATE_SYSTEMS = [
-    ("_bose_state", SystemParams.from_effective(5, 1, eta=4, kappa=1,
-                                                pump=ThermalPump(n_th=0.3))),
+    ("_bose_weights", SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                                  pump=ThermalPump(n_th=0.3))),
     ("_banded_cavity_solve", SystemParams.from_effective(
         5, 1, eta=4, kappa=1, pump=CoherentPump(Omega=0.5, pump_detuning=0.7))),
 ]
+
+
+def _recording_ground_gate(monkeypatch) -> list:
+    """The tolerances solver._require_ground_steady is called with, in order;
+    the gate itself still runs."""
+    tols, gate = [], solver._require_ground_steady
+    monkeypatch.setattr(solver, "_require_ground_steady",
+                        lambda *args: (tols.append(args[2]), gate(*args))[1])
+    return tols
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -488,14 +567,26 @@ _GATE_SYSTEMS = [
                          ids=["2x-raises", "half-passes"])
 def test_probe_free_residual_gate_sits_at_the_tolerance(monkeypatch, source, params,
                                                         multiple, fails):
-    # rho_cav + t X, X = |0><1| + |1><0| traceless, scaled so that the
-    # residual ||L_GG vec(rho_cav + t X)|| is the given multiple of the
-    # tolerance (rho_cav's own residual is ~1e-16, far below it)
+    # a thermal pump is gated in the read-out frame: P + t (e_0 - e_1),
+    # scaled so that its residual on the lab factors' ground columns is the
+    # given multiple of that gate's tolerance. A coherent pump is gated on
+    # the assembled block: rho_cav + t X, X = |0><1| + |1><0| traceless,
+    # scaled so that ||L_GG vec(rho_cav + t X)|| is the given multiple of
+    # _residual_tol. Either state's own residual is ~1e-16, far below
     n_max = 6
-    cavity = _cavity_block(params, n_max)
-    bump = np.zeros((n_max + 1, n_max + 1))
-    bump[0, 1] = bump[1, 0] = 1.0
-    scale = multiple * solver._residual_tol(cavity) / np.linalg.norm(cavity @ vec(bump))
+    if source == "_bose_weights":
+        tols = _recording_ground_gate(monkeypatch)
+        factors = solver.probe_free_state(params, n_max)[0]
+        tol = tols[0]
+        bump = np.zeros(n_max + 1)
+        bump[:2] = 1.0, -1.0
+        scale = multiple * tol / solver._ground_residual(factors, bump)
+    else:
+        cavity = _cavity_block(params, n_max)
+        tol = solver._residual_tol(cavity)
+        bump = np.zeros((n_max + 1, n_max + 1))
+        bump[0, 1] = bump[1, 0] = 1.0
+        scale = multiple * tol / np.linalg.norm(cavity @ vec(bump))
     produce = getattr(solver, source)
     monkeypatch.setattr(solver, source,
                         lambda *args, **kwargs: produce(*args, **kwargs) + scale * bump)
@@ -504,8 +595,7 @@ def test_probe_free_residual_gate_sits_at_the_tolerance(monkeypatch, source, par
             solver.probe_free_state(params, n_max)
     else:
         _, state, _ = solver.probe_free_state(params, n_max)
-        assert state.residual_norm == pytest.approx(multiple * solver._residual_tol(cavity),
-                                                    rel=1e-3)
+        assert state.residual_norm == pytest.approx(multiple * tol, rel=1e-3)
 
 
 def _with_jump(factors, jump):
@@ -530,6 +620,27 @@ def test_cavity_block_rejects_a_leaking_generator(monkeypatch):
                         lambda params, spec: [*jumps(params, spec), excite])
     with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
         solver.probe_free_state(FIG5B, 3)
+
+
+@pytest.mark.parametrize("pump", [ThermalPump(n_th=0.0), ThermalPump(n_th=0.3),
+                                  CoherentPump(Omega=0.0, pump_detuning=0.5)],
+                         ids=["vacuum", "thermal", "zero-drive"])
+def test_frame_populations_reject_a_stray_excitation(monkeypatch, pump):
+    # an extra jump |f><g| takes |g,m><g,n| to |f,m><f,n|: probe_free_state
+    # checks the |g><g| block on the read-out frame's factors, before any
+    # block is assembled or any LU runs
+    spec = HilbertSpec(3)
+    ground = 3 * np.arange(spec.n_max + 1)
+    excite = np.zeros((spec.dim, spec.dim))
+    excite[ground + 1, ground] = 1.0
+    jumps = liouvillian._dense_jumps
+    monkeypatch.setattr(liouvillian, "_dense_jumps",
+                        lambda params, spec: [*jumps(params, spec), excite])
+    calls = _count_assemblies_and_lus(monkeypatch)
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
+    with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
+        solver.probe_free_state(params, spec.n_max)
+    assert calls == {"blocks": [], "splu": {}, "band_lu": {}, "tridiagonal_lu": {}}
 
 
 def test_linear_response_matches_closed_form():
@@ -650,7 +761,7 @@ def test_readout_block_matches_lab_frame_reference_randomized(
 def _readout_system_of(params, n_max):
     """solver._readout_system on the factors, populations P_m of |g,m> and
     read-out positions of the frame that solver._readout_frame picks."""
-    factors, weights, _, rows, cols = solver._readout_frame(params, n_max)
+    factors, weights, _, _, rows, cols = solver._readout_frame(params, n_max)
     return solver._readout_system(factors, weights, rows, cols)
 
 
@@ -805,7 +916,7 @@ def test_readout_singular_point_exits_4(monkeypatch, tmp_path, capsys):
 def test_readout_block_rejects_a_leaking_generator():
     spec = HilbertSpec(4)
     thermal = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(0.3))
-    _, weights, _, rows, cols = solver._readout_frame(thermal, 4)
+    _, weights, _, _, rows, cols = solver._readout_frame(thermal, 4)
     # a g-e coupling in H takes |g,m><x,n| to |e,m><x,n|, out of |g><{f,e}|
     probed = factors_at(thermal, 0.0, spec, epsilon=0.3)
     with pytest.raises(SolverFailure, match="leaks"):
@@ -822,7 +933,7 @@ def test_readout_block_rejects_a_leaking_generator():
     # the displaced frame: a g-e coupling in the factors it shifts
     coherent = SystemParams.from_effective(5, 1, eta=4, kappa=1,
                                            pump=CoherentPump(Omega=0.5))
-    _, weights, _, rows, cols = solver._readout_frame(coherent, 4)
+    _, weights, _, _, rows, cols = solver._readout_frame(coherent, 4)
     probed = solver._displaced_generator(coherent,
                                          factors_at(coherent, 0.0, spec, epsilon=0.3))
     with pytest.raises(SolverFailure, match="leaks"):
@@ -1026,20 +1137,24 @@ def _count_assemblies_and_lus(monkeypatch) -> dict:
 
 def test_population_sweep_costs_one_assembly_and_one_lu_per_value(
         monkeypatch, tmp_path, capsys):
-    # f and e drain to g, so no {f, e} sector check runs: one (n_max+1)^2
-    # cavity block per value for the residual gate, no D^2 assembly, and no
-    # LU (the thermal state is closed-form)
-    values = [0.0, 0.1, 0.2, 0.4, 0.8]
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 20.0, "n_th": 0.1,
-        "n_max": 8, "sweep_key": "n_th", "sweep_values": values,
-        "output": str(tmp_path / "p.csv")}), encoding="utf-8")
-    calls = _count_assemblies_and_lus(monkeypatch)
-    assert cli.main(["populations", "--config", str(cfg)]) == 0
-    capsys.readouterr()
-    assert calls == {"blocks": [81] * len(values), "splu": {}, "band_lu": {},
-                     "tridiagonal_lu": {}}
+    # f and e drain to g, so no {f, e} sector check runs, and no D^2 block
+    # is assembled. Omega = 0 (a thermal pump, the vacuum at n_th = 0) takes
+    # the read-out frame: no block and no LU. A coherent pump assembles one
+    # (n_max+1)^2 = 81-position cavity block per value and solves it with
+    # one band LU
+    for key, values, blocks, band_lus in [("n_th", [0.0, 0.1, 0.2, 0.4, 0.8], [], {}),
+                                          ("Omega", [0.1, 0.2, 0.4], [81] * 3, {81: 3})]:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({
+            "gamma_e": 5.0, "gamma_f": 1.0, "kappa": 1.0, "eta": 20.0, key: values[0],
+            "n_max": 8, "sweep_key": key, "sweep_values": values,
+            "output": str(tmp_path / "p.csv")}), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            calls = _count_assemblies_and_lus(patch)
+            assert cli.main(["populations", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert calls == {"blocks": blocks, "splu": {}, "band_lu": band_lus,
+                         "tridiagonal_lu": {}}, key
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -1079,8 +1194,9 @@ def _recorded_warnings(call):
 @pytest.mark.parametrize("params", _BOSE_SYSTEMS, ids=_BOSE_IDS)
 def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch, params):
     # the spectrum's populations are probe_free_state's, bit for bit, with
-    # the same tail (to rounding) and warning; its residual gate is never
-    # looser than probe_free_state's on the assembled cavity block
+    # the same tail, warning and residual: both take one frame, whose one
+    # residual gate per call is never looser than the assembled cavity
+    # block's tolerance
     n_max = 6
     tols, gate = [], solver._require_ground_steady
 
@@ -1089,17 +1205,16 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
         return gate(factors, weights, tol, frame)
 
     monkeypatch.setattr(solver, "_require_ground_steady", recording)
-    (factors, weights, report, _, _), caught = _recorded_warnings(
+    (factors, weights, report, residual, _, _), caught = _recorded_warnings(
         lambda: solver._readout_frame(params, n_max))
     (_, state, lab_report), lab_caught = _recorded_warnings(
         lambda: solver.probe_free_state(params, n_max))
     assert np.array_equal(weights, np.diag(state.rho)[::3].real)
-    assert report.tail_mass == pytest.approx(lab_report.tail_mass, rel=1e-14, abs=0)
-    assert (report.converged, report.message) == (lab_report.converged, lab_report.message)
+    assert report == lab_report and state.residual_norm == residual
     assert caught == lab_caught
     assert (len(caught) == 1) == (params.n_th > 0.1)  # the hot and thermal tails warn
     ground = 3 * np.arange(n_max + 1)
-    assert len(tols) == 1
+    assert len(tols) == 2 and tols[0] == tols[1]
     assert tols[0] <= solver._residual_tol(factors.block(ground, ground))
 
 
@@ -1110,9 +1225,7 @@ def _assert_ground_gate_sits_at_the_tolerance(monkeypatch, params, multiple, fai
     lab frame and exactly 0 in the displaced one, far below), must raise
     above the tolerance and pass below it."""
     n_max = 6
-    tols, gate = [], solver._require_ground_steady
-    monkeypatch.setattr(solver, "_require_ground_steady",
-                        lambda *args: (tols.append(args[2]), gate(*args)))
+    tols = _recording_ground_gate(monkeypatch)
     factors = solver._readout_frame(params, n_max)[0]
     bump = np.zeros(n_max + 1)
     bump[:2] = 1.0, -1.0
@@ -1191,7 +1304,7 @@ def test_readout_frame_picks_the_closed_positions(gamma, pump, eta, kappa, delta
     # frame |g,0><{f, e},n| (2(n_max + 1)); on the thermal table the vacuum's
     # x vanishes identically off its two positions, and chi agrees
     params = SystemParams(gamma=gamma, eta=eta, kappa=kappa, delta=delta, pump=pump)
-    factors, weights, _, rows, cols = solver._readout_frame(params, n_max)
+    factors, weights, _, _, rows, cols = solver._readout_frame(params, n_max)
     m = np.arange(n_max + 1)
     thermal = _thermal_readout_positions(HilbertSpec(n_max))
     if params.Omega > 0.0:
@@ -1223,7 +1336,7 @@ def test_readout_refuses_a_table_too_small_for_its_frame(params, keep):
     # the leak check certifies the frame's table: eta takes the vacuum's
     # |g,0><e,0| to |g,0><f,1|, and the last f of a thermal table or of the
     # displaced chain (whose one row |g,0> no jump acts on) to the last e
-    factors, weights, _, rows, cols = solver._readout_frame(params, 4)
+    factors, weights, _, _, rows, cols = solver._readout_frame(params, 4)
     with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
         solver._readout_system(factors, weights, rows[keep], cols[keep])
 
@@ -1308,11 +1421,11 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     params = SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(0.8))
     weights = [0.64 ** n / math.factorial(n) for n in range(n_max + 1)]
     with pytest.warns(TruncationNotConverged):
-        factors, populations, report, _, _ = solver._readout_frame(params, n_max)
+        factors, populations, report, residual, _, _ = solver._readout_frame(params, n_max)
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
-    assert solver._ground_residual(factors, populations) <= 1e-15
+    assert residual == solver._ground_residual(factors, populations) <= 1e-15
     assert populations.tolist() == [1.0] + [0.0] * n_max
     with pytest.warns(TruncationNotConverged, match=f"tail mass {tail:.3e} above photon "
                                                      f"number {max(0, n_max - 5)} exceeds"):
@@ -1346,13 +1459,14 @@ def test_displaced_vacuum_residual_is_the_full_space_residual():
 def test_excited_sector_check_assembles_only_the_fe_block(monkeypatch):
     # gamma_fg = 0 under a pump: the {f, e} sector check assembles and
     # factors only the {f, e} block of L0 (10 x 10 joint indices), the only
-    # LU (the thermal cavity state is closed-form), before the cavity block
-    # is built; the full 225-dim L0 is never built
+    # block and the only LU: the thermal cavity state is closed-form and
+    # gated on the factors, with no cavity block; the full 225-dim L0 is
+    # never built
     params = SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
                           pump=ThermalPump(0.3))
     calls = _count_assemblies_and_lus(monkeypatch)
     solver.probe_free_state(params, 4)
-    assert calls == {"blocks": [100, 25], "splu": {100: 1}, "band_lu": {},
+    assert calls == {"blocks": [100], "splu": {100: 1}, "band_lu": {},
                      "tridiagonal_lu": {}}
 
 
