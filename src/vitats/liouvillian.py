@@ -55,13 +55,15 @@ _LEVEL_INDEX = {level: i for i, level in enumerate(LEVELS)}
 
 @dataclass(frozen=True)
 class HilbertSpec:
-    """Truncated joint space: photons 0..n_max times the three atom levels."""
+    """Truncated joint space: photons 0..n_max times the three atom levels.
+    n_max is a Python or numpy integer >= 1, never a bool."""
 
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ParameterError(f"n_max = {self.n_max} must be >= 1")
+        n_max = self.n_max
+        if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
+            raise ParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
 
     @property
     def dim(self) -> int:

@@ -49,14 +49,21 @@ weights at n_th = 0), and the tail is the Poisson tail of |alpha|^2.
 Either way P is unique for kappa > 0 and gated once, by its residual in
 the frame's L0 computed on the factors' ground columns (_ground_residual),
 within 1e-9 max(1, max|diag L_GG|).
-populations, check_truncation_convergence and finite_epsilon take the
-lab-frame probe_free_state. For Omega = 0 it is the read-out frame's lab
-frame: the same P, gate and tail, rho_cav = diag(P), and no cavity block
-or LU. Under a coherent pump it assembles the cavity block, solves it and
-gates rho_cav's residual there, since the normalized truncated coherent
-state is not the truncated model's steady state (at Omega = 1.5,
-n_max = 20 it leaves a residual of 2.2e-6, above the 4e-8 tolerance, with
-a tail of only 2.5e-9).
+Both numeric spectrum methods and check_truncation_convergence take their
+uniqueness checks, gate and tail report from that one frame, so every
+spectrum and truncation check of a system reports one tail. Only
+populations takes the lab-frame probe_free_state. For Omega = 0 it is the
+read-out frame's lab frame: the same P, gate and tail, rho_cav = diag(P),
+and no cavity block or LU. Under a coherent pump it assembles the cavity
+block, solves it and gates rho_cav's residual there, since the normalized
+truncated coherent state is not the truncated model's steady state (at
+Omega = 1.5, n_max = 20 it leaves a residual of 2.2e-6, above the 4e-8
+tolerance, with a tail of only 2.5e-9), and its tail is that state's
+(truncation_report).
+The public entry points (probe_spectrum, probe_free_state,
+check_truncation_convergence) warn (TruncationNotConverged) unless the
+tail converged, naming the line that called them; _readout_frame itself
+never warns.
 With the entries |m><n| ordered by diagonal offset n - m, then by
 min(m, n), the trace-completed block is banded with (kl, ku) = (k, k),
 k = n_max + 1: the drive, decay and detuning move |m><n| by one photon at
@@ -78,7 +85,7 @@ outside the oracles the full D^2 x D^2 L0 is never built.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -374,15 +381,11 @@ def populations(state: SteadyState) -> PopulationTable:
 
 
 def truncation_report(state: SteadyState) -> TruncationReport:
-    """Population above photon number n_max - 5 of an already-computed
-    steady state; converged iff < 1e-8."""
-    spec, diag = state.spec, np.diag(state.rho).real
-    tail = 0.0
-    for n in range(max(0, spec.n_max - 5) + 1, spec.n_max + 1):
-        for level in LEVELS:
-            tail += max(diag[spec.index(n, level)], 0.0)
-    return TruncationReport(n_max=state.n_max, tail_mass=tail,
-                            converged=tail < _TAIL_TOL)
+    """The _tail_report of an already-computed steady state's photon-number
+    marginal, the diagonal of rho summed over the atom levels, with
+    negatives clipped to 0."""
+    diag = np.diag(state.rho).real.reshape(state.n_max + 1, len(LEVELS))
+    return _tail_report(np.maximum(diag, 0.0).sum(axis=1))
 
 
 def _require_invariant(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
@@ -466,15 +469,13 @@ def _probe_free_factors(params: SystemParams, n_max: int) -> LindbladFactors:
     return factors
 
 
-def _warn_unless_converged(report: TruncationReport) -> None:
-    """TruncationNotConverged unless the report's tail converged, attributed
-    to the first caller outside this module, however deep in it the report
-    was made."""
+def _warn_unless_converged(report: TruncationReport) -> TruncationReport:
+    """report, after TruncationNotConverged unless its tail converged. Only
+    the public entry points call this, directly, so the warning names the
+    line that called them."""
     if not report.converged:
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(report.message, TruncationNotConverged, stacklevel=level)
+        warnings.warn(report.message, TruncationNotConverged, stacklevel=3)
+    return report
 
 
 def probe_free_state(params: SystemParams, n_max: int):
@@ -512,18 +513,21 @@ def probe_free_state(params: SystemParams, n_max: int):
     state (eta 80, kappa 1, gamma_e 5, gamma_f 1) is below 5e-15 over fig.
     8a's sweep (Omega <= 0.8, n_max = 20), 7.7e-12 at Omega = 1.5, and
     3.3e-8 at Omega = 1.5, n_max = 16, where the tail of 4.5e-6 already
-    warns.
+    warns. The coherent tail is truncation_report's, so it can differ from
+    the Poisson tail a spectrum reports (1.522e-01 against 1.544e-01 at
+    Omega = 1.5, dd = -0.3, eta 4, n_max = 8).
     rho0 vanishes outside the invariant block, so under either pump its
     residual_norm, the gated residual, is rho0's full-L0 residual. Warns
-    (TruncationNotConverged) unless the tail mass converged.
+    (TruncationNotConverged) unless the tail mass converged. Of the library,
+    only the CLI's populations calls this.
     """
     atom = np.zeros((3, 3))
     atom[0, 0] = 1.0  # |g><g|
     if params.Omega == 0.0:
         factors, weights, report, residual, _, _ = _readout_frame(params, n_max)
-        return factors, SteadyState(rho=np.kron(np.diag(weights.astype(complex)), atom),
-                                    residual_norm=residual, n_max=n_max,
-                                    converged=True), report
+        state = SteadyState(rho=np.kron(np.diag(weights.astype(complex)), atom),
+                            residual_norm=residual, n_max=n_max, converged=True)
+        return factors, state, _warn_unless_converged(report)
     factors = _probe_free_factors(params, n_max)
     ground = 3 * np.arange(n_max + 1)
     _require_invariant(factors, ground, ground, "the |g><g| block")
@@ -544,18 +548,19 @@ def probe_free_state(params: SystemParams, n_max: int):
                             f"{residual:.3e} in the full L0")
     state = SteadyState(rho=np.kron(rho_cav, atom), residual_norm=residual,
                         n_max=n_max, converged=True)
-    report = truncation_report(state)
-    _warn_unless_converged(report)
-    return factors, state, report
+    return factors, state, _warn_unless_converged(truncation_report(state))
 
 
 def check_truncation_convergence(params: SystemParams, n_max: int) -> TruncationReport:
-    """Steady-state tail mass near the Fock cutoff; converged iff < 1e-8.
-    Raises as probe_free_state does: NonUniqueSteadyState if the probe-free
-    state is not unique; SolverFailure if L0 leaks out of the |g><g| block,
-    if the state leaves a residual above its tolerance, or if the cavity
-    block is ill-conditioned at a large drive."""
-    return probe_free_state(params, n_max)[2]
+    """The read-out frame's tail report (_readout_frame), the one a spectrum
+    of the same system notes: the share of P above n_max - 5, under a
+    coherent pump the Poisson tail of |alpha|^2; converged iff < 1e-8, and
+    warns (TruncationNotConverged) otherwise. NonUniqueSteadyState if the
+    probe-free state is not unique; SolverFailure if L0 leaks out of the
+    |g><g| block or diag(P) leaves a residual above the frame's tolerance.
+    No cavity block is solved, so a large drive (Omega 1e12, say) reports
+    a tail of 1 rather than an ill-conditioned lab-frame block."""
+    return _warn_unless_converged(_readout_frame(params, n_max)[2])
 
 
 # --- spectrum methods ---------------------------------------------------------
@@ -664,8 +669,9 @@ def _readout_frame(params: SystemParams, n_max: int):
     an uncancelled drive fails (an Omega in the shift that is not the
     pump's). |alpha| is not gated: it enters the displaced factors only as
     eta alpha on the f-e coupling, which column 0 never reads; the
-    lab-frame reference tests pin it. Warns (TruncationNotConverged) unless
-    the tail converged.
+    lab-frame reference tests pin it, and so do the classical-control
+    limit's tests against chi_vacuum. The callers warn on the report; this
+    does not.
     """
     factors = _probe_free_factors(params, n_max)
     weights = _bose_weights(params.n_th, n_max)
@@ -690,9 +696,7 @@ def _readout_frame(params: SystemParams, n_max: int):
                 + jumps.T @ jumps.conj())  # of L_GG, at |g,m><g,n|
     residual = _require_ground_steady(
         factors, weights, 1e-9 * max(1.0, float(np.abs(diagonal).max())), frame)
-    report = _tail_report(tail)
-    _warn_unless_converged(report)
-    return factors, weights, report, residual, rows, cols
+    return factors, weights, _tail_report(tail), residual, rows, cols
 
 
 def _readout_block(factors: LindbladFactors, rows: np.ndarray,
@@ -848,10 +852,10 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     frame for a thermal pump or the vacuum, whose tail is P's, and under a
     coherent pump the displaced frame (P_m = e_0), whose tail is the Poisson
     tail of |alpha|^2. The frame also lists the read-out positions: 2 in
-    the vacuum. finite_epsilon checks uniqueness and the tail on
-    probe_free_state, in the lab frame, and builds L at each Delta
-    (_finite_epsilon_chunk); a point whose steady state is not converged
-    raises SolverFailure.
+    the vacuum. finite_epsilon takes the same frame's uniqueness checks,
+    gate and tail, so both methods carry the same truncation note, and
+    builds L at each Delta (_finite_epsilon_chunk); a point whose steady
+    state is not converged raises SolverFailure.
     """
     grid = _validate_grid(grid)
     notes: list[str] = []
@@ -879,14 +883,13 @@ def probe_spectrum(params: SystemParams, grid, *, method: str = "linear_response
     if method not in ("linear_response", "finite_epsilon"):
         raise ParameterError(f"unknown method {method!r}")
 
-    if method == "linear_response":
-        factors, weights, report, _, *positions = _readout_frame(params, n_max)
-        chi, resid = _readout_response(*_readout_system(factors, weights, *positions), grid)
-    else:  # after probe_free_state's uniqueness checks and tail report
-        report = probe_free_state(params, n_max)[2]
-        chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
-    if not report.converged:
+    factors, weights, report, _, *positions = _readout_frame(params, n_max)
+    if not _warn_unless_converged(report).converged:
         notes.append(f"TruncationNotConverged: {report.message}")
+    if method == "linear_response":
+        chi, resid = _readout_response(*_readout_system(factors, weights, *positions), grid)
+    else:
+        chi, resid = _finite_epsilon_chunk(params, n_max, grid, params.epsilon)
 
     if method == "finite_epsilon":
         # saturation check at the most absorbing point: halving epsilon must
@@ -968,10 +971,13 @@ def time_domain_crosscheck(params: SystemParams, Delta: float, *,
     Fourier component of rho_ge is stationary. Validates the rotating-frame
     construction end to end; small systems only (n_max <= 5), zero
     temperature. SolverFailure, naming the residual and the tolerance, if
-    the starting state is not converged.
+    the starting state is not converged; ParameterError unless Delta is a
+    finite real number.
     """
     from scipy.integrate import solve_ivp  # imported here: slow, and the CLI never needs it
 
+    if not (isinstance(Delta, numbers.Real) and math.isfinite(Delta)):
+        raise ParameterError(f"Delta must be a finite real number, got {Delta!r}")
     if n_max > 5:
         raise ParameterError("time-domain cross-check is limited to n_max <= 5")
     if params.n_th > 0.0:

@@ -439,6 +439,36 @@ def test_truncation_warning_names_the_caller(call, pump):
     assert len(tails) == 1 and tails[0].filename == __file__
 
 
+_ONE_TAIL_SYSTEMS = [
+    SystemParams.from_effective(5, 1, eta=4, kappa=1),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=ThermalPump(n_th=0.3)),
+    SystemParams.from_effective(5, 1, eta=4, kappa=1,
+                                pump=CoherentPump(Omega=1.5, pump_detuning=-0.3)),
+    SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0, pump=ThermalPump(n_th=0.3)),
+    SystemParams(gamma={("e", "g"): 10.0}, eta=2.0, kappa=1.0,
+                 pump=CoherentPump(Omega=0.5, pump_detuning=0.7)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("params", _ONE_TAIL_SYSTEMS,
+                         ids=["vacuum", "thermal", "coherent-detuned", "undrained-f-thermal",
+                              "undrained-f-coherent"])
+def test_every_numeric_route_reports_the_readout_frame_tail(params):
+    # linear_response, finite_epsilon and check_truncation_convergence take
+    # one report from the read-out frame: under a coherent pump the Poisson
+    # tail of |alpha|^2 (1.544e-01 for the detuned system at n_max 8), not
+    # the lab-frame band solve's (1.522e-01)
+    n_max, grid = 8, np.linspace(-5, 5, 3)
+    report = solver._readout_frame(params, n_max)[2]
+    assert check_truncation_convergence(params, n_max) == report
+    want = () if report.converged else (f"TruncationNotConverged: {report.message}",)
+    for method in ("linear_response", "finite_epsilon"):
+        assert probe_spectrum(params, grid, method=method, n_max=n_max).warnings == want
+    if params.Omega == 1.5:
+        assert f"{report.tail_mass:.3e}" == "1.544e-01"
+
+
 def test_truncation_check_refuses_a_non_unique_state():
     # the dark-f vacuum above: no tail mass is reported for a state that is
     # not unique
@@ -456,13 +486,17 @@ def _large_drive(omega):
 def test_large_drive_is_ill_conditioned_not_non_unique(tmp_path, capsys):
     # kappa > 0 makes the coherent cavity state unique at any drive; at
     # Omega 1e12 the band LU's sigma_min bound fails against a tolerance that
-    # grows with max|L_GG|, so with Omega: the block is ill-conditioned
+    # grows with max|L_GG|, so with Omega: the lab-frame block is
+    # ill-conditioned, while the read-out frame reports the Poisson tail
+    with pytest.warns(TruncationNotConverged, match="tail mass 1.000e"):
+        report = check_truncation_convergence(_large_drive(1e12), 6)
+    assert report.tail_mass == 1.0 and not report.converged
     with pytest.raises(SolverFailure, match="ill-conditioned") as raised:
-        check_truncation_convergence(_large_drive(1e12), 6)
+        solver.probe_free_state(_large_drive(1e12), 6)
     assert "singular value <= 3.718e+00" in str(raised.value)
     assert "tolerance" in str(raised.value)
     with pytest.warns(TruncationNotConverged):
-        report = check_truncation_convergence(_large_drive(1e6), 6)
+        _, _, report = solver.probe_free_state(_large_drive(1e6), 6)
     assert report.tail_mass == pytest.approx(0.714, abs=5e-4)
 
     cfg = tmp_path / "c.json"
@@ -1211,8 +1245,9 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
         lambda: solver.probe_free_state(params, n_max))
     assert np.array_equal(weights, np.diag(state.rho)[::3].real)
     assert report == lab_report and state.residual_norm == residual
-    assert caught == lab_caught
-    assert (len(caught) == 1) == (params.n_th > 0.1)  # the hot and thermal tails warn
+    assert caught == []  # the public entry points warn, never the frame itself
+    assert lab_caught == ([] if report.converged else [report.message])
+    assert (len(lab_caught) == 1) == (params.n_th > 0.1)  # the hot and thermal tails warn
     ground = 3 * np.arange(n_max + 1)
     assert len(tols) == 2 and tols[0] == tols[1]
     assert tols[0] <= solver._residual_tol(factors.block(ground, ground))
@@ -1420,8 +1455,9 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     # n_max 3, n >= 4 at n_max 8), normalized on n = 0..n_max
     params = SystemParams.from_effective(5, 1, eta=80, kappa=1, pump=CoherentPump(0.8))
     weights = [0.64 ** n / math.factorial(n) for n in range(n_max + 1)]
-    with pytest.warns(TruncationNotConverged):
-        factors, populations, report, residual, _, _ = solver._readout_frame(params, n_max)
+    (factors, populations, report, residual, _, _), caught = _recorded_warnings(
+        lambda: solver._readout_frame(params, n_max))
+    assert caught == []  # probe_spectrum warns below, not the frame
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
@@ -1630,6 +1666,41 @@ def test_grid_validation():
         probe_spectrum(p, [0.0, np.nan], method="analytic")
     with pytest.raises(ParameterError):
         probe_spectrum(p, [0.0, 2.0, 1.0], method="analytic")
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HilbertSpec(2.5), "n_max must be an integer >= 1, got 2.5"),
+    (lambda: HilbertSpec(True), "n_max must be an integer >= 1, got True"),
+    (lambda: HilbertSpec(np.bool_(True)), "n_max must be an integer >= 1, got np.True_"),
+    (lambda: HilbertSpec(0), "n_max must be an integer >= 1, got 0"),
+    (lambda: probe_spectrum(FIG5B, [0.0], n_max=_NAN), "n_max must be an integer >= 1, got nan"),
+    (lambda: probe_spectrum(FIG5B, [0.0], n_max=3.0), "n_max must be an integer >= 1, got 3.0"),
+    (lambda: probe_spectrum(FIG5B, [0.0], n_max=3.0, method="finite_epsilon"),
+     "n_max must be an integer >= 1, got 3.0"),
+    (lambda: check_truncation_convergence(FIG5B, 2.0), "n_max must be an integer >= 1, got 2.0"),
+    (lambda: time_domain_crosscheck(FIG5B, _NAN), "Delta must be a finite real number, got nan"),
+    (lambda: time_domain_crosscheck(FIG5B, math.inf),
+     "Delta must be a finite real number, got inf"),
+    (lambda: time_domain_crosscheck(FIG5B, -math.inf),
+     "Delta must be a finite real number, got -inf"),
+    (lambda: time_domain_crosscheck(FIG5B, "1"), "Delta must be a finite real number, got '1'"),
+], ids=["hilbert-float", "hilbert-bool", "hilbert-numpy-bool", "hilbert-zero",
+        "spectrum-nan", "spectrum-float", "finite-epsilon-float", "truncation-float",
+        "crosscheck-nan", "crosscheck-inf", "crosscheck-minus-inf", "crosscheck-string"])
+def test_malformed_sizes_and_detunings_are_parameter_errors(call, message):
+    with pytest.raises(ParameterError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_numpy_integer_sizes_are_accepted():
+    spec = HilbertSpec(np.int64(3))
+    assert spec == HilbertSpec(3) and spec.dim == 12
+    series = probe_spectrum(FIG5B, [0.0], n_max=np.int32(3))
+    assert series.chi == probe_spectrum(FIG5B, [0.0], n_max=3).chi
 
 
 def test_truncation_reports():
