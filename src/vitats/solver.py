@@ -34,8 +34,10 @@ tests use it as the independent oracle. In vec order the full L0 has no
 narrow band, so it never takes the band path below.
 
 The probe-free state is rho0 = |g><g| (x) rho_cav, with rho_cav the steady
-state of the (n_max+1)^2 |g,m><g,n| block of L0, whose invariance is
-checked on L0's D x D Hilbert-space factors (liouvillian.LindbladFactors).
+state of the (n_max+1)^2 |g,m><g,n| block G x G of L0 (G = 3m, the |g,m>
+indices). One leak test on L0's Hilbert-space factors
+(liouvillian.LindbladFactors) checks that block's invariance: M[G^c, G],
+N[G, G^c] and every jump's c[G^c, G] must be zero (_ground_block).
 A linear-response spectrum reads only the populations P_m of rho0, and
 builds no density matrix, cavity block or SteadyState for them. They are
 the truncated Bose weights in one read-out frame for every pump
@@ -46,9 +48,10 @@ truncation keeps detailed balance, and the tail is P's; under a coherent
 pump the frame displaced by the cavity amplitude alpha, where the drive
 cancels, the probe-free state is exactly |g,0><g,0| (P = e_0, the Bose
 weights at n_th = 0), and the tail is the Poisson tail of |alpha|^2.
-Either way P is unique for kappa > 0 and gated once, by its residual in
-the frame's L0 computed on the factors' ground columns (_ground_residual),
-within 1e-9 max(1, max|diag L_GG|).
+Either way P is unique for kappa > 0 and gated once, in that frame: after
+the leak test, L0 diag(P) vanishes outside G x G, so its residual in the
+frame's L0 and the tolerance 1e-9 max(1, max|diag L_GG|) both come from
+the factors' G x G slices alone (_ground_gate).
 Both numeric spectrum methods and check_truncation_convergence take their
 uniqueness checks, gate and tail report from that one frame, so every
 spectrum and truncation check of a system reports one tail. Only
@@ -388,28 +391,6 @@ def truncation_report(state: SteadyState) -> TruncationReport:
     return _tail_report(np.maximum(diag, 0.0).sum(axis=1))
 
 
-def _require_invariant(factors: LindbladFactors, rows: np.ndarray, cols: np.ndarray,
-                       what: str) -> None:
-    """SolverFailure unless L maps no element of the product block
-    rows x cols out of it, checked on the D x D factors: for rho supported
-    on R x C, M rho stays there iff M[R^c, R] = 0 and rho N iff
-    N[C, C^c] = 0; c rho c^dag leaves it iff c[R^c, R] and c[:, C] are both
-    nonzero, or c[:, R] and c[C^c, C] are.
-    """
-    dim = factors.spec.dim
-    out_rows = np.ones(dim, dtype=bool)
-    out_rows[rows] = False
-    out_cols = np.ones(dim, dtype=bool)
-    out_cols[cols] = False
-    support = factors.jumps != 0
-    from_rows = support[:, :, rows].any(axis=2)  # where each c takes R
-    from_cols = support[:, :, cols].any(axis=2)
-    if factors.m[out_rows][:, rows].any() or factors.n[cols][:, out_cols].any() \
-            or (from_rows[:, out_rows].any(axis=1) & from_cols.any(axis=1)).any() \
-            or (from_rows.any(axis=1) & from_cols[:, out_cols].any(axis=1)).any():
-        raise SolverFailure(f"probe-free Liouvillian leaks out of {what}")
-
-
 def _l0_scale(factors: LindbladFactors) -> float:
     """max|M| + max|N| + sum_c max|c|^2: an upper bound on the largest entry
     of L0 = I kron M + N^T kron I + sum_c conj(c) kron c, from the factors."""
@@ -490,11 +471,13 @@ def probe_free_state(params: SystemParams, n_max: int):
     For a thermal pump or the vacuum (Omega = 0) everything comes from the
     read-out frame's lab frame (_readout_frame), as a spectrum takes it:
     rho_cav is diag(P), P the truncated Bose weights, unique for kappa > 0
-    because the truncated a generates the whole matrix algebra; the |g><g|
-    block's invariance is checked and diag(P)'s residual gated on the lab
-    factors, within 1e-9 max(1, max|diag L_GG|), and the tail is P's. No
-    cavity block is assembled and no LU runs.
-    A coherent pump assembles the block and solves it with one LAPACK band
+    because the truncated a generates the whole matrix algebra; the frame
+    runs the |g><g| block's leak test and gates diag(P)'s residual on the
+    lab factors' G x G slices (_ground_gate), within
+    1e-9 max(1, max|diag L_GG|), and the tail is P's. No cavity block is
+    assembled and no LU runs.
+    A coherent pump runs the same leak test alone (_ground_block), then
+    assembles the block and solves it with one LAPACK band
     LU (_banded_cavity_solve, with its uniqueness check), in the order of
     diagonal offset n - m, then min(m, n), where (kl, ku) =
     (n_max + 1, n_max + 1): the normalized truncated coherent state is not
@@ -529,8 +512,8 @@ def probe_free_state(params: SystemParams, n_max: int):
                             residual_norm=residual, n_max=n_max, converged=True)
         return factors, state, _warn_unless_converged(report)
     factors = _probe_free_factors(params, n_max)
+    _ground_block(factors)
     ground = 3 * np.arange(n_max + 1)
-    _require_invariant(factors, ground, ground, "the |g><g| block")
     cavity = factors.block(ground, ground)
     try:
         rho_cav = _banded_cavity_solve(cavity, n_max + 1)
@@ -588,37 +571,40 @@ def _displaced_generator(params: SystemParams,
     return replace(factors, m=factors.m + (0 - 1j) * shift, n=factors.n + 1j * shift)
 
 
-def _ground_residual(factors: LindbladFactors, weights: np.ndarray) -> float:
-    """||L vec(rho)|| for rho = sum_m P_m |g,m><g,m|, P = weights, from the
-    factors' columns on the support G of P alone: L rho = M[:, G] P <G| +
-    |G> P N[G, :] + sum_c c[:, G] P c[:, G]^dag, where only the jumps with a
-    nonzero in c[:, G] are multiplied (none for |g,0>)."""
+def _ground_block(factors: LindbladFactors):
+    """(M_GG, N_GG, c_GG): the factors on the |g,m> indices G = 3m, after
+    SolverFailure unless L keeps the |g><g| block invariant. For rho on
+    G x G, L rho = M[:, G] rho <G| + |G> rho N[G, :] + sum_c c[:, G] rho
+    c[:, G]^dag, so it stays there iff M[G^c, G], N[G, G^c] and every
+    c[G^c, G] are zero; then L rho is M_GG rho + rho N_GG + sum_c c_GG rho
+    c_GG^dag, on G x G alone."""
+    outside = np.arange(factors.spec.dim) % 3 != 0  # G^c
+    m, n, jumps = factors.m[:, ::3], factors.n[::3], factors.jumps[:, :, ::3]  # M[:, G], ...
+    if m[outside].any() or n[:, outside].any() or jumps[:, outside].any():
+        raise SolverFailure("probe-free Liouvillian leaks out of the |g><g| block")
+    return m[::3], n[:, ::3], jumps[:, ::3]
+
+
+def _ground_gate(factors: LindbladFactors, weights: np.ndarray) -> tuple[float, float]:
+    """(residual, tolerance): ||L vec(rho)|| for rho = sum_m P_m |g,m><g,m|,
+    P = weights, and 1e-9 max(1, max|diag L_GG|), both from _ground_block's
+    G x G slices, so only after its leak test passes. Only the jumps with a
+    nonzero in a column of the support of P are multiplied (none for
+    |g,0>)."""
+    m, n, jumps = _ground_block(factors)
+    k = np.arange(weights.size)
+    on_diagonal = jumps[:, k, k]  # c_GG's diagonal, jump by jump
+    diagonal = (m[k, k][:, None] + n[k, k]
+                + on_diagonal.T @ on_diagonal.conj())  # of L_GG, at |g,m><g,n|
     support = np.flatnonzero(weights)
-    ground, p = 3 * support, weights[support]
-    columns = factors.jumps[:, :, ground]
-    columns = columns[columns.any(axis=(1, 2))].transpose(1, 0, 2)  # c[:, G], jump by jump
-    dim = factors.spec.dim
-    residual = np.zeros((dim, dim), dtype=complex)
-    if columns.size:
-        residual += (columns * p).reshape(dim, -1) @ columns.conj().reshape(dim, -1).T
-    residual[:, ground] += factors.m[:, ground] * p
-    residual[ground, :] += p[:, None] * factors.n[ground, :]
-    return float(np.linalg.norm(residual))
-
-
-def _require_ground_steady(factors: LindbladFactors, weights: np.ndarray, tol: float,
-                           frame: str) -> float:
-    """SolverFailure unless L (by its factors) keeps the |g><g| block
-    invariant (_require_invariant) and rho = sum_m P_m |g,m><g,m| leaves a
-    residual within tol (_ground_residual), which is returned: no block is
-    assembled."""
-    ground = 3 * np.arange(factors.spec.n_max + 1)
-    _require_invariant(factors, ground, ground, "the |g><g| block")
-    residual = _ground_residual(factors, weights)
-    if not residual <= tol:  # also catches a non-finite value
-        raise SolverFailure(f"{frame} probe-free state leaves residual "
-                            f"{residual:.3e} in the {frame} L0, above {tol:.3e}")
-    return residual
+    p = weights[support]
+    columns = jumps[:, :, support]
+    columns = columns[columns.any(axis=(1, 2))].transpose(1, 0, 2)  # c_GG[:, S], jump by jump
+    residual = ((columns * p).reshape(k.size, -1)  # real when the jumps are
+                @ columns.conj().reshape(k.size, -1).T).astype(complex)
+    residual[:, support] += m[:, support] * p
+    residual[support, :] += p[:, None] * n[support, :]
+    return float(np.linalg.norm(residual)), 1e-9 * max(1.0, float(np.abs(diagonal).max()))
 
 
 def _tail_report(weights: np.ndarray) -> TruncationReport:
@@ -659,10 +645,11 @@ def _readout_frame(params: SystemParams, n_max: int):
     No density matrix, cavity block, LU or SteadyState is made. The
     uniqueness checks are probe_free_state's (_probe_free_factors, on the lab
     factors): kappa > 0 then makes the state unique, since the truncated a
-    generates the whole matrix algebra. On the frame's factors, the |g><g|
-    block must be invariant and diag(P) must leave a residual
-    (_ground_residual) within 1e-9 max(1, max|diag L_GG|), or SolverFailure
-    (_require_ground_steady). That tolerance is never looser than the
+    generates the whole matrix algebra. Then one gate on the frame's
+    factors, or SolverFailure: the |g><g| block must pass the leak test,
+    and diag(P) must leave a residual within 1e-9 max(1, max|diag L_GG|),
+    both read from the factors' G x G slices (_ground_gate). That
+    tolerance is never looser than the
     _residual_tol of the assembled L_GG, whose diagonal entries are among
     its entries, nor than 1e-9 max(1, _l0_scale). The displacement
     leaves diag L_GG as it is, and e_0's displaced residual is exactly 0, so
@@ -690,12 +677,10 @@ def _readout_frame(params: SystemParams, n_max: int):
         rows, cols = np.repeat(3 * k, 2), (3 * k[:, None] + [2, 4]).ravel()
         inside = cols < 3 * m.size
         rows, cols = rows[inside], cols[inside]
-    ground = 3 * m
-    jumps = factors.jumps[:, ground, ground]  # c[G, G]'s diagonal, jump by jump
-    diagonal = (factors.m[ground, ground][:, None] + factors.n[ground, ground]
-                + jumps.T @ jumps.conj())  # of L_GG, at |g,m><g,n|
-    residual = _require_ground_steady(
-        factors, weights, 1e-9 * max(1.0, float(np.abs(diagonal).max())), frame)
+    residual, tol = _ground_gate(factors, weights)
+    if not residual <= tol:  # also catches a non-finite value
+        raise SolverFailure(f"{frame} probe-free state leaves residual "
+                            f"{residual:.3e} in the {frame} L0, above {tol:.3e}")
     return factors, weights, _tail_report(tail), residual, rows, cols
 
 

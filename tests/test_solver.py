@@ -309,7 +309,7 @@ def test_banded_cavity_state_matches_full_space(omega, kappa, delta, pump_detuni
 def _cavity_block(params, n_max):
     ground = 3 * np.arange(n_max + 1)
     factors = factors_at(params, 0.0, HilbertSpec(n_max), epsilon=0.0)
-    solver._require_invariant(factors, ground, ground, "G")
+    solver._ground_block(factors)
     return factors.block(ground, ground)
 
 
@@ -587,12 +587,23 @@ _GATE_SYSTEMS = [
 
 
 def _recording_ground_gate(monkeypatch) -> list:
-    """The tolerances solver._require_ground_steady is called with, in order;
-    the gate itself still runs."""
-    tols, gate = [], solver._require_ground_steady
-    monkeypatch.setattr(solver, "_require_ground_steady",
-                        lambda *args: (tols.append(args[2]), gate(*args))[1])
+    """The tolerances solver._ground_gate returns, in order; the gate itself
+    still runs."""
+    tols, gate = [], solver._ground_gate
+
+    def recording(*args):
+        residual, tol = gate(*args)
+        tols.append(tol)
+        return residual, tol
+
+    monkeypatch.setattr(solver, "_ground_gate", recording)
     return tols
+
+
+def _assembled_ground_residual(factors, weights):
+    """||L_GG vec(diag(weights))|| on the assembled |g><g| block of factors."""
+    ground = 3 * np.arange(weights.size)
+    return np.linalg.norm(factors.block(ground, ground) @ vec(np.diag(weights)))
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
@@ -602,7 +613,7 @@ def _recording_ground_gate(monkeypatch) -> list:
 def test_probe_free_residual_gate_sits_at_the_tolerance(monkeypatch, source, params,
                                                         multiple, fails):
     # a thermal pump is gated in the read-out frame: P + t (e_0 - e_1),
-    # scaled so that its residual on the lab factors' ground columns is the
+    # scaled so that its residual in the assembled lab-frame L_GG is the
     # given multiple of that gate's tolerance. A coherent pump is gated on
     # the assembled block: rho_cav + t X, X = |0><1| + |1><0| traceless,
     # scaled so that ||L_GG vec(rho_cav + t X)|| is the given multiple of
@@ -614,7 +625,7 @@ def test_probe_free_residual_gate_sits_at_the_tolerance(monkeypatch, source, par
         tol = tols[0]
         bump = np.zeros(n_max + 1)
         bump[:2] = 1.0, -1.0
-        scale = multiple * tol / solver._ground_residual(factors, bump)
+        scale = multiple * tol / _assembled_ground_residual(factors, bump)
     else:
         cavity = _cavity_block(params, n_max)
         tol = solver._residual_tol(cavity)
@@ -642,12 +653,12 @@ def test_cavity_block_rejects_a_leaking_generator(monkeypatch):
     spec = HilbertSpec(3)
     ground = 3 * np.arange(spec.n_max + 1)
     factors = factors_at(FIG5B, 0.0, spec, epsilon=0.0)
-    solver._require_invariant(factors, ground, ground, "G")
+    solver._ground_block(factors)
     assert factors.block(ground, ground).shape == (16, 16)
     excite = np.zeros((spec.dim, spec.dim))
     excite[ground + 1, ground] = 1.0
     with pytest.raises(SolverFailure, match="leaks"):
-        solver._require_invariant(_with_jump(factors, excite), ground, ground, "G")
+        solver._ground_block(_with_jump(factors, excite))
 
     jumps = liouvillian._dense_jumps
     monkeypatch.setattr(liouvillian, "_dense_jumps",
@@ -981,33 +992,43 @@ def _thermal_factors(spec):
                       0.0, spec, epsilon=0.0)
 
 
-def _factor_leak(kind, spec):
-    """Thermal L0's factors with one leak out of the |g><{f,e}| block, each
-    caught by one clause of the factor check alone."""
-    factors = _thermal_factors(spec)
-    g0, f0, e0, g1 = (spec.index(n, x) for n, x in ((0, "g"), (0, "f"), (0, "e"),
-                                                      (1, "g")))
+def _ground_leak(kind, factors):
+    """factors with one leak out of the |g><g| block, in one of the three
+    terms the leak test reads: M[G^c, G], N[G, G^c] or a jump's c[G^c, G]
+    (kind M, N or c)."""
+    spec = factors.spec
+    g1, f1, e1 = (spec.index(1, x) for x in ("g", "f", "e"))
     leak = np.zeros((spec.dim, spec.dim))
-    if kind == "M":  # M[R^c, R]: |g,0> -> |e,0> on the left only
-        leak[e0, g0] = 1.0
+    if kind == "M":  # M[G^c, G]: |g,1> -> |e,1> on the left only
+        leak[e1, g1] = 1.0
         return replace(factors, m=factors.m + leak)
-    if kind == "N":  # N[C, C^c]: <f,0| -> <g,0| on the right only
-        leak[f0, g0] = 1.0
+    if kind == "N":  # N[G, G^c]: <g,1| -> <f,1| on the right only
+        leak[g1, f1] = 1.0
         return replace(factors, n=factors.n + leak)
-    if kind == "c[R^c,R], c[:,C]":  # c = |e,0><g,0| + |f,0><e,0|
-        leak[e0, g0] = leak[f0, e0] = 1.0
-    else:  # c[:,R], c[C^c,C]: c = |g,0><g,1| + |g,0><e,0|
-        leak[g0, g1] = leak[g0, e0] = 1.0
+    leak[e1, g1] = 1.0  # c[G^c, G]: c = |e,1><g,1|
     return _with_jump(factors, leak)
 
 
-@pytest.mark.parametrize("kind", ["M", "N", "c[R^c,R], c[:,C]", "c[:,R], c[C^c,C]"])
-def test_product_block_check_catches_each_kind_of_leak(kind):
-    spec = HilbertSpec(3)
-    ground = 3 * np.arange(spec.n_max + 1)
-    excited = np.sort(np.concatenate([ground + 1, ground + 2]))
-    with pytest.raises(SolverFailure, match="leaks"):
-        solver._require_invariant(_factor_leak(kind, spec), ground, excited, "G x FE")
+@pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
+@pytest.mark.parametrize("kind", ["M", "N", "c"])
+@pytest.mark.parametrize("route, pump", [
+    ("readout-frame", ThermalPump(n_th=0.3)),
+    ("readout-frame", CoherentPump(Omega=0.5, pump_detuning=0.7)),
+    ("probe-free-state", CoherentPump(Omega=0.5, pump_detuning=0.7)),
+], ids=["frame-thermal", "frame-coherent", "probe-free-coherent"])
+def test_ground_block_check_catches_each_kind_of_leak(monkeypatch, kind, route, pump):
+    # each term of the leak test alone, through both production callers: the
+    # read-out frame's gate (lab and displaced factors) and the coherent
+    # branch of probe_free_state, which runs the leak test alone
+    params = SystemParams.from_effective(5, 1, eta=4, kappa=1, pump=pump)
+    call = {"readout-frame": solver._readout_frame,
+            "probe-free-state": solver.probe_free_state}[route]
+    call(params, 3)  # the unmodified factors pass
+    lab = solver.factors_at
+    monkeypatch.setattr(solver, "factors_at",
+                        lambda *args, **kwargs: _ground_leak(kind, lab(*args, **kwargs)))
+    with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
+        call(params, 3)
 
 
 def _thermal_readout_positions(spec):
@@ -1044,7 +1065,6 @@ def test_readout_block_check_catches_each_kind_of_leak(kind):
     leaky = _readout_leak(kind, spec)
     ground = 3 * np.arange(spec.n_max + 1)
     excited = np.sort(np.concatenate([ground + 1, ground + 2]))
-    solver._require_invariant(leaky, ground, excited, "G x FE")  # no product-block leak
     leaky.block(ground, excited)
     with pytest.raises(SolverFailure, match="leaks out of the read-out block"):
         solver._readout_block(leaky, rows, cols)
@@ -1232,13 +1252,7 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
     # residual gate per call is never looser than the assembled cavity
     # block's tolerance
     n_max = 6
-    tols, gate = [], solver._require_ground_steady
-
-    def recording(factors, weights, tol, frame):
-        tols.append(tol)
-        return gate(factors, weights, tol, frame)
-
-    monkeypatch.setattr(solver, "_require_ground_steady", recording)
+    tols = _recording_ground_gate(monkeypatch)
     (factors, weights, report, residual, _, _), caught = _recorded_warnings(
         lambda: solver._readout_frame(params, n_max))
     (_, state, lab_report), lab_caught = _recorded_warnings(
@@ -1255,16 +1269,16 @@ def test_bose_probe_free_state_is_probe_free_states_ground_diagonal(monkeypatch,
 
 def _assert_ground_gate_sits_at_the_tolerance(monkeypatch, params, multiple, fails,
                                               frame):
-    """P + t (e_0 - e_1), scaled so that its residual on the frame's factors
-    is the given multiple of the gate's tolerance (P's own is ~1e-16 in the
-    lab frame and exactly 0 in the displaced one, far below), must raise
-    above the tolerance and pass below it."""
+    """P + t (e_0 - e_1), scaled so that its residual in the frame's
+    assembled L_GG is the given multiple of the gate's tolerance (P's own
+    is ~1e-16 in the lab frame and exactly 0 in the displaced one, far
+    below), must raise above the tolerance and pass below it."""
     n_max = 6
     tols = _recording_ground_gate(monkeypatch)
     factors = solver._readout_frame(params, n_max)[0]
     bump = np.zeros(n_max + 1)
     bump[:2] = 1.0, -1.0
-    scale = multiple * tols[0] / solver._ground_residual(factors, bump)
+    scale = multiple * tols[0] / _assembled_ground_residual(factors, bump)
     weights = solver._bose_weights
     monkeypatch.setattr(solver, "_bose_weights",
                         lambda n_th, n_max: weights(n_th, n_max) + scale * bump)
@@ -1461,7 +1475,7 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
     tail = sum(weights[max(0, n_max - 5) + 1:]) / sum(weights)
     assert report.tail_mass == pytest.approx(tail, rel=1e-12)
     assert not report.converged and report.n_max == n_max
-    assert residual == solver._ground_residual(factors, populations) <= 1e-15
+    assert residual == solver._ground_gate(factors, populations)[0] <= 1e-15
     assert populations.tolist() == [1.0] + [0.0] * n_max
     with pytest.warns(TruncationNotConverged, match=f"tail mass {tail:.3e} above photon "
                                                      f"number {max(0, n_max - 5)} exceeds"):
@@ -1470,11 +1484,16 @@ def test_displaced_truncation_report_is_the_poisson_tail(n_max):
 
 
 def test_displaced_vacuum_residual_is_the_full_space_residual():
-    # the residual from the ground columns of the factors against
-    # ||L vec(rho)|| on the full superoperator, for random dense H and jumps:
-    # rho = |g,0><g,0| (column 0 alone) and rho = sum_m P_m |g,m><g,m|
+    # the residual from the G x G slices of the factors against
+    # ||L vec(rho)|| on the full superoperator, for random dense H and jumps
+    # with M[G^c, G], N[G, G^c] and every c[G^c, G] zeroed, so that the
+    # |g><g| block is invariant: rho = |g,0><g,0| (column 0 alone) and
+    # rho = sum_m P_m |g,m><g,m|. The random factors as built leak, and the
+    # gate refuses them before it computes anything
     rng = np.random.default_rng(11)
     spec = HilbertSpec(2)
+    outside = np.arange(spec.dim) % 3 != 0
+    leaks = outside[:, None] & ~outside  # [G^c, G]
 
     def random_matrix():
         return rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
@@ -1485,10 +1504,15 @@ def test_displaced_vacuum_residual_is_the_full_space_residual():
                                    [random_matrix() for _ in range(rng.integers(1, 4))],
                                    spec)
         weights = np.eye(1, spec.n_max + 1)[0] if k % 2 else rng.uniform(size=spec.n_max + 1)
+        with pytest.raises(SolverFailure, match=r"leaks out of the \|g><g\| block"):
+            solver._ground_gate(factors, weights)
+        factors = replace(factors, m=np.where(leaks, 0, factors.m),
+                          n=np.where(leaks.T, 0, factors.n),
+                          jumps=np.where(leaks, 0, factors.jumps))
         rho = np.zeros((spec.dim, spec.dim))
         rho[::3, ::3] = np.diag(weights)
         full = np.linalg.norm(factors.superoperator().matrix @ vec(rho))
-        assert solver._ground_residual(factors, weights) == pytest.approx(full, rel=1e-12)
+        assert solver._ground_gate(factors, weights)[0] == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::vitats.TruncationNotConverged")
